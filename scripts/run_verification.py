@@ -10,11 +10,4 @@ from optoweak.cli import main as cli_main
 
 if __name__ == "__main__":
     out = sys.argv[1] if len(sys.argv) > 1 else "verify_report.json"
-    import json
-    import tempfile
-
-    cfg = {"out": out}
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(cfg, fh)
-        path = fh.name
-    sys.exit(cli_main(["verify", "--config", path]))
+    sys.exit(cli_main(["verify", "--out", out]))

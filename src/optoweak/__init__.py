@@ -13,7 +13,8 @@ from .dynamics import (EvolutionParams, dense_propagator, evolution_params,
                        factored_propagate, factored_propagator,
                        weak_approx_propagate)
 from .errors import (ConfigError, ConvergenceError, DegenerateBranchError,
-                     LayoutError, OptoweakError, TruncationError)
+                     InvariantError, LayoutError, OptoweakError,
+                     TruncationError)
 from .fock import (DensityMatrix, ModeLayout, Operator, StateVector,
                    annihilation, apply, branch_probabilities, coherent_state,
                    creation, displacement, expectation, fock_state, identity,

@@ -99,10 +99,8 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     # verify
-    results = verify_mod.run_all(optical_cutoff=cfg.optical_cutoff
-                                 if cfg.optical_cutoff is not None else None,
-                                 mirror_cutoff=cfg.mirror_cutoff
-                                 if cfg.mirror_cutoff != 10 else None)
+    results = verify_mod.run_all(optical_cutoff=cfg.optical_cutoff,
+                                 mirror_cutoff=cfg.mirror_cutoff)
     for res in results:
         print(res.report())
     n_fail = sum(not r.passed for r in results)

@@ -1,51 +1,40 @@
 """Open-system protocol with mechanical damping.
 
-The a-m segment is integrated as a density matrix under the damped master
-equation; the spectator arm b stays a coherent state until recombination and
-is re-tensored afterwards, which cuts the evolved dimension by the b-mode
-factor (the dissipator only touches the mirror).
+The a-m segment evolves as a density matrix under the damped master
+equation.  Arm-a photon number commutes with the Hamiltonian and with the
+mirror-only dissipator, so every (n, n') block of rho_am evolves on its own
+and is propagated exactly by one matrix exponential of its own generator.
+Recombination and postselection are the unitary engine's, so both engines
+share one back-end.
 """
 
 from __future__ import annotations
 
-import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import EvolutionParams
-from .errors import ConvergenceError, LayoutError
-from .fock import (DensityMatrix, ModeLayout, annihilation, coherent_state,
-                   position, vacuum_state)
-from .interferometer import (ProtocolOutcome, ProtocolParams, beam_splitter)
-from .tolerances import DEFAULT_TOL
-
-log = logging.getLogger(__name__)
+from .errors import LayoutError
+from .fock import DensityMatrix, ModeLayout, annihilation
+from .interferometer import (ProtocolOutcome, ProtocolParams, _postselect,
+                             _preselect_am)
 
 
 @dataclass(frozen=True)
 class LindbladParams:
-    """Dimensionless damping rate plus integration stepping.
+    """Dimensionless damping rate plus the coherent dynamics.
 
     ``gamma`` is the mechanical damping over the mechanical frequency; time
-    is measured in inverse mechanical frequencies.  ``step_size`` defaults to
-    wm_t / 2000.
+    is measured in inverse mechanical frequencies.
     """
 
     gamma: float
     base: EvolutionParams
-    step_size: float | None = None
 
     def __post_init__(self):
         if self.gamma < 0:
             raise LayoutError("gamma must be >= 0")
-
-    def resolved_step(self, total_time: float) -> float:
-        if self.step_size is not None:
-            return self.step_size
-        ref = self.base.wm_t if self.base.wm_t > 0 else total_time
-        return (ref if ref > 0 else 1.0) / 2000.0
 
 
 def _hamiltonian(layout: ModeLayout, params: EvolutionParams,
@@ -63,12 +52,6 @@ def _hamiltonian(layout: ModeLayout, params: EvolutionParams,
     return h
 
 
-def _mirror_jump(layout: ModeLayout, coupled: str, mirror: str) -> np.ndarray:
-    da = layout.dim_of(coupled)
-    c = annihilation(layout.cutoff(mirror), mirror).matrix
-    return np.kron(np.eye(da), c)
-
-
 def lindblad_rhs(rho: DensityMatrix, params: LindbladParams,
                  coupled: str = "a", mirror: str = "m") -> np.ndarray:
     """-i[H, rho] + (gamma/2)(2 c rho c^dag - c^dag c rho - rho c^dag c).
@@ -77,135 +60,65 @@ def lindblad_rhs(rho: DensityMatrix, params: LindbladParams,
     not a density matrix).
     """
     h = _hamiltonian(rho.layout, params.base, coupled, mirror)
-    c = _mirror_jump(rho.layout, coupled, mirror)
-    return _rhs_matrices(rho.matrix, h, c, params.gamma)
-
-
-def _rhs_matrices(rho: np.ndarray, h: np.ndarray, c: np.ndarray,
-                  gamma: float) -> np.ndarray:
-    out = -1j * (h @ rho - rho @ h)
-    if gamma != 0.0:
+    c = np.kron(np.eye(rho.layout.dim_of(coupled)),
+                annihilation(rho.layout.cutoff(mirror), mirror).matrix)
+    r = rho.matrix
+    out = -1j * (h @ r - r @ h)
+    if params.gamma != 0.0:
         cd = c.conj().T
         cdc = cd @ c
-        out = out + (gamma / 2.0) * (2.0 * c @ rho @ cd - cdc @ rho - rho @ cdc)
+        out = out + (params.gamma / 2.0) * (2.0 * c @ r @ cd - cdc @ r - r @ cdc)
     return out
 
 
-def _rk4(rho: np.ndarray, h: np.ndarray, c: np.ndarray, gamma: float,
-         total_time: float, steps: int) -> np.ndarray:
-    dt = total_time / steps
-    r = rho.copy()
-    worst_asym = 0.0
-    for _ in range(steps):
-        k1 = _rhs_matrices(r, h, c, gamma)
-        k2 = _rhs_matrices(r + dt / 2 * k1, h, c, gamma)
-        k3 = _rhs_matrices(r + dt / 2 * k2, h, c, gamma)
-        k4 = _rhs_matrices(r + dt * k3, h, c, gamma)
-        r = r + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        asym = r - r.conj().T
-        worst_asym = max(worst_asym, float(np.abs(asym).max()))
-        r = r - asym / 2  # re-symmetrize each step
-    log.debug("rk4: %d steps, worst per-step asymmetry %.3e", steps, worst_asym)
-    return r
-
-
 def evolve_master(rho0: DensityMatrix, params: LindbladParams, total_time: float,
-                  coupled: str = "a", mirror: str = "m",
-                  verify_step: bool = True) -> DensityMatrix:
-    """Fixed-step fourth-order integration with a step-doubling check.
+                  coupled: str = "a", mirror: str = "m") -> DensityMatrix:
+    """Exact evolution under the damped master equation, block by block.
 
-    When ``verify_step`` is on, the trajectory is re-integrated at half the
-    step; a final-state trace distance above the tolerance raises
-    :class:`ConvergenceError` with a suggested smaller step.
+    The (n, n') block R of rho obeys
+    dR/dt = -i(H_n R - R H_n') + (gamma/2)(2 c R c^dag - c^dag c R - R c^dag c)
+    with H_n = c^dag c - k n (c + c^dag), plus r n with the optical phase on.
+    Each block with n <= n' is propagated by expm of its dm^2 x dm^2
+    generator; the others follow from R_n'n = R_nn'^dag.
     """
+    from scipy.linalg import expm  # deferred: `import optoweak` stays light
+
     if total_time < 0:
         raise LayoutError("total_time must be >= 0")
     if total_time == 0:
         return rho0
-    h = _hamiltonian(rho0.layout, params.base, coupled, mirror)
-    c = _mirror_jump(rho0.layout, coupled, mirror)
-    dt = params.resolved_step(total_time)
-    steps = max(1, math.ceil(total_time / dt))
-    final = _rk4(rho0.matrix, h, c, params.gamma, total_time, steps)
-    if verify_step:
-        refined = _rk4(rho0.matrix, h, c, params.gamma, total_time, 2 * steps)
-        dist = 0.5 * float(np.abs(np.linalg.eigvalsh(final - refined)).sum())
-        if dist > DEFAULT_TOL.step_doubling_atol:
-            raise ConvergenceError(
-                f"step-doubling check failed; retry with step_size <= {dt / 4:.3e}",
-                dist)
-        final = refined
-    return DensityMatrix(rho0.layout, final)
+    layout = rho0.layout
+    if layout.labels != (coupled, mirror):
+        raise LayoutError(f"expected layout ({coupled}, {mirror}), got {layout.labels}")
+    da, dm = layout.dim_of(coupled), layout.dim_of(mirror)
+    base = params.base
+    r = base.r if base.include_r_phase else 0.0
+    c = annihilation(layout.cutoff(mirror), mirror).matrix
+    num, eye = c.T @ c, np.eye(dm)
+    h = [num - base.k * n * (c + c.T) + r * n * eye for n in range(da)]
+    # row-major vectorization: vec(A R B) = (A kron B^T) vec(R); c and every
+    # H_n are real, H_n symmetric
+    damp = (params.gamma / 2.0) * (2.0 * np.kron(c, c) - np.kron(num, eye)
+                                   - np.kron(eye, num))
+    blocks = rho0.matrix.reshape(da, dm, da, dm).transpose(0, 2, 1, 3)
+    out = np.empty_like(blocks)
+    for n in range(da):
+        for n2 in range(n, da):
+            gen = -1j * (np.kron(h[n], eye) - np.kron(eye, h[n2])) + damp
+            out[n, n2] = (expm(total_time * gen) @ blocks[n, n2].reshape(-1)).reshape(dm, dm)
+            out[n2, n] = out[n, n2].conj().T
+    final = out.transpose(0, 2, 1, 3).reshape(da * dm, da * dm)
+    return DensityMatrix(layout, (final + final.conj().T) / 2)
 
 
-def damped_protocol(params: ProtocolParams, gamma: float,
-                    step_size: float | None = None,
-                    verify_step: bool = True) -> ProtocolOutcome:
+def damped_protocol(params: ProtocolParams, gamma: float) -> ProtocolOutcome:
     """The interferometer pipeline with the a-m segment damped.
 
-    Postselection acts as projector conjugation on the density matrix; the
-    outcome record matches :func:`optoweak.interferometer.run_protocol`.
+    Recombination, postselection and the outcome record are those of
+    :func:`optoweak.interferometer.run_protocol`.
     """
-    lb = LindbladParams(gamma=gamma, base=params.evolution, step_size=step_size)
-    n_opt, n_mir = params.n_opt, params.mirror_cutoff
-    arm_alpha = params.alpha / math.sqrt(2.0)
-
-    # damped segment: modes (a, m) only
-    arm_a = coherent_state(arm_alpha, n_opt, "a", leakage_tol=1.0)
-    psi_am = np.kron(arm_a.amplitudes, vacuum_state(n_mir, "m").amplitudes)
-    psi_am = psi_am / np.linalg.norm(psi_am)
-    rho_am = DensityMatrix(ModeLayout.of(("a", n_opt), ("m", n_mir)),
-                           np.outer(psi_am, psi_am.conj()))
-    rho_am = evolve_master(rho_am, lb, params.evolution.wm_t, verify_step=verify_step)
-
-    # re-tensor the spectator arm b, order (a, b, m); the spectator's free
-    # optical phase matches what the Hamiltonian gave arm a
-    b_alpha = arm_alpha
-    if params.evolution.include_r_phase and params.evolution.r != 0.0:
-        b_alpha = b_alpha * np.exp(-1j * params.evolution.r * params.evolution.wm_t)
-    arm_b = coherent_state(b_alpha, n_opt, "b", leakage_tol=1.0).amplitudes
-    arm_b = arm_b / np.linalg.norm(arm_b)
-    rho_b = np.outer(arm_b, arm_b.conj())
-    da, dm = n_opt + 1, n_mir + 1
-    # rho_abm = rho_am (x) rho_b, axes reordered to (a, b, m)
-    t = rho_am.matrix.reshape(da, dm, da, dm)
-    full = np.einsum('imjn,kl->ikmjln', t, rho_b)
-    rho_abm = full.reshape(da * da * dm, da * da * dm)
-
-    # recombine: conjugate by the beam splitter on (a, b)
-    bs = beam_splitter(math.pi / 4 + params.delta, n_opt, n_opt, ("a", "b"))
-    u = np.kron(bs.matrix, np.eye(dm))
-    rho_abm = u @ rho_abm @ u.conj().T
-
-    # dark-port projection blocks: modes now (c, d, m)
-    t = rho_abm.reshape(da, da, dm, da, da, dm)
-    q = position(n_mir, 1.0, "m").matrix
-    q2 = q @ q
-    mirror_layout = ModeLayout.of(("m", n_mir))
-    probs = np.array([float(np.einsum('cmcm->', t[:, nd, :, :, nd, :]).real)
-                      for nd in range(da)])
-    stats = {}
-    for nd, name in ((0, "noclick"), (1, "click")):
-        block = t[:, nd, :, :, nd, :]
-        p = probs[nd]
-        if p < DEFAULT_TOL.degenerate_prob:
-            stats[name] = (p, None, math.nan, math.nan)
-            continue
-        rho_m = np.einsum('cmcn->mn', block) / p
-        rho_m = (rho_m + rho_m.conj().T) / 2
-        tq = float(np.trace(rho_m @ q).real)
-        tq2 = float(np.trace(rho_m @ q2).real)
-        stats[name] = (p, DensityMatrix(mirror_layout, rho_m), tq,
-                       math.sqrt(max(tq2 - tq * tq, 0.0)))
-
-    p_nc, rho_nc, q_nc, dq_nc = stats["noclick"]
-    p_c, rho_c, q_c, dq_c = stats["click"]
-    reason = None
-    if rho_c is None:
-        reason = "click: zero-probability branch"
-    return ProtocolOutcome(
-        p_click=p_c, p_noclick=p_nc,
-        p_residual=float(probs[params.dark_port_max_click + 1:].sum()),
-        q_click=q_c, q_noclick=q_nc, dq_click=dq_c, dq_noclick=dq_nc,
-        diff=q_c - q_nc, mirror_click=rho_c, mirror_noclick=rho_nc,
-        degenerate_reason=reason)
+    psi = _preselect_am(params)
+    rho = evolve_master(DensityMatrix.from_state(psi),
+                        LindbladParams(gamma=gamma, base=params.evolution),
+                        params.evolution.wm_t)
+    return _postselect(params, rho.matrix.reshape(psi.layout.shape * 2))

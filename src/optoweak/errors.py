@@ -30,11 +30,20 @@ class DegenerateBranchError(OptoweakError):
 
 
 class ConvergenceError(OptoweakError):
-    """An iterative scheme (series, step-doubling) failed its check."""
+    """An iterative scheme (e.g. a truncated series) failed its check."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual={residual:.3e})")
         self.residual = residual
+
+
+class InvariantError(OptoweakError):
+    """A physics invariant failed numerically (e.g. a Hermitian expectation
+    with an imaginary part)."""
+
+    def __init__(self, message: str, deviation: float):
+        super().__init__(f"{message} (deviation={deviation:.3e})")
+        self.deviation = deviation
 
 
 class ConfigError(OptoweakError):

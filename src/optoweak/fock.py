@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc
 
-from .errors import DegenerateBranchError, LayoutError, TruncationError
+from .errors import (DegenerateBranchError, InvariantError, LayoutError,
+                     TruncationError)
 from .tolerances import DEFAULT_TOL
 
 MODE_LABELS = frozenset("abcdm")
@@ -432,8 +433,8 @@ def expectation(obj: StateVector | DensityMatrix, op: Operator,
     else:
         red = obj.partial_trace(targets)
         val = complex(np.trace(red.matrix @ op.matrix))
-    if op.hermitian:
-        assert abs(val.imag) < 1e-10, f"Hermitian expectation imag {val.imag:.2e}"
+    if op.hermitian and not abs(val.imag) < 1e-10:
+        raise InvariantError("Hermitian expectation has an imaginary part", abs(val.imag))
     return val
 
 
@@ -456,5 +457,6 @@ def pointer_shift(rho_f: StateVector | DensityMatrix,
     if abs(tf) < DEFAULT_TOL.degenerate_prob:
         raise DegenerateBranchError("pointer_shift on a zero-weight branch", tf)
     val = expectation(rho_f, op, targets) / tf - expectation(rho_i, op, targets)
-    assert abs(val.imag) < 1e-10, f"Hermitian expectation has imag {val.imag:.2e}"
+    if not abs(val.imag) < 1e-10:
+        raise InvariantError("pointer shift has an imaginary part", abs(val.imag))
     return float(val.real)

@@ -21,12 +21,11 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamics import EvolutionParams, factored_propagate
-from .errors import DegenerateBranchError, LayoutError, TruncationError
+from .errors import (DegenerateBranchError, InvariantError, LayoutError,
+                     TruncationError)
 from .fock import (DensityMatrix, ModeLayout, Operator, StateVector,
-                   annihilation, apply, branch_probabilities, coherent_state,
-                   cutoff_for_leakage, fock_state, number, position,
-                   project_fock, reduced_density, relabel, tensor,
-                   vacuum_state)
+                   annihilation, coherent_state, cutoff_for_leakage,
+                   fock_state, number, position, tensor, vacuum_state)
 from .tolerances import DEFAULT_TOL
 
 PRESELECT_LEAKAGE = 1e-9
@@ -94,19 +93,27 @@ class ProtocolOutcome:
     degenerate_reason: str | None = None
 
 
+def _arm(params: ProtocolParams, label: str, phase: complex = 1.0) -> StateVector:
+    """One preselected arm |phase alpha/sqrt2>; the leakage check of every
+    preselection (arm a and arm b of both engines) happens here."""
+    return coherent_state(params.alpha * phase / math.sqrt(2.0), params.n_opt, label,
+                          leakage_tol=PRESELECT_LEAKAGE / 2)
+
+
 def preselect(params: ProtocolParams) -> StateVector:
     """|alpha/sqrt2>_a |alpha/sqrt2>_b |0>_m (truncated, leakage-checked).
 
     No optical phases here: those belong to the evolution step.
     """
-    arm_alpha = params.alpha / math.sqrt(2.0)
-    arm_a = coherent_state(arm_alpha, params.n_opt, "a", leakage_tol=PRESELECT_LEAKAGE / 2)
-    arm_b = coherent_state(arm_alpha, params.n_opt, "b", leakage_tol=PRESELECT_LEAKAGE / 2)
-    psi = tensor([arm_a, arm_b, vacuum_state(params.mirror_cutoff, "m")])
-    if psi.leakage > PRESELECT_LEAKAGE:
-        raise TruncationError("preselected state leaks past the optical cutoffs",
-                              psi.leakage)
-    return psi
+    return tensor([_arm(params, "a"), _arm(params, "b"),
+                   vacuum_state(params.mirror_cutoff, "m")])
+
+
+def _preselect_am(params: ProtocolParams) -> StateVector:
+    """The normalized (a, m) factor of :func:`preselect`: the part of the
+    state that interacts.  Arm b stays coherent and is rebuilt at
+    recombination."""
+    return tensor([_arm(params, "a"), vacuum_state(params.mirror_cutoff, "m")]).normalize()
 
 
 @lru_cache(maxsize=16)
@@ -140,59 +147,66 @@ def beam_splitter(theta: float, cutoff_first: int, cutoff_second: int,
     return op
 
 
-def _mirror_stats(branch: StateVector, mirror_cutoff: int):
-    """Reduced mirror state plus <q>, dq (sigma units) vs the ground state."""
-    rho = reduced_density(branch, ("m",))
-    q = position(mirror_cutoff, 1.0, "m").matrix
-    tq = float(np.trace(rho.matrix @ q).real)
-    tq2 = float(np.trace(rho.matrix @ (q @ q)).real)
-    return rho, tq, math.sqrt(max(tq2 - tq * tq, 0.0))
+def _postselect(params: ProtocolParams, rho_am: np.ndarray) -> ProtocolOutcome:
+    """Recombine, postselect on the dark port and collect mirror statistics.
 
-
-def evolve_and_recombine(params: ProtocolParams) -> StateVector:
-    """Preselect, interact in arm a, recombine; returns the state on {c,d,m}."""
-    psi = preselect(params).normalize()
-    psi = factored_propagate(psi, params.evolution, coupled="a", mirror="m")
+    ``rho_am`` is the evolved (a, m) density matrix as a (da, dm, da, dm)
+    array.  Arm b is rebuilt as the coherent state it stayed, with the free
+    optical phase arm a got from the evolution.  With
+    W[c, d, n] = U(|n>_a |beta>_b) the dark-port outcome j leaves the mirror
+    in sum_{n n'} M_j[n, n'] rho[n, :, n', :] with
+    M_j[n, n'] = sum_c W[c, j, n] W*[c, j, n'].  The bright port is never
+    conditioned, which equals tracing it out.  Dark-port outcomes above
+    ``dark_port_max_click`` are accumulated into a residual probability.
+    """
+    ev = params.evolution
+    phase = np.exp(-1j * ev.r * ev.wm_t) if ev.include_r_phase else 1.0
+    beta = _arm(params, "b", phase).normalize().amplitudes
+    d = params.n_opt + 1
     bs = beam_splitter(math.pi / 4 + params.delta, params.n_opt, params.n_opt,
                        labels=("a", "b"))
-    psi = apply(bs, psi)
-    return relabel(psi, {"a": "c", "b": "d"})
+    w = bs.matrix.reshape(d, d, d, d) @ beta
+    m = np.einsum("cjn,cjk->jnk", w, w.conj())
+    probs = np.einsum("jnk,nk->j", m, np.trace(rho_am, axis1=1, axis2=3)).real
+    q = position(params.mirror_cutoff, 1.0, "m").matrix
+    layout = ModeLayout.of(("m", params.mirror_cutoff))
+    stats, reasons = {}, []
+    for j, name in ((0, "noclick"), (1, "click")):
+        p = float(probs[j]) if j < d else 0.0
+        if p < DEFAULT_TOL.degenerate_prob:
+            err = DegenerateBranchError(
+                f"projection onto |{j}> of mode 'd' has no weight", p)
+            reasons.append(f"{name}:{err}")
+            stats[name] = (p, None, math.nan, math.nan)
+            continue
+        rho_m = np.einsum("nk,nikl->il", m[j], rho_am) / p
+        rho_m = (rho_m + rho_m.conj().T) / 2
+        tq = float(np.trace(rho_m @ q).real)
+        tq2 = float(np.trace(rho_m @ q @ q).real)
+        stats[name] = (p, DensityMatrix(layout, rho_m), tq,
+                       math.sqrt(max(tq2 - tq * tq, 0.0)))
+
+    p_nc, rho_nc, q_nc, dq_nc = stats["noclick"]
+    p_c, rho_c, q_c, dq_c = stats["click"]
+    return ProtocolOutcome(
+        p_click=p_c, p_noclick=p_nc,
+        p_residual=float(probs[min(params.dark_port_max_click + 1, d):].sum()),
+        q_click=q_c, q_noclick=q_nc, dq_click=dq_c, dq_noclick=dq_nc,
+        diff=q_c - q_nc, mirror_click=rho_c, mirror_noclick=rho_nc,
+        degenerate_reason="; ".join(reasons) or None)
 
 
 def run_protocol(params: ProtocolParams) -> ProtocolOutcome:
-    """Run the full pipeline and collect both dark-port branches.
+    """Run the unitary pipeline and collect both dark-port branches.
 
-    The bright port is never conditioned: expectations are taken on the joint
-    conditional (c, m) state, which equals tracing out c.  Dark-port outcomes
-    above ``dark_port_max_click`` are accumulated into a residual
-    probability.
+    The (a, m) ket evolves under the factored propagator; its outer product
+    goes through :func:`_postselect`, as the damped engine's density matrix
+    does.
     """
-    psi = evolve_and_recombine(params)
-    probs = branch_probabilities(psi, "d")
-    p_noclick = float(probs[0])
-    p_click = float(probs[1]) if probs.size > 1 else 0.0
-    p_residual = float(probs[min(params.dark_port_max_click + 1, probs.size):].sum())
-
-    reason = None
-    try:
-        noclick, _ = project_fock(psi, "d", 0)
-        rho_nc, q_nc, dq_nc = _mirror_stats(noclick, params.mirror_cutoff)
-    except DegenerateBranchError as err:
-        rho_nc, q_nc, dq_nc = None, math.nan, math.nan
-        reason = f"noclick:{err}"
-    try:
-        click, _ = project_fock(psi, "d", 1)
-        rho_c, q_c, dq_c = _mirror_stats(click, params.mirror_cutoff)
-    except DegenerateBranchError as err:
-        rho_c, q_c, dq_c = None, math.nan, math.nan
-        reason = f"click:{err}" if reason is None else reason + f"; click:{err}"
-
-    return ProtocolOutcome(
-        p_click=p_click, p_noclick=p_noclick, p_residual=p_residual,
-        q_click=q_c, q_noclick=q_nc, dq_click=dq_c, dq_noclick=dq_nc,
-        diff=q_c - q_nc,
-        mirror_click=rho_c, mirror_noclick=rho_nc,
-        degenerate_reason=reason)
+    psi = factored_propagate(_preselect_am(params), params.evolution,
+                             coupled="a", mirror="m")
+    rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    return _postselect(params, rho.reshape(psi.layout.shape * 2))
 
 
 def weak_value_numeric(params: ProtocolParams) -> float:
@@ -227,6 +241,7 @@ def weak_value_numeric(params: ProtocolParams) -> float:
                           + np.vdot(cu, a @ cu) * np.vdot(one, a.conj().T @ cv))
            + sth ** 2 * np.vdot(cu, cu) * np.vdot(one, n_op @ cv))
     wv = complex(num) / den
-    if complex(params.alpha).imag == 0.0:
-        assert abs(wv.imag) < 1e-8, f"weak value imag {wv.imag:.2e} for real drive"
+    if complex(params.alpha).imag == 0.0 and not abs(wv.imag) < 1e-8:
+        raise InvariantError("weak value of a real drive has an imaginary part",
+                             abs(wv.imag))
     return float(wv.real)

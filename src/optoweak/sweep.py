@@ -42,7 +42,7 @@ class SweepConfig:
     axes: dict = field(default_factory=dict)       # name -> list of values
     pairs: tuple = DEFAULT_PAIRS                   # figure3 (p_target, k)
     optical_cutoff: int | None = None
-    mirror_cutoff: int = 10
+    mirror_cutoff: int | None = None               # None: the protocol's default
     overlay_alpha2: float = 2.0                    # exact overlay for figure2
     out: str | None = None
     svg: str | None = None
@@ -50,6 +50,14 @@ class SweepConfig:
 
     def value(self, name: str) -> float:
         return float(self.fixed.get(name, DEFAULT_FIXED[name]))
+
+    @property
+    def exact_mirror_cutoff(self) -> int:
+        """The mirror cutoff exact points use: the configured one, else
+        :class:`ProtocolParams`' default."""
+        if self.mirror_cutoff is None:
+            return ProtocolParams.mirror_cutoff
+        return self.mirror_cutoff
 
 
 def _expand_axis(name: str, spec) -> list[float]:
@@ -119,7 +127,8 @@ def load_config(path: str | None, overrides: dict | None = None,
 
     cfg = SweepConfig(
         mode=mode, engine=engine, fixed=fixed, axes=axes, pairs=pairs,
-        optical_cutoff=cut.get("optical"), mirror_cutoff=int(cut.get("mirror", 10)),
+        optical_cutoff=cut.get("optical"),
+        mirror_cutoff=None if cut.get("mirror") is None else int(cut["mirror"]),
         overlay_alpha2=float(raw.get("overlay_alpha2", 2.0)),
         out=raw.get("out"), svg=raw.get("svg"), workers=workers)
     _check_exact_feasible(cfg)
@@ -132,7 +141,7 @@ def _check_exact_feasible(cfg: SweepConfig) -> None:
     alpha2 = cfg.value("alpha2") if cfg.mode == "sweep" else cfg.overlay_alpha2
     alpha2 = max([alpha2] + [max(v) for n, v in cfg.axes.items() if n == "alpha2"])
     n_opt = cfg.optical_cutoff if cfg.optical_cutoff is not None else default_optical_cutoff(alpha2)
-    dim = (n_opt + 1) ** 2 * (cfg.mirror_cutoff + 1)
+    dim = (n_opt + 1) ** 2 * (cfg.exact_mirror_cutoff + 1)
     if dim > 16 * DEFAULT_TOL.dense_dim_cap:
         raise ConfigError(
             f"exact engine infeasible: joint dimension {dim} for |alpha|^2={alpha2:.3g}")
@@ -200,7 +209,7 @@ def _exact_point(cfg: SweepConfig, k: float, wm_t: float, alpha2: float,
     params = ProtocolParams(
         alpha=complex(math.sqrt(alpha2)), delta=delta,
         evolution=evolution_params(k, wm_t),
-        optical_cutoff=cfg.optical_cutoff, mirror_cutoff=cfg.mirror_cutoff)
+        optical_cutoff=cfg.optical_cutoff, mirror_cutoff=cfg.exact_mirror_cutoff)
     out = damped_protocol(params, gamma) if gamma > 0.0 else run_protocol(params)
     return {
         "p_click": out.p_click, "p_noclick": out.p_noclick,

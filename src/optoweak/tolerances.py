@@ -24,8 +24,6 @@ class Tolerances:
     propagate_leakage: float = 1e-9   # mirror tail allowed in factored_propagate
     series_term_rtol: float = 1e-14   # Taylor series convergence cut
     series_max_terms: int = 200
-    # integration
-    step_doubling_atol: float = 1e-8  # trace distance allowed between h and h/2 runs
     # parameter-regime warnings
     weak_disp_warn: float = 0.1       # warn when |phi| exceeds this in the weak op
     small_param_warn: float = 0.1     # warn when |alpha|^2 delta^2 exceeds this

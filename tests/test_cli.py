@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from optoweak import verify
 from optoweak.cli import main
 
 
@@ -95,3 +96,20 @@ def test_verify_with_crippled_mirror_cutoff(tmp_path, capsys):
     assert isinstance(payload, list) and len(payload) >= 9
     assert any(not entry["passed"] for entry in payload)
     assert any(entry["passed"] for entry in payload)
+
+
+@pytest.mark.parametrize("cutoffs, expected", [({"mirror": 10}, 10),
+                                               ({"mirror": 9}, 9),
+                                               ({}, None)])
+def test_verify_passes_mirror_cutoff_as_given(tmp_path, monkeypatch, cutoffs, expected):
+    seen = {}
+
+    def fake_run_all(optical_cutoff=None, mirror_cutoff=None):
+        seen["mirror_cutoff"] = mirror_cutoff
+        return []
+
+    monkeypatch.setattr(verify, "run_all", fake_run_all)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cutoffs": cutoffs}))
+    assert main(["verify", "--config", str(cfg)]) == 0
+    assert seen == {"mirror_cutoff": expected}

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from optoweak import (ConvergenceError, DensityMatrix, LindbladParams,
+from optoweak import (DensityMatrix, LindbladParams,
                       ModeLayout, ProtocolParams, coherent_state, damped_protocol,
                       evolution_params, evolve_master, fock_state, lindblad_rhs,
                       number, run_protocol, tensor, vacuum_state)
@@ -71,7 +72,7 @@ class TestEvolveMaster:
         psi = tensor([fock_state(0, 0, "a"),
                       coherent_state(beta, 8, "m", leakage_tol=1.0).normalize()])
         rho0 = DensityMatrix.from_state(psi)
-        out = evolve_master(rho0, LindbladParams(gamma, base, step_size=t / 4000), t)
+        out = evolve_master(rho0, LindbladParams(gamma, base), t)
         n_m = out.partial_trace(("m",))
         meas = float(np.trace(n_m.matrix @ number(8, "m").matrix).real)
         oracle = beta ** 2 * math.exp(-gamma * t)
@@ -99,13 +100,40 @@ class TestEvolveMaster:
                             LindbladParams(5e-7, base), math.pi)
         assert abs(rho.trace - 1.0) < 1e-10
 
-    def test_step_doubling_guards_large_steps(self):
-        base = evolution_params(0.05, math.pi)
-        psi = tensor([coherent_state(1.2, 7, "a", leakage_tol=1.0),
-                      vacuum_state(6, "m")]).normalize()
-        with pytest.raises(ConvergenceError):
-            evolve_master(DensityMatrix.from_state(psi),
-                          LindbladParams(0.0, base, step_size=math.pi / 3), math.pi)
+
+def dense_superoperator(lay, lb):
+    """The joint-space Liouvillian, one column per basis matrix E_ij.
+
+    ``lindblad_rhs`` takes Hermitian input only, so each E_ij comes from the
+    Hermitian pair A = E_ij + E_ji, B = i(E_ij - E_ji) by linearity:
+    L(E_ij) = (L(A) - i L(B)) / 2.
+    """
+    n = lay.dim
+    sup = np.empty((n * n, n * n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j] = 1.0
+            a = lindblad_rhs(DensityMatrix(lay, e + e.T), lb)
+            b = lindblad_rhs(DensityMatrix(lay, 1j * (e - e.T)), lb)
+            sup[:, i * n + j] = ((a - 1j * b) / 2).reshape(-1)
+    return sup
+
+
+class TestDenseOracle:
+    """Block evolution against expm of the dense joint-space superoperator."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.5])
+    @pytest.mark.parametrize("r_phase", [False, True])
+    def test_block_evolution_matches_dense_superoperator(self, gamma, r_phase):
+        lay = ModeLayout.of(("a", 3), ("m", 4))
+        base = evolution_params(0.1, math.pi, r=0.7, include_r_phase=r_phase)
+        lb = LindbladParams(gamma, base)
+        rho0 = random_density(np.random.default_rng(7), lay)  # not a product state
+        t = base.wm_t
+        ref = expm(t * dense_superoperator(lay, lb)) @ rho0.matrix.reshape(-1)
+        out = evolve_master(rho0, lb, t)
+        assert np.abs(out.matrix - ref.reshape(lay.dim, lay.dim)).max() < 1e-12
 
 
 class TestDampedProtocol:
@@ -140,13 +168,24 @@ class TestDampedProtocol:
         # gentle sanity bound: the kick changes by O(gamma * wm_t * value)
         assert c_estimate < 10.0 * abs(base)
 
+    def test_zero_drive_degenerate_branch_matches_unitary(self):
+        p = self.params(alpha2=0.0)
+        damped, unitary = damped_protocol(p, 0.0), run_protocol(p)
+        assert damped.degenerate_reason == unitary.degenerate_reason
+        assert damped.degenerate_reason.startswith("click:")
+        assert damped.p_click == unitary.p_click == 0.0
+        for out in (damped, unitary):
+            assert math.isnan(out.q_click) and math.isnan(out.dq_click)
+            assert math.isnan(out.diff) and out.mirror_click is None
+
 
 class TestOpticalPhaseConsistency:
     def test_damped_matches_unitary_with_r_phase_enabled(self):
         # arm a picks its optical phase up from the Hamiltonian, arm b at
-        # re-tensor time; any mismatch would detune the dark port
+        # recombination; any mismatch would detune the dark port (r wm_t is
+        # not a multiple of 2 pi, so a missing phase shows)
         p = ProtocolParams(alpha=complex(math.sqrt(0.5)), delta=0.005,
-                           evolution=evolution_params(0.005, math.pi, r=2.0,
+                           evolution=evolution_params(0.005, math.pi, r=0.7,
                                                       include_r_phase=True),
                            optical_cutoff=9, mirror_cutoff=5)
         damped = damped_protocol(p, 0.0)
@@ -163,6 +202,6 @@ class TestTrajectoryHealth:
         rho0 = DensityMatrix.from_state(psi)
         lb = LindbladParams(1e-4, base)
         for frac in (0.25, 0.5, 0.75, 1.0):
-            rho = evolve_master(rho0, lb, frac * math.pi, verify_step=False)
+            rho = evolve_master(rho0, lb, frac * math.pi)
             rho.validate()  # trace within 1e-9, min eigenvalue >= -1e-9
             assert np.abs(rho.matrix - rho.matrix.conj().T).max() < 1e-12

@@ -1,14 +1,20 @@
 """Fock-space algebra: constructor oracles, projections, expectations."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optoweak import (DegenerateBranchError, DensityMatrix, LayoutError,
-                      ModeLayout, Operator, TruncationError, annihilation,
+import optoweak
+from optoweak import (DegenerateBranchError, DensityMatrix, InvariantError,
+                      LayoutError, ModeLayout, Operator, TruncationError,
+                      annihilation,
                       apply, branch_probabilities, coherent_state,
                       displacement, expectation, fock_state, identity,
                       momentum, number, pointer_shift, position, project_fock,
@@ -254,6 +260,39 @@ class TestExpectationAndPointerShift:
         rho_i = DensityMatrix.from_state(vacuum_state(15, "m"))
         val = pointer_shift(scaled, rho_i, position(15, 1.0, "m"))
         assert val == pytest.approx(2 * beta, abs=1e-9)
+
+
+    def test_imaginary_expectation_of_hermitian_flag_raises(self):
+        # the flag is set by hand, skipping the check that would clear it
+        op = Operator(ModeLayout.of(("m", 2)), 1j * np.eye(3), hermitian=True)
+        psi = vacuum_state(2, "m")
+        rho = DensityMatrix.from_state(psi)
+        with pytest.raises(InvariantError):
+            expectation(psi, op)
+        with pytest.raises(InvariantError):
+            pointer_shift(rho, rho, op)
+
+    def test_invariant_errors_survive_optimize_flag(self):
+        # `python -O` strips assert statements; the typed error must remain
+        snippet = (
+            "import sys, numpy as np\n"
+            "from optoweak import (DensityMatrix, InvariantError, ModeLayout, Operator,\n"
+            "                      expectation, pointer_shift, vacuum_state)\n"
+            "assert False, 'unreachable under -O'\n"
+            "op = Operator(ModeLayout.of(('m', 2)), 1j * np.eye(3), hermitian=True)\n"
+            "psi = vacuum_state(2, 'm')\n"
+            "rho = DensityMatrix.from_state(psi)\n"
+            "for call in (lambda: expectation(psi, op), lambda: pointer_shift(rho, rho, op)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except InvariantError:\n"
+            "        continue\n"
+            "    sys.exit('no InvariantError')\n")
+        src = str(Path(optoweak.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-O", "-c", snippet], capture_output=True,
+                             text=True, timeout=120,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert run.returncode == 0, run.stderr
 
 
 class TestDensityMatrix:
