@@ -21,7 +21,7 @@ from .fock import (DensityMatrix, ModeLayout, Operator, StateVector,
                    momentum, number, pointer_shift, poisson_tail, position,
                    project_fock, reduced_density, relabel, tensor,
                    vacuum_state)
-from .interferometer import (ProtocolOutcome, ProtocolParams, beam_splitter,
+from .interferometer import (ProtocolOutcome, ProtocolParams,
                              default_optical_cutoff, preselect, run_protocol,
                              weak_value_numeric)
 from .tolerances import DEFAULT_TOL, Tolerances

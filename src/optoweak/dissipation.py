@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EvolutionParams
+from .dynamics import EvolutionParams, _mirror_tail
 from .errors import LayoutError
 from .fock import DensityMatrix, ModeLayout, annihilation
 from .interferometer import (ProtocolOutcome, ProtocolParams, _postselect,
@@ -115,9 +115,11 @@ def damped_protocol(params: ProtocolParams, gamma: float) -> ProtocolOutcome:
     """The interferometer pipeline with the a-m segment damped.
 
     Recombination, postselection and the outcome record are those of
-    :func:`optoweak.interferometer.run_protocol`.
+    :func:`optoweak.interferometer.run_protocol`, mirror-tail check included.
     """
     psi = _preselect_am(params)
+    _mirror_tail(params.evolution, (np.abs(psi.grid) ** 2).sum(axis=1),
+                 params.mirror_cutoff)
     rho = evolve_master(DensityMatrix.from_state(psi),
                         LindbladParams(gamma=gamma, base=params.evolution),
                         params.evolution.wm_t)

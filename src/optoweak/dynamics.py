@@ -73,12 +73,19 @@ OPTICAL_LABELS = ("a", "b", "c", "d")
 
 def _mirror_tail(params: EvolutionParams, weights: np.ndarray,
                  mirror_cutoff: int) -> float:
-    """Occupation-weighted Poisson tail of the per-block mirror displacements."""
+    """Occupation-weighted Poisson tail of the per-block mirror displacements
+    over the coupled mode's photon-number ``weights``; both engines raise
+    :class:`TruncationError` here past ``Tolerances.propagate_leakage``."""
     total = float(weights.sum())
     if total == 0.0:
         return 0.0
-    return sum(float(w) * poisson_tail((n * params.abs_disp) ** 2, mirror_cutoff)
+    tail = sum(float(w) * poisson_tail((n * params.abs_disp) ** 2, mirror_cutoff)
                for n, w in enumerate(weights) if w > 0.0) / total
+    if tail > DEFAULT_TOL.propagate_leakage:
+        raise TruncationError(
+            f"mirror cutoff {mirror_cutoff} too small for displacement "
+            f"{(len(weights) - 1) * params.abs_disp:.3g}", tail)
+    return tail
 
 
 def factored_propagate(state: StateVector, params: EvolutionParams,
@@ -101,10 +108,6 @@ def factored_propagate(state: StateVector, params: EvolutionParams,
     other = tuple(i for i in range(len(layout.modes)) if i != c_ax)
     weights = (np.abs(state.grid) ** 2).sum(axis=other)
     tail = _mirror_tail(params, weights, layout.cutoff(mirror))
-    if tail > DEFAULT_TOL.propagate_leakage:
-        raise TruncationError(
-            f"mirror cutoff {layout.cutoff(mirror)} too small for displacement "
-            f"{n_max * params.abs_disp:.3g}", tail)
 
     g = np.array(state.grid)  # writable copy
     # mirror free rotation (acts first)

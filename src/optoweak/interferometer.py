@@ -16,16 +16,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .dynamics import EvolutionParams, factored_propagate
-from .errors import (DegenerateBranchError, InvariantError, LayoutError,
-                     TruncationError)
-from .fock import (DensityMatrix, ModeLayout, Operator, StateVector,
-                   annihilation, coherent_state, cutoff_for_leakage,
-                   fock_state, number, position, tensor, vacuum_state)
+from .errors import DegenerateBranchError, InvariantError, LayoutError
+from .fock import (DensityMatrix, ModeLayout, StateVector, annihilation,
+                   coherent_state, cutoff_for_leakage, fock_state, number,
+                   position, tensor, vacuum_state)
 from .tolerances import DEFAULT_TOL
 
 PRESELECT_LEAKAGE = 1e-9
@@ -51,7 +49,6 @@ class ProtocolParams:
     evolution: EvolutionParams
     optical_cutoff: int | None = None
     mirror_cutoff: int = 10
-    dark_port_max_click: int = 1
 
     def __post_init__(self):
         if abs(self.delta) >= math.pi / 4:
@@ -116,35 +113,28 @@ def _preselect_am(params: ProtocolParams) -> StateVector:
     return tensor([_arm(params, "a"), vacuum_state(params.mirror_cutoff, "m")]).normalize()
 
 
-@lru_cache(maxsize=16)
-def _bs_generator_eig(d1: int, d2: int):
-    """Eigendecomposition of i(a^dag b - a b^dag), cached per dimension pair."""
-    a = annihilation(d1 - 1).matrix
-    b = annihilation(d2 - 1).matrix
-    g1 = np.kron(a.conj().T, b) - np.kron(a, b.conj().T)
-    w, v = np.linalg.eigh(1j * g1)
-    return w, v
+def _bs_kernel(theta: float, beta: np.ndarray) -> np.ndarray:
+    """W[c, j, n] = <c, j| U |n>_a |beta>_b on two modes of dimension len(beta).
 
-
-def beam_splitter(theta: float, cutoff_first: int, cutoff_second: int,
-                  labels: tuple[str, str] = ("a", "b")) -> Operator:
-    """Two-mode mixer with outputs c = cos a + sin b, d = sin a - cos b.
-
-    Realized as exp[theta(a^dag b - a b^dag)] followed by a pi phase flip on
-    the second output (the target map has determinant -1).  Coherent inputs
-    map to coherent outputs with amplitudes given by the same matrix.
+    U is the mixer with outputs c = cos a + sin b, d = sin a - cos b:
+    exp[theta(a^dag b - a b^dag)] followed by a pi phase flip on odd
+    dark-port occupation (the target map has determinant -1).  The truncated
+    generator conserves N = n_a + n_b, so U is a direct sum of one rotation
+    per N on the states |i, N - i> (Campos, Saleh & Teich, PRA 40, 1371
+    (1989)).  Each block generator is real and tridiagonal with
+    G[i+1, i] = -G[i, i+1] = sqrt((i+1)(N-i)); blocks with N >= d lose the
+    states past the cutoff, exactly as the truncated generator does.
     """
-    d1, d2 = cutoff_first + 1, cutoff_second + 1
-    w, v = _bs_generator_eig(d1, d2)
-    rot = (v * np.exp(-1j * w * theta)) @ v.conj().T
-    flip = np.where(np.tile(np.arange(d2), d1) % 2, -1.0, 1.0)
-    mat = flip[:, None] * rot
-    layout = ModeLayout.of((labels[0], cutoff_first), (labels[1], cutoff_second))
-    op = Operator.of(layout, mat)
-    if not op.unitary:
-        dev = float(np.abs(mat @ mat.conj().T - np.eye(d1 * d2)).max())
-        raise TruncationError("beam splitter failed the unitarity check", dev)
-    return op
+    d = len(beta)
+    w = np.zeros((d, d, d), dtype=complex)
+    for n_tot in range(2 * d - 1):
+        i = np.arange(max(0, n_tot - d + 1), min(n_tot, d - 1) + 1)
+        off = np.sqrt((i[:-1] + 1.0) * (n_tot - i[:-1]))
+        ev, vec = np.linalg.eigh(1j * (np.diag(off, -1) - np.diag(off, 1)))
+        block = (vec * np.exp(-1j * theta * ev)) @ vec.conj().T
+        flip = (-1.0) ** (n_tot - i)
+        w[i[:, None], n_tot - i[:, None], i] = flip[:, None] * block * beta[n_tot - i]
+    return w
 
 
 def _postselect(params: ProtocolParams, rho_am: np.ndarray) -> ProtocolOutcome:
@@ -153,20 +143,18 @@ def _postselect(params: ProtocolParams, rho_am: np.ndarray) -> ProtocolOutcome:
     ``rho_am`` is the evolved (a, m) density matrix as a (da, dm, da, dm)
     array.  Arm b is rebuilt as the coherent state it stayed, with the free
     optical phase arm a got from the evolution.  With
-    W[c, d, n] = U(|n>_a |beta>_b) the dark-port outcome j leaves the mirror
-    in sum_{n n'} M_j[n, n'] rho[n, :, n', :] with
+    W[c, d, n] = U(|n>_a |beta>_b) from :func:`_bs_kernel` the dark-port
+    outcome j leaves the mirror in sum_{n n'} M_j[n, n'] rho[n, :, n', :] with
     M_j[n, n'] = sum_c W[c, j, n] W*[c, j, n'].  The bright port is never
-    conditioned, which equals tracing it out.  Dark-port outcomes above
-    ``dark_port_max_click`` are accumulated into a residual probability.
+    conditioned, which equals tracing it out.  Dark-port outcomes of two or
+    more photons are accumulated into a residual probability.
     """
     ev = params.evolution
     phase = np.exp(-1j * ev.r * ev.wm_t) if ev.include_r_phase else 1.0
     beta = _arm(params, "b", phase).normalize().amplitudes
     d = params.n_opt + 1
-    bs = beam_splitter(math.pi / 4 + params.delta, params.n_opt, params.n_opt,
-                       labels=("a", "b"))
-    w = bs.matrix.reshape(d, d, d, d) @ beta
-    m = np.einsum("cjn,cjk->jnk", w, w.conj())
+    w = _bs_kernel(math.pi / 4 + params.delta, beta)
+    m = w.transpose(1, 2, 0) @ w.conj().transpose(1, 0, 2)  # M_j[n, n'], as a BLAS batch
     probs = np.einsum("jnk,nk->j", m, np.trace(rho_am, axis1=1, axis2=3)).real
     q = position(params.mirror_cutoff, 1.0, "m").matrix
     layout = ModeLayout.of(("m", params.mirror_cutoff))
@@ -190,7 +178,7 @@ def _postselect(params: ProtocolParams, rho_am: np.ndarray) -> ProtocolOutcome:
     p_c, rho_c, q_c, dq_c = stats["click"]
     return ProtocolOutcome(
         p_click=p_c, p_noclick=p_nc,
-        p_residual=float(probs[min(params.dark_port_max_click + 1, d):].sum()),
+        p_residual=float(probs[2:].sum()),
         q_click=q_c, q_noclick=q_nc, dq_click=dq_c, dq_noclick=dq_nc,
         diff=q_c - q_nc, mirror_click=rho_c, mirror_noclick=rho_nc,
         degenerate_reason="; ".join(reasons) or None)

@@ -136,15 +136,21 @@ def load_config(path: str | None, overrides: dict | None = None,
 
 
 def _check_exact_feasible(cfg: SweepConfig) -> None:
+    """Refuse exact points whose largest arrays exceed the dense cap squared
+    (a 4096 x 4096 complex matrix, 256 MiB): the (a, m) density matrix,
+    (da dm)^2 entries, and the beam-splitter kernel, d^3 entries."""
     if cfg.engine == "analytic":
         return
     alpha2 = cfg.value("alpha2") if cfg.mode == "sweep" else cfg.overlay_alpha2
     alpha2 = max([alpha2] + [max(v) for n, v in cfg.axes.items() if n == "alpha2"])
     n_opt = cfg.optical_cutoff if cfg.optical_cutoff is not None else default_optical_cutoff(alpha2)
-    dim = (n_opt + 1) ** 2 * (cfg.exact_mirror_cutoff + 1)
-    if dim > 16 * DEFAULT_TOL.dense_dim_cap:
-        raise ConfigError(
-            f"exact engine infeasible: joint dimension {dim} for |alpha|^2={alpha2:.3g}")
+    d = n_opt + 1
+    cap = DEFAULT_TOL.dense_dim_cap ** 2
+    for name, size in (("(a, m) density matrix", (d * (cfg.exact_mirror_cutoff + 1)) ** 2),
+                       ("beam-splitter kernel", d ** 3)):
+        if size > cap:
+            raise ConfigError(f"exact engine infeasible at |alpha|^2={alpha2:.3g}: "
+                              f"the {name} has {size} entries (cap {cap})")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ class Tolerances:
     density_hermitian_atol: float = 1e-10
     positivity_floor: float = -1e-9
     # propagators
-    dense_dim_cap: int = 4096         # dense propagator exists only for cross-checks
+    dense_dim_cap: int = 4096         # dense cross-checks; squared, caps exact-engine arrays
     propagate_leakage: float = 1e-9   # mirror tail allowed in factored_propagate
     series_term_rtol: float = 1e-14   # Taylor series convergence cut
     series_max_terms: int = 200

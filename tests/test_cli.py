@@ -53,6 +53,16 @@ def test_sweep_requires_axes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("optoweak: config-error:")
 
 
+def test_infeasible_exact_sweep_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "sweep", "fixed": {"alpha2": 400.0},
+                               "axes": {"delta": [0.005]}}))
+    assert main(["sweep", "--config", str(cfg), "--engine", "exact"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("optoweak: config-error:")
+    assert "(a, m) density matrix has 32844361 entries" in err
+
+
 def test_mode_conflict_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": "figure3"}))

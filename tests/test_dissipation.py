@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from optoweak import (DensityMatrix, LindbladParams,
-                      ModeLayout, ProtocolParams, coherent_state, damped_protocol,
-                      evolution_params, evolve_master, fock_state, lindblad_rhs,
-                      number, run_protocol, tensor, vacuum_state)
+                      ModeLayout, ProtocolParams, TruncationError, coherent_state,
+                      damped_protocol, evolution_params, evolve_master, fock_state,
+                      lindblad_rhs, number, run_protocol, tensor, vacuum_state)
 from optoweak.dynamics import factored_propagate
 
 
@@ -177,6 +177,18 @@ class TestDampedProtocol:
         for out in (damped, unitary):
             assert math.isnan(out.q_click) and math.isnan(out.dq_click)
             assert math.isnan(out.diff) and out.mirror_click is None
+
+    def test_mirror_tail_checked_like_unitary_engine(self):
+        # displacement up to 12 |phi| = 2.4 does not fit mirror cutoff 1: both
+        # engines refuse with the same leakage instead of a wrong answer
+        p = ProtocolParams(alpha=complex(math.sqrt(2.0)), delta=0.005,
+                           evolution=evolution_params(0.1, math.pi),
+                           optical_cutoff=12, mirror_cutoff=1)
+        with pytest.raises(TruncationError) as unitary:
+            run_protocol(p)
+        with pytest.raises(TruncationError) as damped:
+            damped_protocol(p, 0.0)
+        assert damped.value.leakage == unitary.value.leakage > 1e-3
 
 
 class TestOpticalPhaseConsistency:

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from optoweak import (DegenerateBranchError, ProtocolParams, apply,
-                      beam_splitter, coherent_state, evolution_params,
-                      expectation, fock_state, number, preselect,
-                      run_protocol, tensor, weak_value_numeric)
+from optoweak import (DegenerateBranchError, ModeLayout, Operator,
+                      ProtocolParams, annihilation, apply, coherent_state,
+                      evolution_params, expectation, fock_state, number,
+                      preselect, run_protocol, tensor, weak_value_numeric)
 from optoweak import analytics as an
+from optoweak.interferometer import _bs_kernel
 
 
 def make_params(alpha2, delta, k=0.005, wm_t=math.pi, **kw):
@@ -37,10 +39,32 @@ class TestPreselect:
         assert psi.leakage < 1e-9
 
 
+def beam_splitter(theta, cutoff):
+    """Dense exp[theta(a^dag b - a b^dag)] on the truncated (a, b) space, then
+    the pi phase flip on odd b occupation: outputs c = cos a + sin b,
+    d = sin a - cos b.  The oracle for the block kernel; small cutoffs only."""
+    a = annihilation(cutoff).matrix
+    gen = np.kron(a.conj().T, a) - np.kron(a, a.conj().T)
+    flip = np.tile((-1.0) ** np.arange(cutoff + 1), cutoff + 1)
+    return Operator.of(ModeLayout.of(("a", cutoff), ("b", cutoff)),
+                       flip[:, None] * expm(theta * gen))
+
+
 class TestBeamSplitter:
+    @pytest.mark.parametrize("cutoff", [0, 1, 2, 6, 12])
+    @pytest.mark.parametrize("theta", [math.pi / 4 + 0.03, math.pi / 2, 0.3])
+    def test_block_kernel_matches_dense_oracle(self, cutoff, theta):
+        # every cutoff >= 1 has blocks N = n_a + n_b >= d that the truncation
+        # cuts short; the kernel must reproduce those, not the exact SU(2) map
+        d = cutoff + 1
+        rng = np.random.default_rng(cutoff)
+        beta = rng.normal(size=d) + 1j * rng.normal(size=d)
+        ref = beam_splitter(theta, cutoff).matrix.reshape(d, d, d, d) @ beta
+        assert np.abs(_bs_kernel(theta, beta) - ref).max() < 1e-13
+
     def test_balanced_maps_coherent_pair(self):
         u, v = 0.6, -0.3
-        bs = beam_splitter(math.pi / 4, 12, 12)
+        bs = beam_splitter(math.pi / 4, 12)
         inp = tensor([coherent_state(u, 12, "a", leakage_tol=1.0),
                       coherent_state(v, 12, "b", leakage_tol=1.0)])
         out = apply(bs, inp)
@@ -51,7 +75,7 @@ class TestBeamSplitter:
         assert fid == pytest.approx(1.0, abs=1e-8)
 
     def test_theta_half_pi_swaps_single_photons(self):
-        bs = beam_splitter(math.pi / 2, 2, 2)
+        bs = beam_splitter(math.pi / 2, 2)
         one_a = tensor([fock_state(1, 2, "a"), fock_state(0, 2, "b")])
         out = apply(bs, one_a)
         # a_d = a_a: the photon ends in the second output
@@ -60,7 +84,7 @@ class TestBeamSplitter:
 
     def test_dark_port_amplitude_linear_in_delta(self):
         delta, alpha = 0.05, 1.0
-        bs = beam_splitter(math.pi / 4 + delta, 10, 10)
+        bs = beam_splitter(math.pi / 4 + delta, 10)
         inp = tensor([coherent_state(alpha / math.sqrt(2), 10, "a", leakage_tol=1.0),
                       coherent_state(alpha / math.sqrt(2), 10, "b", leakage_tol=1.0)])
         out = apply(bs, inp)
@@ -69,7 +93,7 @@ class TestBeamSplitter:
         assert math.sqrt(dark_mean.real) == pytest.approx(0.05, abs=1e-3)
 
     def test_unitary_flag(self):
-        assert beam_splitter(0.3, 6, 6).unitary
+        assert beam_splitter(0.3, 6).unitary
 
 
 class TestRunProtocol:
@@ -146,6 +170,17 @@ class TestRunProtocol:
         out = run_protocol(make_params(1.0, 0.02))
         assert out.mirror_click is not None
         assert out.mirror_click.trace == pytest.approx(1.0, abs=1e-10)
+
+    def test_paper_operating_point(self):
+        # |alpha|^2 = 30, delta = k = 0.005, wm_t = pi: n_opt 63, the point
+        # whose dense two-mode beam splitter would be 4096 x 4096
+        params = make_params(30.0, 0.005)
+        out = run_protocol(params)
+        assert params.n_opt == 63
+        for name in ("p_click", "p_noclick", "p_residual", "q_click", "q_noclick",
+                     "dq_click", "dq_noclick", "diff"):
+            assert math.isfinite(getattr(out, name)), name
+        assert out.p_click + out.p_noclick + out.p_residual == pytest.approx(1.0, abs=2e-9)
 
     def test_residual_accumulates_multi_click(self):
         out = run_protocol(make_params(4.0, 0.2, k=0.0))
@@ -234,7 +269,7 @@ class TestFullDenseOracle:
         psi = np.kron(np.kron(arm, arm), m0)
         psi = psi / np.linalg.norm(psi)
         psi = u @ psi
-        bs = beam_splitter(np.pi / 4 + delta, n_opt, n_opt).matrix
+        bs = beam_splitter(np.pi / 4 + delta, n_opt).matrix
         psi = (np.kron(bs, np.eye(dm)) @ psi).reshape(da, da, dm)
         q = cm + cm.conj().T
         out = {}

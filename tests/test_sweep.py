@@ -56,6 +56,27 @@ class TestConfig:
             load_config(str(p))
 
 
+class TestExactFeasibility:
+    def exact_cfg(self, alpha2):
+        return load_config(None, overrides={
+            "engine": "exact", "fixed": {"alpha2": alpha2},
+            "axes": {"delta": [0.005]}}, default_mode="sweep")
+
+    @pytest.mark.parametrize("alpha2", [30.0, 40.0])
+    def test_accepted_and_point_runs(self, alpha2):
+        # 40 needs n_opt 78: refused by the old (a, b, m) dimension rule
+        header, rows = run_sweep(self.exact_cfg(alpha2))
+        row = dict(zip(header, rows[0]))
+        assert math.isfinite(row["q_diff"]) and row["p_click"] > 0.0
+        total = row["p_click"] + row["p_noclick"] + row["p_residual"]
+        assert total == pytest.approx(1.0, abs=2e-9)
+
+    def test_alpha2_400_rejected_with_array_size(self):
+        # n_opt 520, mirror cutoff 10: (521 * 11)^2 entries
+        with pytest.raises(ConfigError, match=r"\(a, m\) density matrix has 32844361 entries"):
+            self.exact_cfg(400.0)
+
+
 class TestTable1:
     def test_rows(self):
         header, rows = run_table1()
