@@ -95,16 +95,21 @@ def evolve_master(rho0: DensityMatrix, params: LindbladParams, total_time: float
     r = base.r if base.include_r_phase else 0.0
     c = annihilation(layout.cutoff(mirror), mirror).matrix
     num, eye = c.T @ c, np.eye(dm)
-    h = [num - base.k * n * (c + c.T) + r * n * eye for n in range(da)]
-    # row-major vectorization: vec(A R B) = (A kron B^T) vec(R); c and every
-    # H_n are real, H_n symmetric
-    damp = (params.gamma / 2.0) * (2.0 * np.kron(c, c) - np.kron(num, eye)
-                                   - np.kron(eye, num))
+    # row-major vectorization: vec(A R B) = (A kron B^T) vec(R); c and drive
+    # are real, drive symmetric.  H_n = num + n drive, so the generator is
+    # affine in (n, n'): gen = g0 + n g_n + n' g_n'.
+    drive = -base.k * (c + c.T) + r * eye
+    g0 = (-1j * (np.kron(num, eye) - np.kron(eye, num))
+          + (params.gamma / 2.0) * (2.0 * np.kron(c, c) - np.kron(num, eye)
+                                    - np.kron(eye, num)))
+    g_n = -1j * np.kron(drive, eye)
+    g_n2 = 1j * np.kron(eye, drive)
     blocks = rho0.matrix.reshape(da, dm, da, dm).transpose(0, 2, 1, 3)
     out = np.empty_like(blocks)
     for n in range(da):
+        row = g0 + n * g_n
         for n2 in range(n, da):
-            gen = -1j * (np.kron(h[n], eye) - np.kron(eye, h[n2])) + damp
+            gen = row + n2 * g_n2
             out[n, n2] = (expm(total_time * gen) @ blocks[n, n2].reshape(-1)).reshape(dm, dm)
             out[n2, n] = out[n, n2].conj().T
     final = out.transpose(0, 2, 1, 3).reshape(da * dm, da * dm)

@@ -12,11 +12,11 @@ construction and safe to share across parallel workers.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import (DegenerateBranchError, InvariantError, LayoutError,
                      TruncationError)
@@ -26,11 +26,25 @@ MODE_LABELS = frozenset("abcdm")
 
 
 def poisson_tail(lam: float, cutoff: int) -> float:
-    """P(X > cutoff) for X ~ Poisson(lam); the leakage of |alpha|^2 = lam."""
+    """P(X > cutoff) for X ~ Poisson(lam); the leakage of |alpha|^2 = lam.
+
+    Sums the short side of the distribution from its largest term, which
+    ``math.lgamma`` gives directly: the tail itself upward from cutoff + 1
+    when that lies above the mean, else 1 - CDF downward from the cutoff.
+    Terms fall at least geometrically away from the mean, so the sum stops
+    once a term no longer changes it.
+    """
     if lam == 0.0:
         return 0.0
-    # regularized lower incomplete gamma = survival function of the Poisson CDF
-    return float(gammainc(cutoff + 1, lam))
+    up = cutoff + 1 > lam
+    k = cutoff + 1 if up else cutoff
+    term = math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+    total = 0.0
+    while k >= 0 and total + term != total:
+        total += term
+        term *= lam / (k + 1) if up else k / lam
+        k += 1 if up else -1
+    return total if up else 1.0 - total
 
 
 def cutoff_for_leakage(lam: float, tol: float, start: int = 0) -> int:
@@ -335,29 +349,40 @@ def momentum(cutoff: int, sigma: float = 1.0, label: str = "m") -> Operator:
     return Operator.of(ModeLayout.of((label, cutoff)), 1j * (c.conj().T - c) / (2 * sigma))
 
 
-def _expm_antihermitian(generator: np.ndarray) -> np.ndarray:
-    """exp(G) for anti-Hermitian G via eigendecomposition of iG (exactly unitary)."""
-    w, v = np.linalg.eigh(1j * generator)
-    return (v * np.exp(-1j * w)) @ v.conj().T
-
-
 def displacement(beta: complex, cutoff: int, label: str = "m") -> Operator:
     """D(beta) = exp(beta c^dag - beta* c), unitary up to floating error.
 
     Built by Hermitian eigendecomposition of the generator, so it is unitary
     on the truncated space by construction (no series truncation to tune).
     """
-    if abs(beta) ** 2 > DEFAULT_TOL.displacement_warn_ratio * max(cutoff, 1):
+    mat = _displacement_powers(beta, 1, cutoff)[1]
+    return Operator.of(ModeLayout.of((label, cutoff)), mat)
+
+
+def _displacement_powers(beta: complex, n_max: int, cutoff: int) -> np.ndarray:
+    """D(n beta) for n = 0..n_max, stacked on the first axis.
+
+    The generator of D(n beta) is n times that of D(beta), so one
+    eigendecomposition i(beta c^dag - beta* c) = V diag(w) V^dag gives every
+    power: D(n beta) = V exp(-i n w) V^dag (Bose, Jacobs & Knight, PRA 56,
+    4175 (1997)).  Warns when the largest displacement is not small against
+    the cutoff (reported at the caller of this function's caller); raises
+    :class:`TruncationError` when any matrix of the stack fails the
+    unitarity check.
+    """
+    big = abs(n_max * beta) ** 2
+    if big > DEFAULT_TOL.displacement_warn_ratio * max(cutoff, 1):
         warnings.warn(
-            f"displacement |beta|^2={abs(beta)**2:.3g} is not small against cutoff {cutoff}",
-            stacklevel=2)
-    c = annihilation(cutoff, label).matrix
-    mat = _expm_antihermitian(beta * c.conj().T - np.conj(beta) * c)
-    op = Operator.of(ModeLayout.of((label, cutoff)), mat)
-    if not op.unitary:
-        dev = float(np.abs(mat @ mat.conj().T - np.eye(cutoff + 1)).max())
+            f"displacement |beta|^2={big:.3g} is not small against cutoff {cutoff}",
+            stacklevel=3)
+    c = annihilation(cutoff).matrix
+    w, v = np.linalg.eigh(1j * (beta * c.conj().T - np.conj(beta) * c))
+    phases = np.exp(-1j * np.outer(np.arange(n_max + 1), w))
+    stack = (v * phases[:, None, :]) @ v.conj().T
+    dev = float(np.abs(stack @ stack.conj().swapaxes(1, 2) - np.eye(cutoff + 1)).max())
+    if not dev < DEFAULT_TOL.unitary_atol:
         raise TruncationError("displacement operator failed the unitarity check", dev)
-    return op
+    return stack
 
 
 # ---------------------------------------------------------------------------

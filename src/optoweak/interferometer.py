@@ -13,6 +13,7 @@ of the mirror displacement.  Locked by a regression test.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -113,6 +114,27 @@ def _preselect_am(params: ProtocolParams) -> StateVector:
     return tensor([_arm(params, "a"), vacuum_state(params.mirror_cutoff, "m")]).normalize()
 
 
+@functools.lru_cache(maxsize=8)
+def _bs_eig(d: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Per total photon number N = 0..2d-2: the arm-a occupations i of the
+    block states |i, N - i> kept by cutoff d, and the eigenvalues and
+    eigenvectors of i G_N (see :func:`_bs_kernel`).
+
+    They depend on d alone, so every point of a sweep reuses them; eight
+    entries cover a five-cutoff sweep, each about (2/3) d^3 complex numbers.
+    Read-only, because every caller shares them.
+    """
+    blocks = []
+    for n_tot in range(2 * d - 1):
+        i = np.arange(max(0, n_tot - d + 1), min(n_tot, d - 1) + 1)
+        off = np.sqrt((i[:-1] + 1.0) * (n_tot - i[:-1]))
+        ev, vec = np.linalg.eigh(1j * (np.diag(off, -1) - np.diag(off, 1)))
+        for arr in (i, ev, vec):
+            arr.setflags(write=False)
+        blocks.append((i, ev, vec))
+    return tuple(blocks)
+
+
 def _bs_kernel(theta: float, beta: np.ndarray) -> np.ndarray:
     """W[c, j, n] = <c, j| U |n>_a |beta>_b on two modes of dimension len(beta).
 
@@ -123,17 +145,18 @@ def _bs_kernel(theta: float, beta: np.ndarray) -> np.ndarray:
     per N on the states |i, N - i> (Campos, Saleh & Teich, PRA 40, 1371
     (1989)).  Each block generator is real and tridiagonal with
     G[i+1, i] = -G[i, i+1] = sqrt((i+1)(N-i)); blocks with N >= d lose the
-    states past the cutoff, exactly as the truncated generator does.
+    states past the cutoff, exactly as the truncated generator does.  The
+    eigenpairs of i G_N come from :func:`_bs_eig`.
     """
     d = len(beta)
     w = np.zeros((d, d, d), dtype=complex)
-    for n_tot in range(2 * d - 1):
-        i = np.arange(max(0, n_tot - d + 1), min(n_tot, d - 1) + 1)
-        off = np.sqrt((i[:-1] + 1.0) * (n_tot - i[:-1]))
-        ev, vec = np.linalg.eigh(1j * (np.diag(off, -1) - np.diag(off, 1)))
+    rows = w.reshape(d * d, d)  # row c d + j; block N fills rows c (d - 1) + N
+    step = max(d - 1, 1)
+    for n_tot, (i, ev, vec) in enumerate(_bs_eig(d)):
         block = (vec * np.exp(-1j * theta * ev)) @ vec.conj().T
-        flip = (-1.0) ** (n_tot - i)
-        w[i[:, None], n_tot - i[:, None], i] = flip[:, None] * block * beta[n_tot - i]
+        block *= beta[n_tot - i]
+        block[(n_tot - i[0] + 1) % 2::2] *= -1.0  # odd dark-port occupation
+        rows[n_tot + step * i[0]:n_tot + step * i[-1] + 1:step, i[0]:i[-1] + 1] = block
     return w
 
 

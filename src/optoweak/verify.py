@@ -110,7 +110,8 @@ def check_table1(res: CheckResult) -> None:
         res.add(f"success probability percent (delta={delta:g}) to 3 sig figs",
                 _sigfig_err(pf, exp_pf), 0.5)
         res.add(f"alpha2 column (delta={delta:g})", abs(alpha2 - 30.0), 1e-12)
-    assert tuple(r[0] for r in rows) == TABLE1_DELTAS
+    res.add("delta column differs from TABLE1_DELTAS",
+            float(tuple(r[0] for r in rows) != TABLE1_DELTAS), 0.0)
     res.add("runtime s", time.perf_counter() - t0, 1.0)
 
 

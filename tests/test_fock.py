@@ -18,7 +18,8 @@ from optoweak import (DegenerateBranchError, DensityMatrix, InvariantError,
                       apply, branch_probabilities, coherent_state,
                       displacement, expectation, fock_state, identity,
                       momentum, number, pointer_shift, position, project_fock,
-                      reduced_density, tensor, vacuum_state)
+                      poisson_tail, reduced_density, tensor, vacuum_state)
+from optoweak.fock import _displacement_powers
 
 
 def poisson_tail_direct(lam: float, cutoff: int) -> float:
@@ -86,6 +87,31 @@ class TestCoherentState:
         for n in range(13):
             ref = math.exp(-abs(alpha) ** 2 / 2) * alpha ** n / math.sqrt(math.factorial(n))
             assert s.amplitudes[n] == pytest.approx(ref, abs=1e-14)
+
+
+class TestPoissonTail:
+    def test_matches_regularized_incomplete_gamma(self):
+        from scipy.special import gammainc
+        for lam in np.geomspace(1e-12, 2000.0, 40):
+            for cutoff in [0, 1, 2, 5, 10, 30, 100, 300, 1000, 2000, 3000]:
+                ref = float(gammainc(cutoff + 1, lam))
+                # below 1e-300 both sides are underflow, not tail weight
+                assert poisson_tail(float(lam), cutoff) == pytest.approx(
+                    ref, rel=1e-10, abs=1e-300), (lam, cutoff)
+
+    @pytest.mark.parametrize("cutoff", [0, 1, 7, 100])
+    def test_zero_mean_has_no_tail(self, cutoff):
+        assert poisson_tail(0.0, cutoff) == 0.0
+
+    def test_import_loads_no_scipy(self):
+        snippet = ("import sys, optoweak\n"
+                   "print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        src = str(Path(optoweak.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-c", snippet], capture_output=True,
+                             text=True, timeout=120,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == []
 
 
 class TestTensor:
@@ -159,6 +185,23 @@ class TestDisplacement:
     def test_warns_when_beta_large_for_cutoff(self):
         with pytest.warns(UserWarning):
             displacement(2.0, 4)
+
+    def test_powers_match_one_displacement_per_n(self):
+        phi, cutoff, n_max = 0.03 - 0.02j, 10, 40
+        stack = _displacement_powers(phi, n_max, cutoff)
+        assert stack.shape == (n_max + 1, cutoff + 1, cutoff + 1)
+        for n in range(n_max + 1):
+            assert np.abs(stack[n] - displacement(n * phi, cutoff).matrix).max() < 1e-13
+
+    def test_powers_fail_unitarity_check_as_one_stack(self, monkeypatch):
+        real_eigh = np.linalg.eigh
+
+        def skewed_eigh(m):
+            w, v = real_eigh(m)
+            return w, 1.5 * v  # eigenvectors no longer orthonormal
+        monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
+        with pytest.raises(TruncationError, match="unitarity"):
+            _displacement_powers(0.1, 5, 6)
 
 
 class TestApply:

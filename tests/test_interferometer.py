@@ -11,7 +11,7 @@ from optoweak import (DegenerateBranchError, ModeLayout, Operator,
                       evolution_params, expectation, fock_state, number,
                       preselect, run_protocol, tensor, weak_value_numeric)
 from optoweak import analytics as an
-from optoweak.interferometer import _bs_kernel
+from optoweak.interferometer import _bs_eig, _bs_kernel
 
 
 def make_params(alpha2, delta, k=0.005, wm_t=math.pi, **kw):
@@ -61,6 +61,25 @@ class TestBeamSplitter:
         beta = rng.normal(size=d) + 1j * rng.normal(size=d)
         ref = beam_splitter(theta, cutoff).matrix.reshape(d, d, d, d) @ beta
         assert np.abs(_bs_kernel(theta, beta) - ref).max() < 1e-13
+
+    def test_interleaved_cutoffs_reuse_cached_eigenpairs(self):
+        # cutoffs and angles alternate, so later calls take the eigenpairs
+        # cached by earlier ones and must still match the dense oracle
+        rng = np.random.default_rng(11)
+        for cutoff, theta in [(6, 0.3), (12, math.pi / 4 + 0.03), (6, math.pi / 2),
+                              (3, 0.3), (12, 0.3), (6, math.pi / 4 + 0.03),
+                              (3, math.pi / 2)]:
+            d = cutoff + 1
+            beta = rng.normal(size=d) + 1j * rng.normal(size=d)
+            ref = beam_splitter(theta, cutoff).matrix.reshape(d, d, d, d) @ beta
+            assert np.abs(_bs_kernel(theta, beta) - ref).max() < 1e-13
+
+    def test_cached_eigenpairs_are_read_only(self):
+        _bs_kernel(0.3, np.ones(5, dtype=complex))
+        for arrays in _bs_eig(5):
+            for arr in arrays:
+                with pytest.raises(ValueError):
+                    arr[...] = 0
 
     def test_balanced_maps_coherent_pair(self):
         u, v = 0.6, -0.3
@@ -181,6 +200,13 @@ class TestRunProtocol:
                      "dq_click", "dq_noclick", "diff"):
             assert math.isfinite(getattr(out, name)), name
         assert out.p_click + out.p_noclick + out.p_residual == pytest.approx(1.0, abs=2e-9)
+
+    def test_large_mirror_displacement_warns(self):
+        # n_opt 12 photons displace the mirror by |12 phi|^2 = 5.76 > 0.25 * 12;
+        # the mirror tail still passes, so only the warning flags it
+        params = make_params(2.0, 0.02, k=0.1, mirror_cutoff=12)
+        with pytest.warns(UserWarning, match="displacement"):
+            run_protocol(params)
 
     def test_residual_accumulates_multi_click(self):
         out = run_protocol(make_params(4.0, 0.2, k=0.0))
