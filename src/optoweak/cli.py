@@ -2,7 +2,7 @@
 
     optoweak figure2|figure3|table1|verify|sweep
              [--config path] [--out path] [--svg path]
-             [--engine analytic|exact|both] [--workers N]
+             [--engine analytic|exact|both]
 
 Configuration comes from a single JSON file (documented in the README);
 command-line flags override config keys.  Exit codes: 0 success,
@@ -17,8 +17,8 @@ import sys
 
 from .errors import (ConfigError, ConvergenceError, DegenerateBranchError,
                      OptoweakError, TruncationError)
-from .sweep import (SweepConfig, load_config, render_rows, run_figure2,
-                    run_figure3, run_sweep, run_table1, write_csv)
+from .sweep import (SWEEP_HEADER, SweepConfig, iter_sweep_rows, load_config,
+                    run_figure2, run_figure3, run_table1, write_csv)
 from . import verify as verify_mod
 
 EXIT_OK = 0
@@ -43,15 +43,7 @@ def _parser() -> argparse.ArgumentParser:
         q.add_argument("--out", help="output CSV path (default: stdout)")
         q.add_argument("--svg", help="optional SVG plot path")
         q.add_argument("--engine", choices=("analytic", "exact", "both"))
-        q.add_argument("--workers", type=int)
     return p
-
-
-def _emit(cfg_out: str | None, header: list[str], rows: list[list]) -> None:
-    if cfg_out:
-        write_csv(cfg_out, header, rows)
-    else:
-        sys.stdout.write(render_rows(header, rows))
 
 
 def _figure_svg(cfg: SweepConfig, header: list[str], rows: list[list],
@@ -67,8 +59,7 @@ def _figure_svg(cfg: SweepConfig, header: list[str], rows: list[list],
 
 
 def _run(args: argparse.Namespace) -> int:
-    overrides = {"engine": args.engine, "out": args.out, "svg": args.svg,
-                 "workers": args.workers}
+    overrides = {"engine": args.engine, "out": args.out, "svg": args.svg}
     cfg = load_config(args.config, overrides, default_mode=args.command)
     if cfg.mode != args.command:
         raise ConfigError(f"config mode {cfg.mode!r} conflicts with "
@@ -76,26 +67,21 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "table1":
         header, rows = run_table1()
-        _emit(cfg.out, header, rows)
+        write_csv(cfg.out, header, rows)
         return EXIT_OK
     if args.command == "figure2":
         header, rows = run_figure2(cfg)
-        _emit(cfg.out, header, rows)
+        write_csv(cfg.out, header, rows)
         _figure_svg(cfg, header, rows, "mirror displacement vs postselection parameter",
                     "mean q / sigma")
         return EXIT_OK
     if args.command == "figure3":
         header, rows = run_figure3(cfg)
-        _emit(cfg.out, header, rows)
+        write_csv(cfg.out, header, rows)
         _figure_svg(cfg, header, rows, "required mean photon number", "|alpha|^2")
         return EXIT_OK
     if args.command == "sweep":
-        from .sweep import SWEEP_HEADER, iter_sweep_rows
-        if cfg.out:
-            write_csv(cfg.out, list(SWEEP_HEADER), iter_sweep_rows(cfg))
-        else:
-            header, rows = run_sweep(cfg)
-            sys.stdout.write(render_rows(header, rows))
+        write_csv(cfg.out, SWEEP_HEADER, iter_sweep_rows(cfg))
         return EXIT_OK
 
     # verify

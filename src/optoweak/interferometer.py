@@ -74,8 +74,10 @@ class ProtocolParams:
 class ProtocolOutcome:
     """Dark-port branch probabilities and conditional mirror statistics.
 
-    Position moments are in zero-point (sigma) units.  Degenerate branches
-    (e.g. the click branch at zero drive) carry NaN moments plus a reason.
+    ``p_residual`` is the trace the two reported outcomes leave: the
+    probability of two or more dark-port photons.  Position moments are in
+    zero-point (sigma) units.  Degenerate branches (e.g. the click branch at
+    zero drive) carry NaN moments plus a reason.
     """
 
     p_click: float
@@ -116,16 +118,17 @@ def _preselect_am(params: ProtocolParams) -> StateVector:
 
 @functools.lru_cache(maxsize=8)
 def _bs_eig(d: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Per total photon number N = 0..2d-2: the arm-a occupations i of the
-    block states |i, N - i> kept by cutoff d, and the eigenvalues and
-    eigenvectors of i G_N (see :func:`_bs_kernel`).
+    """Per total photon number N = 0..min(d, 2d - 2): the arm-a occupations i
+    of the block states |i, N - i> kept by cutoff d, and the eigenvalues and
+    eigenvectors of i G_N (see :func:`_bs_kernel`).  Blocks with N > d reach
+    no dark-port occupation below 2, so they are not needed.
 
     They depend on d alone, so every point of a sweep reuses them; eight
-    entries cover a five-cutoff sweep, each about (2/3) d^3 complex numbers.
+    entries cover a five-cutoff sweep, each about d^3 / 3 complex numbers.
     Read-only, because every caller shares them.
     """
     blocks = []
-    for n_tot in range(2 * d - 1):
+    for n_tot in range(min(d + 1, 2 * d - 1)):
         i = np.arange(max(0, n_tot - d + 1), min(n_tot, d - 1) + 1)
         off = np.sqrt((i[:-1] + 1.0) * (n_tot - i[:-1]))
         ev, vec = np.linalg.eigh(1j * (np.diag(off, -1) - np.diag(off, 1)))
@@ -136,7 +139,8 @@ def _bs_eig(d: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
 
 
 def _bs_kernel(theta: float, beta: np.ndarray) -> np.ndarray:
-    """W[c, j, n] = <c, j| U |n>_a |beta>_b on two modes of dimension len(beta).
+    """W[j, c, n] = <c, j| U |n>_a |beta>_b for dark-port occupation j = 0, 1,
+    on two modes of dimension d = len(beta).
 
     U is the mixer with outputs c = cos a + sin b, d = sin a - cos b:
     exp[theta(a^dag b - a b^dag)] followed by a pi phase flip on odd
@@ -146,17 +150,17 @@ def _bs_kernel(theta: float, beta: np.ndarray) -> np.ndarray:
     (1989)).  Each block generator is real and tridiagonal with
     G[i+1, i] = -G[i, i+1] = sqrt((i+1)(N-i)); blocks with N >= d lose the
     states past the cutoff, exactly as the truncated generator does.  The
-    eigenpairs of i G_N come from :func:`_bs_eig`.
+    eigenpairs of i G_N come from :func:`_bs_eig`; only the block rows
+    i = N - j, the ones with j dark-port photons, are formed.
     """
     d = len(beta)
-    w = np.zeros((d, d, d), dtype=complex)
-    rows = w.reshape(d * d, d)  # row c d + j; block N fills rows c (d - 1) + N
-    step = max(d - 1, 1)
+    w = np.zeros((2, d, d), dtype=complex)
     for n_tot, (i, ev, vec) in enumerate(_bs_eig(d)):
-        block = (vec * np.exp(-1j * theta * ev)) @ vec.conj().T
-        block *= beta[n_tot - i]
-        block[(n_tot - i[0] + 1) % 2::2] *= -1.0  # odd dark-port occupation
-        rows[n_tot + step * i[0]:n_tot + step * i[-1] + 1:step, i[0]:i[-1] + 1] = block
+        c = np.arange(max(n_tot - 1, i[0]), min(n_tot, i[-1]) + 1)  # rows with j <= 1
+        j = n_tot - c
+        rows = (vec[c - i[0]] * np.exp(-1j * theta * ev)) @ vec.conj().T
+        rows *= beta[n_tot - i] * (1 - 2 * j)[:, None]  # pi flip on j = 1
+        w[j, c, i[0]:i[-1] + 1] = rows
     return w
 
 
@@ -166,24 +170,25 @@ def _postselect(params: ProtocolParams, rho_am: np.ndarray) -> ProtocolOutcome:
     ``rho_am`` is the evolved (a, m) density matrix as a (da, dm, da, dm)
     array.  Arm b is rebuilt as the coherent state it stayed, with the free
     optical phase arm a got from the evolution.  With
-    W[c, d, n] = U(|n>_a |beta>_b) from :func:`_bs_kernel` the dark-port
+    W[j, c, n] = <c, j| U |n>_a |beta>_b from :func:`_bs_kernel` the dark-port
     outcome j leaves the mirror in sum_{n n'} M_j[n, n'] rho[n, :, n', :] with
-    M_j[n, n'] = sum_c W[c, j, n] W*[c, j, n'].  The bright port is never
-    conditioned, which equals tracing it out.  Dark-port outcomes of two or
-    more photons are accumulated into a residual probability.
+    M_j[n, n'] = sum_c W[j, c, n] W*[j, c, n'].  The bright port is never
+    conditioned, which equals tracing it out.  Only j = 0 (no click) and
+    j = 1 (click) are formed; since sum_j M_j = 1 on the truncated space,
+    the trace they leave is the probability of two or more dark-port photons.
     """
     ev = params.evolution
     phase = np.exp(-1j * ev.r * ev.wm_t) if ev.include_r_phase else 1.0
     beta = _arm(params, "b", phase).normalize().amplitudes
-    d = params.n_opt + 1
     w = _bs_kernel(math.pi / 4 + params.delta, beta)
-    m = w.transpose(1, 2, 0) @ w.conj().transpose(1, 0, 2)  # M_j[n, n'], as a BLAS batch
-    probs = np.einsum("jnk,nk->j", m, np.trace(rho_am, axis1=1, axis2=3)).real
+    m = w.transpose(0, 2, 1) @ w.conj()  # M_j[n, n'], as a BLAS batch
+    rho_a = np.trace(rho_am, axis1=1, axis2=3)
+    probs = np.einsum("jnk,nk->j", m, rho_a).real
     q = position(params.mirror_cutoff, 1.0, "m").matrix
     layout = ModeLayout.of(("m", params.mirror_cutoff))
     stats, reasons = {}, []
     for j, name in ((0, "noclick"), (1, "click")):
-        p = float(probs[j]) if j < d else 0.0
+        p = float(probs[j])
         if p < DEFAULT_TOL.degenerate_prob:
             err = DegenerateBranchError(
                 f"projection onto |{j}> of mode 'd' has no weight", p)
@@ -201,7 +206,7 @@ def _postselect(params: ProtocolParams, rho_am: np.ndarray) -> ProtocolOutcome:
     p_c, rho_c, q_c, dq_c = stats["click"]
     return ProtocolOutcome(
         p_click=p_c, p_noclick=p_nc,
-        p_residual=float(probs[2:].sum()),
+        p_residual=max(float(np.trace(rho_a).real) - p_nc - p_c, 0.0),
         q_click=q_c, q_noclick=q_nc, dq_click=dq_c, dq_noclick=dq_nc,
         diff=q_c - q_nc, mirror_click=rho_c, mirror_noclick=rho_nc,
         degenerate_reason="; ".join(reasons) or None)

@@ -2,15 +2,15 @@
 
 CSV is the contract: fixed column order per command, one header row, LF line
 endings, UTF-8, every float printed with 17 significant digits so output is
-byte-stable across runs.  Grid evaluation may fan out over a bounded worker
-pool; row order is always grid order, never completion order.
+byte-stable across runs.  Rows stream in grid order, to a file or to stdout.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +32,9 @@ DEFAULT_FIXED = {"k": 0.005, "wm_t": math.pi, "alpha2": 30.0,
 DEFAULT_PAIRS = ((0.004, 0.01), (0.001, 0.005), (0.0002, 0.001))
 # delta grid matching the plotted range
 DELTA_GRID = {"start": 0.001, "stop": 0.12, "count": 200}
+CONFIG_KEYS = ("mode", "engine", "fixed", "axes", "pairs", "cutoffs",
+               "overlay_alpha2", "out", "svg")
+RETIRED_KEYS = ("workers",)  # accepted and ignored
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,6 @@ class SweepConfig:
     overlay_alpha2: float = 2.0                    # exact overlay for figure2
     out: str | None = None
     svg: str | None = None
-    workers: int = 1
 
     def value(self, name: str) -> float:
         return float(self.fixed.get(name, DEFAULT_FIXED[name]))
@@ -93,6 +95,9 @@ def load_config(path: str | None, overrides: dict | None = None,
             raw[key] = val
     if default_mode is not None and "mode" not in raw:
         raw["mode"] = default_mode
+    unknown = set(raw) - set(CONFIG_KEYS) - set(RETIRED_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {sorted(unknown)} (known: {CONFIG_KEYS})")
 
     mode = raw.get("mode")
     if mode not in MODES:
@@ -121,16 +126,12 @@ def load_config(path: str | None, overrides: dict | None = None,
     except (TypeError, ValueError) as err:
         raise ConfigError(f"pairs must be [probability, k] items: {err}") from err
 
-    workers = int(raw.get("workers", 1))
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
-
     cfg = SweepConfig(
         mode=mode, engine=engine, fixed=fixed, axes=axes, pairs=pairs,
         optical_cutoff=cut.get("optical"),
         mirror_cutoff=None if cut.get("mirror") is None else int(cut["mirror"]),
         overlay_alpha2=float(raw.get("overlay_alpha2", 2.0)),
-        out=raw.get("out"), svg=raw.get("svg"), workers=workers)
+        out=raw.get("out"), svg=raw.get("svg"))
     _check_exact_feasible(cfg)
     return cfg
 
@@ -138,7 +139,8 @@ def load_config(path: str | None, overrides: dict | None = None,
 def _check_exact_feasible(cfg: SweepConfig) -> None:
     """Refuse exact points whose largest arrays exceed the dense cap squared
     (a 4096 x 4096 complex matrix, 256 MiB): the (a, m) density matrix,
-    (da dm)^2 entries, and the beam-splitter kernel, d^3 entries."""
+    (da dm)^2 entries, and the beam-splitter block-eigenvector cache, the sum
+    over N <= d of (block size)^2 entries, about d^3 / 3."""
     if cfg.engine == "analytic":
         return
     alpha2 = cfg.value("alpha2") if cfg.mode == "sweep" else cfg.overlay_alpha2
@@ -146,8 +148,9 @@ def _check_exact_feasible(cfg: SweepConfig) -> None:
     n_opt = cfg.optical_cutoff if cfg.optical_cutoff is not None else default_optical_cutoff(alpha2)
     d = n_opt + 1
     cap = DEFAULT_TOL.dense_dim_cap ** 2
+    cache = d * (d + 1) * (2 * d + 1) // 6 + (d - 1) ** 2  # blocks N < d, then N = d
     for name, size in (("(a, m) density matrix", (d * (cfg.exact_mirror_cutoff + 1)) ** 2),
-                       ("beam-splitter kernel", d ** 3)):
+                       ("block-eigenvector cache", cache)):
         if size > cap:
             raise ConfigError(f"exact engine infeasible at |alpha|^2={alpha2:.3g}: "
                               f"the {name} has {size} entries (cap {cap})")
@@ -162,21 +165,15 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
-    """Write header + rows (any iterable; rows stream as they arrive)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def write_csv(path: str | None, header: list[str], rows) -> None:
+    """Write header + rows to ``path``, or to stdout when it is None or empty
+    (any iterable; rows stream as they arrive)."""
+    with (open(path, "w", encoding="utf-8", newline="\n") if path
+          else contextlib.nullcontext(sys.stdout)) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(cell if isinstance(cell, str) else format_float(cell)
                               for cell in row) + "\n")
-
-
-def render_rows(header: list[str], rows: list[list]) -> str:
-    out = [",".join(header)]
-    for row in rows:
-        out.append(",".join(cell if isinstance(cell, str) else format_float(cell)
-                            for cell in row))
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -270,38 +267,17 @@ def _sweep_rows_for_point(cfg: SweepConfig, point: dict) -> list[list]:
 
 
 def iter_sweep_rows(cfg: SweepConfig):
-    """Yield sweep rows in grid order as grid points complete.
-
-    With workers > 1 the points evaluate concurrently but the iterator still
-    yields in submission (grid) order, so streaming consumers see the same
-    byte-stable ordering as a serial run.
-    """
+    """Yield sweep rows in grid order (the last axis in SWEEPABLE order
+    varies fastest) as grid points complete."""
     if not cfg.axes:
         raise ConfigError("sweep mode needs at least one axis")
     names = [n for n in SWEEPABLE if n in cfg.axes]
     grids = [cfg.axes[n] for n in names]
-    points = []
     for combo in np.ndindex(*[len(g) for g in grids]):
         point = {n: cfg.value(n) for n in DEFAULT_FIXED}
-        for name, idx in zip(names, combo):
-            point[name] = grids[names.index(name)][idx]
-        points.append(point)
-
-    def worker(pt):
-        return _sweep_rows_for_point(cfg, pt)
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            for chunk in pool.map(worker, points):
-                yield from chunk
-    else:
-        for pt in points:
-            yield from worker(pt)
-
-
-def run_sweep(cfg: SweepConfig) -> tuple[list[str], list[list]]:
-    """Cartesian product of the axes, rows materialized in grid order."""
-    return list(SWEEP_HEADER), list(iter_sweep_rows(cfg))
+        for name, grid, idx in zip(names, grids, combo):
+            point[name] = grid[idx]
+        yield from _sweep_rows_for_point(cfg, point)
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +310,7 @@ def run_figure2(cfg: SweepConfig) -> tuple[list[str], list[list]]:
                     ex["q_diff"], ex["p_click"]]
         return out
 
-    if cfg.workers > 1 and overlay:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(row, deltas))
-    else:
-        rows = [row(d) for d in deltas]
-    return header, rows
+    return header, [row(d) for d in deltas]
 
 
 def run_figure3(cfg: SweepConfig) -> tuple[list[str], list[list]]:

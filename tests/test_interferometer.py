@@ -50,6 +50,16 @@ def beam_splitter(theta, cutoff):
                        flip[:, None] * expm(theta * gen))
 
 
+def dense_kernel(theta, beta):
+    """W[j, c, n] for dark-port occupation j = 0, 1 from the dense oracle,
+    sliced as ref[:, :2, :]; at d = 1 the j = 1 slice is empty (zero)."""
+    d = len(beta)
+    ref = beam_splitter(theta, d - 1).matrix.reshape(d, d, d, d) @ beta
+    out = np.zeros((2, d, d), dtype=complex)
+    out[:min(d, 2)] = ref[:, :2, :].transpose(1, 0, 2)
+    return out
+
+
 class TestBeamSplitter:
     @pytest.mark.parametrize("cutoff", [0, 1, 2, 6, 12])
     @pytest.mark.parametrize("theta", [math.pi / 4 + 0.03, math.pi / 2, 0.3])
@@ -59,8 +69,9 @@ class TestBeamSplitter:
         d = cutoff + 1
         rng = np.random.default_rng(cutoff)
         beta = rng.normal(size=d) + 1j * rng.normal(size=d)
-        ref = beam_splitter(theta, cutoff).matrix.reshape(d, d, d, d) @ beta
-        assert np.abs(_bs_kernel(theta, beta) - ref).max() < 1e-13
+        w = _bs_kernel(theta, beta)
+        assert w.shape == (2, d, d)
+        assert np.abs(w - dense_kernel(theta, beta)).max() < 1e-13
 
     def test_interleaved_cutoffs_reuse_cached_eigenpairs(self):
         # cutoffs and angles alternate, so later calls take the eigenpairs
@@ -71,11 +82,12 @@ class TestBeamSplitter:
                               (3, math.pi / 2)]:
             d = cutoff + 1
             beta = rng.normal(size=d) + 1j * rng.normal(size=d)
-            ref = beam_splitter(theta, cutoff).matrix.reshape(d, d, d, d) @ beta
-            assert np.abs(_bs_kernel(theta, beta) - ref).max() < 1e-13
+            assert np.abs(_bs_kernel(theta, beta) - dense_kernel(theta, beta)).max() < 1e-13
 
     def test_cached_eigenpairs_are_read_only(self):
         _bs_kernel(0.3, np.ones(5, dtype=complex))
+        # only blocks N <= d reach a dark-port occupation below 2
+        assert [len(i) for i, _, _ in _bs_eig(5)] == [1, 2, 3, 4, 5, 4]
         for arrays in _bs_eig(5):
             for arr in arrays:
                 with pytest.raises(ValueError):
@@ -208,6 +220,13 @@ class TestRunProtocol:
         with pytest.warns(UserWarning, match="displacement"):
             run_protocol(params)
 
+    @pytest.mark.parametrize("alpha2, optical_cutoff", [(0.0, None), (1.0, 25), (2.0, 30)])
+    def test_residual_vanishes_at_balance_without_coupling(self, alpha2, optical_cutoff):
+        # delta = k = 0 sends every photon to the bright port, so the trace
+        # p_click and p_noclick leave is rounding and must not go negative
+        out = run_protocol(make_params(alpha2, 0.0, k=0.0, optical_cutoff=optical_cutoff))
+        assert 0.0 <= out.p_residual <= 1e-15
+
     def test_residual_accumulates_multi_click(self):
         out = run_protocol(make_params(4.0, 0.2, k=0.0))
         assert out.p_residual > 0.0
@@ -298,7 +317,7 @@ class TestFullDenseOracle:
         bs = beam_splitter(np.pi / 4 + delta, n_opt).matrix
         psi = (np.kron(bs, np.eye(dm)) @ psi).reshape(da, da, dm)
         q = cm + cm.conj().T
-        out = {}
+        out = {"p_residual": float(np.sum(np.abs(psi[:, 2:, :]) ** 2))}
         for nd, name in ((0, "noclick"), (1, "click")):
             branch = psi[:, nd, :]
             p = float(np.sum(np.abs(branch) ** 2))
@@ -314,5 +333,6 @@ class TestFullDenseOracle:
         out = run_protocol(make_params(alpha2, delta, k=k, optical_cutoff=9,
                                        mirror_cutoff=6))
         assert out.p_click == pytest.approx(oracle["p_click"], abs=1e-13)
+        assert out.p_residual == pytest.approx(oracle["p_residual"], abs=1e-13)
         assert out.q_click == pytest.approx(oracle["q_click"], abs=1e-12)
         assert out.q_noclick == pytest.approx(oracle["q_noclick"], abs=1e-12)

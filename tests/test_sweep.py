@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from optoweak import ConfigError, ProtocolParams, evolution_params, run_protocol
-from optoweak.sweep import (SweepConfig, format_float, load_config, render_rows,
-                            run_figure2, run_figure3, run_sweep, run_table1,
+from optoweak.cli import main
+from optoweak.sweep import (SWEEP_HEADER, SweepConfig, format_float, iter_sweep_rows,
+                            load_config, run_figure2, run_figure3, run_table1,
                             write_csv)
 
 
@@ -17,6 +18,10 @@ def cfg_file(tmp_path, payload):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(payload))
     return str(p)
+
+
+def run_sweep(cfg):
+    return SWEEP_HEADER, list(iter_sweep_rows(cfg))
 
 
 class TestConfig:
@@ -45,9 +50,18 @@ class TestConfig:
 
     def test_flag_overrides_win(self, tmp_path):
         path = cfg_file(tmp_path, {"mode": "figure2", "engine": "analytic"})
-        cfg = load_config(path, overrides={"engine": "both", "workers": 3})
+        cfg = load_config(path, overrides={"engine": "both", "out": "o.csv"})
         assert cfg.engine == "both"
-        assert cfg.workers == 3
+        assert cfg.out == "o.csv"
+
+    def test_unknown_top_level_key_rejected(self, tmp_path):
+        # a misspelled "cutoffs" must not run silently with the default cutoffs
+        with pytest.raises(ConfigError, match="cutoff"):
+            load_config(cfg_file(tmp_path, {"mode": "sweep", "cutoff": {"optical": 9}}))
+
+    def test_retired_workers_key_still_loads(self, tmp_path):
+        cfg = load_config(cfg_file(tmp_path, {"mode": "sweep", "workers": 4}))
+        assert not hasattr(cfg, "workers")
 
     def test_malformed_json_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -75,6 +89,14 @@ class TestExactFeasibility:
         # n_opt 520, mirror cutoff 10: (521 * 11)^2 entries
         with pytest.raises(ConfigError, match=r"\(a, m\) density matrix has 32844361 entries"):
             self.exact_cfg(400.0)
+
+    def test_alpha2_400_small_mirror_rejected_by_eigenvector_cache(self):
+        # mirror cutoff 1: the density matrix is only (521 * 2)^2 entries, but
+        # the block eigenvectors for N <= 521 hold 47546461
+        with pytest.raises(ConfigError, match="block-eigenvector cache has 47546461 entries"):
+            load_config(None, overrides={
+                "engine": "exact", "fixed": {"alpha2": 400.0},
+                "axes": {"delta": [0.005]}, "cutoffs": {"mirror": 1}}, default_mode="sweep")
 
 
 class TestTable1:
@@ -165,15 +187,18 @@ class TestSweep:
         rel = header.index("rel_dev_q_diff")
         assert all(math.isfinite(r[rel]) for r in rows)
 
-    def test_csv_byte_stable_and_worker_independent(self, tmp_path):
+    def test_csv_byte_stable_on_stdout_and_file(self, tmp_path, capsys):
+        path = cfg_file(tmp_path, {"mode": "sweep", "engine": "both",
+                                   "axes": {"delta": list(np.linspace(0.002, 0.03, 8))},
+                                   "fixed": {"alpha2": 1.0},
+                                   "cutoffs": {"optical": 10, "mirror": 8}})
+        out = tmp_path / "sweep.csv"
         texts = []
-        for workers in (1, 4, 1):
-            cfg = self.base_cfg(engine="both",
-                                axes={"delta": list(np.linspace(0.002, 0.03, 8))},
-                                workers=workers)
-            header, rows = run_sweep(cfg)
-            texts.append(render_rows(header, rows))
+        for args in ([], ["--out", str(out)], []):
+            assert main(["sweep", "--config", path] + args) == 0
+            texts.append(out.read_bytes() if args else capsys.readouterr().out.encode())
         assert texts[0] == texts[1] == texts[2]
+        assert len(texts[0].splitlines()) == 1 + 16
 
     def test_analytic_grid_speed(self):
         cfg = self.base_cfg(engine="analytic",
