@@ -4,8 +4,8 @@ The a-m segment evolves as a density matrix under the damped master
 equation.  Arm-a photon number commutes with the Hamiltonian and with the
 mirror-only dissipator, so every (n, n') block of rho_am evolves on its own
 and is propagated exactly by one matrix exponential of its own generator.
-Recombination and postselection are the unitary engine's, so both engines
-share one back-end.
+Recombination uses the unitary engine's kernel and both engines build the
+same outcome record; only the damped state is contracted as a density matrix.
 """
 
 from __future__ import annotations
@@ -119,8 +119,10 @@ def evolve_master(rho0: DensityMatrix, params: LindbladParams, total_time: float
 def damped_protocol(params: ProtocolParams, gamma: float) -> ProtocolOutcome:
     """The interferometer pipeline with the a-m segment damped.
 
-    Recombination, postselection and the outcome record are those of
-    :func:`optoweak.interferometer.run_protocol`, mirror-tail check included.
+    Recombination and the outcome record are those of
+    :func:`optoweak.interferometer.run_protocol`, mirror-tail check included;
+    postselection contracts the mixed state through
+    :func:`optoweak.interferometer._postselect`.
     """
     psi = _preselect_am(params)
     _mirror_tail(params.evolution, (np.abs(psi.grid) ** 2).sum(axis=1),

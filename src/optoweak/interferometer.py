@@ -164,26 +164,27 @@ def _bs_kernel(theta: float, beta: np.ndarray) -> np.ndarray:
     return w
 
 
-def _postselect(params: ProtocolParams, rho_am: np.ndarray) -> ProtocolOutcome:
-    """Recombine, postselect on the dark port and collect mirror statistics.
+def _recombiner(params: ProtocolParams) -> np.ndarray:
+    """W[j, c, n] = <c, j| U |n>_a |beta>_b for dark-port outcomes j = 0, 1.
 
-    ``rho_am`` is the evolved (a, m) density matrix as a (da, dm, da, dm)
-    array.  Arm b is rebuilt as the coherent state it stayed, with the free
-    optical phase arm a got from the evolution.  With
-    W[j, c, n] = <c, j| U |n>_a |beta>_b from :func:`_bs_kernel` the dark-port
-    outcome j leaves the mirror in sum_{n n'} M_j[n, n'] rho[n, :, n', :] with
-    M_j[n, n'] = sum_c W[j, c, n] W*[j, c, n'].  The bright port is never
-    conditioned, which equals tracing it out.  Only j = 0 (no click) and
-    j = 1 (click) are formed; since sum_j M_j = 1 on the truncated space,
-    the trace they leave is the probability of two or more dark-port photons.
+    Arm b is rebuilt as the coherent state it stayed, with the free optical
+    phase arm a got from the evolution; see :func:`_bs_kernel`.
     """
     ev = params.evolution
     phase = np.exp(-1j * ev.r * ev.wm_t) if ev.include_r_phase else 1.0
     beta = _arm(params, "b", phase).normalize().amplitudes
-    w = _bs_kernel(math.pi / 4 + params.delta, beta)
-    m = w.transpose(0, 2, 1) @ w.conj()  # M_j[n, n'], as a BLAS batch
-    rho_a = np.trace(rho_am, axis1=1, axis2=3)
-    probs = np.einsum("jnk,nk->j", m, rho_a).real
+    return _bs_kernel(math.pi / 4 + params.delta, beta)
+
+
+def _outcome(params: ProtocolParams, rho_m: np.ndarray, probs: np.ndarray,
+             trace: float) -> ProtocolOutcome:
+    """Mirror statistics from the unnormalized conditional mirror states
+    ``rho_m[j]`` of dark-port outcomes j = 0 (no click) and 1 (click), shape
+    (2, dm, dm), their traces ``probs`` and the trace of the (a, m) state
+    before postselection.  The recombiner is unitary on the truncated space,
+    so the trace the two outcomes leave is the probability of two or more
+    dark-port photons.
+    """
     q = position(params.mirror_cutoff, 1.0, "m").matrix
     layout = ModeLayout.of(("m", params.mirror_cutoff))
     stats, reasons = {}, []
@@ -195,34 +196,53 @@ def _postselect(params: ProtocolParams, rho_am: np.ndarray) -> ProtocolOutcome:
             reasons.append(f"{name}:{err}")
             stats[name] = (p, None, math.nan, math.nan)
             continue
-        rho_m = np.einsum("nk,nikl->il", m[j], rho_am) / p
-        rho_m = (rho_m + rho_m.conj().T) / 2
-        tq = float(np.trace(rho_m @ q).real)
-        tq2 = float(np.trace(rho_m @ q @ q).real)
-        stats[name] = (p, DensityMatrix(layout, rho_m), tq,
+        rho = (rho_m[j] + rho_m[j].conj().T) / (2 * p)
+        tq = float(np.trace(rho @ q).real)
+        tq2 = float(np.trace(rho @ q @ q).real)
+        stats[name] = (p, DensityMatrix(layout, rho), tq,
                        math.sqrt(max(tq2 - tq * tq, 0.0)))
 
     p_nc, rho_nc, q_nc, dq_nc = stats["noclick"]
     p_c, rho_c, q_c, dq_c = stats["click"]
     return ProtocolOutcome(
         p_click=p_c, p_noclick=p_nc,
-        p_residual=max(float(np.trace(rho_a).real) - p_nc - p_c, 0.0),
+        p_residual=max(trace - p_nc - p_c, 0.0),
         q_click=q_c, q_noclick=q_nc, dq_click=dq_c, dq_noclick=dq_nc,
         diff=q_c - q_nc, mirror_click=rho_c, mirror_noclick=rho_nc,
         degenerate_reason="; ".join(reasons) or None)
 
 
+def _postselect(params: ProtocolParams, rho_am: np.ndarray) -> ProtocolOutcome:
+    """Recombine, postselect on the dark port and collect mirror statistics
+    of a mixed (a, m) state: the damped engine's route.
+
+    ``rho_am`` is the evolved (a, m) density matrix as a (da, dm, da, dm)
+    array.  With W from :func:`_recombiner` the dark-port outcome j leaves
+    the mirror in sum_{n n'} M_j[n, n'] rho[n, :, n', :] with
+    M_j[n, n'] = sum_c W[j, c, n] W*[j, c, n'].  The bright port is never
+    conditioned, which equals tracing it out.
+    """
+    w = _recombiner(params)
+    m = w.transpose(0, 2, 1) @ w.conj()  # M_j[n, n'], as a BLAS batch
+    rho_a = np.trace(rho_am, axis1=1, axis2=3)
+    return _outcome(params, np.tensordot(m, rho_am, axes=([1, 2], [0, 2])),
+                    np.einsum("jnk,nk->j", m, rho_a).real, float(np.trace(rho_a).real))
+
+
 def run_protocol(params: ProtocolParams) -> ProtocolOutcome:
     """Run the unitary pipeline and collect both dark-port branches.
 
-    The (a, m) ket evolves under the factored propagator; its outer product
-    goes through :func:`_postselect`, as the damped engine's density matrix
-    does.
+    The (a, m) ket evolves under the factored propagator and stays a ket up
+    to the dark port: x_j = W_j psi, with W from :func:`_recombiner`, is the
+    (bright port c) x mirror ket left by dark-port outcome j, and tracing
+    out c gives the unnormalized mirror state x_j^T x_j^*.  No (a, m)
+    density matrix is formed; :func:`_postselect` is the mixed-state route.
     """
     psi = factored_propagate(_preselect_am(params), params.evolution,
                              coupled="a", mirror="m")
-    rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    return _postselect(params, rho.reshape(psi.layout.shape * 2))
+    x = _recombiner(params) @ psi.grid
+    probs = (x.real ** 2 + x.imag ** 2).sum(axis=(1, 2))
+    return _outcome(params, x.transpose(0, 2, 1) @ x.conj(), probs, psi.norm ** 2)
 
 
 def weak_value_numeric(params: ProtocolParams) -> float:

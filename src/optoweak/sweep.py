@@ -138,19 +138,23 @@ def load_config(path: str | None, overrides: dict | None = None,
 
 def _check_exact_feasible(cfg: SweepConfig) -> None:
     """Refuse exact points whose largest arrays exceed the dense cap squared
-    (a 4096 x 4096 complex matrix, 256 MiB): the (a, m) density matrix,
-    (da dm)^2 entries, and the beam-splitter block-eigenvector cache, the sum
-    over N <= d of (block size)^2 entries, about d^3 / 3."""
+    (a 4096 x 4096 complex matrix, 256 MiB): the beam-splitter
+    block-eigenvector cache, the sum over N <= d of (block size)^2 entries,
+    about d^3 / 3, and, when a point is damped (gamma > 0), the (a, m)
+    density matrix, (da dm)^2 entries.  Unitary points keep a ket."""
     if cfg.engine == "analytic":
         return
     alpha2 = cfg.value("alpha2") if cfg.mode == "sweep" else cfg.overlay_alpha2
-    alpha2 = max([alpha2] + [max(v) for n, v in cfg.axes.items() if n == "alpha2"])
+    alpha2 = max([alpha2] + cfg.axes.get("alpha2", []))
     n_opt = cfg.optical_cutoff if cfg.optical_cutoff is not None else default_optical_cutoff(alpha2)
     d = n_opt + 1
     cap = DEFAULT_TOL.dense_dim_cap ** 2
     cache = d * (d + 1) * (2 * d + 1) // 6 + (d - 1) ** 2  # blocks N < d, then N = d
-    for name, size in (("(a, m) density matrix", (d * (cfg.exact_mirror_cutoff + 1)) ** 2),
-                       ("block-eigenvector cache", cache)):
+    sizes = [("block-eigenvector cache", cache)]
+    # only damped points build the density matrix; figure2 overlays are unitary
+    if cfg.mode == "sweep" and max([cfg.value("gamma")] + cfg.axes.get("gamma", [])) > 0.0:
+        sizes.insert(0, ("(a, m) density matrix", (d * (cfg.exact_mirror_cutoff + 1)) ** 2))
+    for name, size in sizes:
         if size > cap:
             raise ConfigError(f"exact engine infeasible at |alpha|^2={alpha2:.3g}: "
                               f"the {name} has {size} entries (cap {cap})")

@@ -55,7 +55,7 @@ def test_sweep_requires_axes(tmp_path, capsys):
 
 def test_infeasible_exact_sweep_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"mode": "sweep", "fixed": {"alpha2": 400.0},
+    cfg.write_text(json.dumps({"mode": "sweep", "fixed": {"alpha2": 400.0, "gamma": 1e-3},
                                "axes": {"delta": [0.005]}}))
     assert main(["sweep", "--config", str(cfg), "--engine", "exact"]) == 2
     err = capsys.readouterr().err

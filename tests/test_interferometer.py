@@ -1,17 +1,21 @@
 """Protocol pipeline: preselection, recombination, postselection, weak values."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from optoweak import (DegenerateBranchError, ModeLayout, Operator,
-                      ProtocolParams, annihilation, apply, coherent_state,
-                      evolution_params, expectation, fock_state, number,
+from optoweak import (DegenerateBranchError, DensityMatrix, LindbladParams,
+                      ModeLayout, Operator, ProtocolParams, annihilation, apply,
+                      coherent_state, damped_protocol, evolution_params,
+                      evolve_master, expectation, fock_state, number, position,
                       preselect, run_protocol, tensor, weak_value_numeric)
 from optoweak import analytics as an
-from optoweak.interferometer import _bs_eig, _bs_kernel
+from optoweak.dynamics import factored_propagate
+from optoweak.interferometer import (_bs_eig, _bs_kernel, _preselect_am,
+                                     _recombiner)
 
 
 def make_params(alpha2, delta, k=0.005, wm_t=math.pi, **kw):
@@ -336,3 +340,67 @@ class TestFullDenseOracle:
         assert out.p_residual == pytest.approx(oracle["p_residual"], abs=1e-13)
         assert out.q_click == pytest.approx(oracle["q_click"], abs=1e-12)
         assert out.q_noclick == pytest.approx(oracle["q_noclick"], abs=1e-12)
+
+
+def density_route(params, rho_am):
+    """Mirror statistics of an (a, m) density matrix, shape (d, dm, d, dm),
+    contracted one branch at a time with M_j = W_j^T W_j^*: the reference
+    for the ket path of :func:`run_protocol` and the batched contraction of
+    the damped engine."""
+    w = _recombiner(params)
+    m = w.transpose(0, 2, 1) @ w.conj()
+    rho_a = np.trace(rho_am, axis1=1, axis2=3)
+    probs = np.einsum("jnk,nk->j", m, rho_a).real
+    q = position(params.mirror_cutoff, 1.0, "m").matrix
+    out = {"p_residual": max(float(np.trace(rho_a).real) - probs[0] - probs[1], 0.0)}
+    for j, name in ((0, "noclick"), (1, "click")):
+        rho_m = np.einsum("nk,nikl->il", m[j], rho_am) / probs[j]
+        rho_m = (rho_m + rho_m.conj().T) / 2
+        tq = float(np.trace(rho_m @ q).real)
+        out[f"p_{name}"] = float(probs[j])
+        out[f"q_{name}"] = tq
+        out[f"dq_{name}"] = math.sqrt(max(float(np.trace(rho_m @ q @ q).real) - tq * tq, 0.0))
+    return out
+
+
+class TestKetPostselection:
+    PROBS = ("p_click", "p_noclick", "p_residual")
+    MOMENTS = ("q_click", "q_noclick", "dq_click", "dq_noclick")
+
+    @pytest.mark.parametrize("alpha2", [0.5, 2.0, 12.0, 30.0])
+    @pytest.mark.parametrize("delta", [0.001, 0.005, 0.03])
+    def test_ket_matches_density_route(self, alpha2, delta):
+        params = make_params(alpha2, delta)
+        psi = factored_propagate(_preselect_am(params), params.evolution,
+                                 coupled="a", mirror="m")
+        rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        ref = density_route(params, rho.reshape(psi.layout.shape * 2))
+        out = run_protocol(params)
+        for name in self.PROBS:
+            assert getattr(out, name) == pytest.approx(ref[name], abs=1e-14), name
+        for name in self.MOMENTS:
+            assert getattr(out, name) == pytest.approx(ref[name], abs=5e-12), name
+
+    @pytest.mark.parametrize("delta", [0.001, 0.005, 0.01, 0.03, 0.05])
+    def test_damped_contraction_matches_density_route(self, delta):
+        params = make_params(2.0, delta, optical_cutoff=12, mirror_cutoff=3)
+        psi = _preselect_am(params)
+        rho = evolve_master(DensityMatrix.from_state(psi),
+                            LindbladParams(gamma=5e-7, base=params.evolution),
+                            params.evolution.wm_t)
+        ref = density_route(params, rho.matrix.reshape(psi.layout.shape * 2))
+        out = damped_protocol(params, 5e-7)
+        for name in self.PROBS + self.MOMENTS:
+            assert getattr(out, name) == pytest.approx(ref[name], abs=1e-13), name
+
+    def test_paper_point_builds_no_joint_density_matrix(self):
+        # the (d dm)^2 density matrix alone is 7.6 MiB at n_opt 63, mirror 10
+        params = make_params(30.0, 0.005)
+        run_protocol(params)  # warm the block-eigenvector cache
+        tracemalloc.start()
+        try:
+            run_protocol(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20

@@ -71,10 +71,10 @@ class TestConfig:
 
 
 class TestExactFeasibility:
-    def exact_cfg(self, alpha2):
+    def exact_cfg(self, alpha2, gamma=0.0, **extra):
         return load_config(None, overrides={
-            "engine": "exact", "fixed": {"alpha2": alpha2},
-            "axes": {"delta": [0.005]}}, default_mode="sweep")
+            "engine": "exact", "fixed": {"alpha2": alpha2, "gamma": gamma},
+            "axes": {"delta": [0.005]}, **extra}, default_mode="sweep")
 
     @pytest.mark.parametrize("alpha2", [30.0, 40.0])
     def test_accepted_and_point_runs(self, alpha2):
@@ -86,9 +86,25 @@ class TestExactFeasibility:
         assert total == pytest.approx(1.0, abs=2e-9)
 
     def test_alpha2_400_rejected_with_array_size(self):
-        # n_opt 520, mirror cutoff 10: (521 * 11)^2 entries
+        # damped, n_opt 520, mirror cutoff 10: (521 * 11)^2 entries
         with pytest.raises(ConfigError, match=r"\(a, m\) density matrix has 32844361 entries"):
-            self.exact_cfg(400.0)
+            self.exact_cfg(400.0, gamma=1e-3)
+
+    def test_unitary_point_not_bounded_by_density_matrix(self):
+        # n_opt 160, mirror cutoff 30: a damped point would need (161 * 31)^2
+        # density-matrix entries; the unitary engine keeps a ket
+        header, rows = run_sweep(self.exact_cfg(100.0, cutoffs={"mirror": 30}))
+        row = dict(zip(header, rows[0]))
+        assert math.isfinite(row["q_diff"]) and row["p_click"] > 0.0
+        total = row["p_click"] + row["p_noclick"] + row["p_residual"]
+        assert total == pytest.approx(1.0, abs=2e-9)
+
+    def test_damped_point_bounded_by_density_matrix(self):
+        with pytest.raises(ConfigError, match=r"\(a, m\) density matrix has 24910081 entries"):
+            self.exact_cfg(100.0, gamma=1e-3, cutoffs={"mirror": 30})
+        with pytest.raises(ConfigError, match=r"\(a, m\) density matrix"):
+            self.exact_cfg(100.0, axes={"delta": [0.005], "gamma": [0.0, 1e-3]},
+                           cutoffs={"mirror": 30})
 
     def test_alpha2_400_small_mirror_rejected_by_eigenvector_cache(self):
         # mirror cutoff 1: the density matrix is only (521 * 2)^2 entries, but
