@@ -10,6 +10,7 @@ same outcome record; only the damped state is contracted as a density matrix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +18,8 @@ import numpy as np
 from .dynamics import EvolutionParams, _mirror_tail
 from .errors import LayoutError
 from .fock import DensityMatrix, ModeLayout, annihilation
-from .interferometer import (ProtocolOutcome, ProtocolParams, _postselect,
-                             _preselect_am)
+from .interferometer import (ProtocolOutcome, ProtocolParams, _arm_b, _drive,
+                             _postselect, _preselect_am)
 
 
 @dataclass(frozen=True)
@@ -116,18 +117,37 @@ def evolve_master(rho0: DensityMatrix, params: LindbladParams, total_time: float
     return DensityMatrix(layout, (final + final.conj().T) / 2)
 
 
+@functools.lru_cache(maxsize=1)
+def _evolved_rho(drive: ProtocolParams, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The delta-free front half of :func:`damped_protocol`: the evolved
+    (a, m) density matrix as a (da, dm, da, dm) array and arm b's
+    amplitudes, for a :func:`optoweak.interferometer._drive` key and gamma.
+
+    A miss runs the preselection leakage and mirror-tail checks; the cache
+    keeps no exception, so a failing key raises on every call.  One entry:
+    a density matrix can reach the feasibility guard's 256 MiB cap, and a
+    damped delta scan needs only the last one.  The arrays are read-only
+    (:class:`DensityMatrix` and :class:`optoweak.fock.StateVector` freeze
+    theirs), because every caller shares them.
+    """
+    psi = _preselect_am(drive)
+    _mirror_tail(drive.evolution, (np.abs(psi.grid) ** 2).sum(axis=1),
+                 drive.mirror_cutoff)
+    rho = evolve_master(DensityMatrix.from_state(psi),
+                        LindbladParams(gamma=gamma, base=drive.evolution),
+                        drive.evolution.wm_t)
+    return rho.matrix.reshape(psi.layout.shape * 2), _arm_b(drive)
+
+
 def damped_protocol(params: ProtocolParams, gamma: float) -> ProtocolOutcome:
     """The interferometer pipeline with the a-m segment damped.
 
     Recombination and the outcome record are those of
     :func:`optoweak.interferometer.run_protocol`, mirror-tail check included;
     postselection contracts the mixed state through
-    :func:`optoweak.interferometer._postselect`.
+    :func:`optoweak.interferometer._postselect`.  The evolved density matrix
+    does not depend on delta and comes from the stage :func:`_evolved_rho`,
+    so consecutive points of a delta scan at one drive, cutoffs and gamma
+    evolve it once.
     """
-    psi = _preselect_am(params)
-    _mirror_tail(params.evolution, (np.abs(psi.grid) ** 2).sum(axis=1),
-                 params.mirror_cutoff)
-    rho = evolve_master(DensityMatrix.from_state(psi),
-                        LindbladParams(gamma=gamma, base=params.evolution),
-                        params.evolution.wm_t)
-    return _postselect(params, rho.matrix.reshape(psi.layout.shape * 2))
+    return _postselect(params, *_evolved_rho(_drive(params), gamma))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceError, LayoutError, TruncationError
 from .fock import (ModeLayout, Operator, StateVector, _displacement_powers,
-                   annihilation, poisson_tail)
+                   _warn_large_displacement, annihilation, poisson_tail)
 from .tolerances import DEFAULT_TOL
 
 
@@ -97,7 +97,19 @@ def factored_propagate(state: StateVector, params: EvolutionParams,
     e^{i kerr n^2}; optionally e^{-i r wm_t n_total} over the optical modes.
     Every D(n phi) comes from one eigendecomposition and all blocks are
     displaced in one stacked contraction, never a joint matrix build.
+    Raises :class:`TruncationError` past the mirror-tail budget, then warns
+    when the largest displacement is not small against the mirror cutoff.
     """
+    out = _factored_propagate(state, params, coupled, mirror)
+    _warn_large_displacement(params.disp_param, state.layout.cutoff(coupled),
+                             state.layout.cutoff(mirror), stacklevel=2)
+    return out
+
+
+def _factored_propagate(state: StateVector, params: EvolutionParams,
+                        coupled: str, mirror: str) -> StateVector:
+    """:func:`factored_propagate` without its warning, for callers that
+    cache the result and so warn on every call themselves."""
     layout = state.layout
     c_ax = layout.axis(coupled)
     m_ax = layout.axis(mirror)
@@ -151,6 +163,8 @@ def factored_propagator(k: float, wm_t: float, optical_cutoff: int, mirror_cutof
     phase = np.exp(1j * params.kerr_phase * n * n)
     if include_r_phase and r != 0.0:
         phase *= np.exp(-1j * r * wm_t * n)
+    _warn_large_displacement(params.disp_param, optical_cutoff,
+                             mirror_cutoff + mirror_pad, stacklevel=2)
     blocks = (_displacement_powers(params.disp_param, optical_cutoff,
                                    mirror_cutoff + mirror_pad) * rot)[:, :dm, :dm]
     full = np.einsum("nij,nk->nikj", phase[:, None, None] * blocks, np.eye(da))

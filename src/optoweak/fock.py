@@ -12,6 +12,7 @@ construction and safe to share across parallel workers.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -339,8 +340,18 @@ def identity(cutoff: int, label: str = "a") -> Operator:
 
 def position(cutoff: int, sigma: float = 1.0, label: str = "m") -> Operator:
     """q = sigma (c + c^dag); sigma is the zero-point spread (1 = sigma units)."""
-    c = annihilation(cutoff, label).matrix
-    return Operator.of(ModeLayout.of((label, cutoff)), sigma * (c + c.conj().T))
+    return Operator.of(ModeLayout.of((label, cutoff)), sigma * _quadrature(cutoff))
+
+
+@functools.lru_cache(maxsize=8)
+def _quadrature(cutoff: int) -> np.ndarray:
+    """The matrix of c + c^dag, built and checked once per cutoff and kept
+    read-only: :func:`position` in sigma units, for callers that need only
+    the array."""
+    c = annihilation(cutoff).matrix
+    q = c + c.conj().T
+    q.setflags(write=False)
+    return q
 
 
 def momentum(cutoff: int, sigma: float = 1.0, label: str = "m") -> Operator:
@@ -355,8 +366,21 @@ def displacement(beta: complex, cutoff: int, label: str = "m") -> Operator:
     Built by Hermitian eigendecomposition of the generator, so it is unitary
     on the truncated space by construction (no series truncation to tune).
     """
+    _warn_large_displacement(beta, 1, cutoff, stacklevel=2)
     mat = _displacement_powers(beta, 1, cutoff)[1]
     return Operator.of(ModeLayout.of((label, cutoff)), mat)
+
+
+def _warn_large_displacement(beta: complex, n_max: int, cutoff: int,
+                             stacklevel: int) -> None:
+    """Warn when the largest displacement |n_max beta|^2 of a stack is not
+    small against the cutoff.  ``stacklevel`` counts from the caller, so 2
+    reports the line that called the caller."""
+    big = abs(n_max * beta) ** 2
+    if big > DEFAULT_TOL.displacement_warn_ratio * max(cutoff, 1):
+        warnings.warn(
+            f"displacement |beta|^2={big:.3g} is not small against cutoff {cutoff}",
+            stacklevel=stacklevel + 1)
 
 
 def _displacement_powers(beta: complex, n_max: int, cutoff: int) -> np.ndarray:
@@ -365,16 +389,10 @@ def _displacement_powers(beta: complex, n_max: int, cutoff: int) -> np.ndarray:
     The generator of D(n beta) is n times that of D(beta), so one
     eigendecomposition i(beta c^dag - beta* c) = V diag(w) V^dag gives every
     power: D(n beta) = V exp(-i n w) V^dag (Bose, Jacobs & Knight, PRA 56,
-    4175 (1997)).  Warns when the largest displacement is not small against
-    the cutoff (reported at the caller of this function's caller); raises
-    :class:`TruncationError` when any matrix of the stack fails the
-    unitarity check.
+    4175 (1997)).  Raises :class:`TruncationError` when any matrix of the
+    stack fails the unitarity check; the callers that build a stack for a
+    user warn through :func:`_warn_large_displacement`.
     """
-    big = abs(n_max * beta) ** 2
-    if big > DEFAULT_TOL.displacement_warn_ratio * max(cutoff, 1):
-        warnings.warn(
-            f"displacement |beta|^2={big:.3g} is not small against cutoff {cutoff}",
-            stacklevel=3)
     c = annihilation(cutoff).matrix
     w, v = np.linalg.eigh(1j * (beta * c.conj().T - np.conj(beta) * c))
     phases = np.exp(-1j * np.outer(np.arange(n_max + 1), w))

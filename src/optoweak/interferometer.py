@@ -16,15 +16,16 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import EvolutionParams, factored_propagate
+from .dynamics import EvolutionParams, _factored_propagate
 from .errors import DegenerateBranchError, InvariantError, LayoutError
-from .fock import (DensityMatrix, ModeLayout, StateVector, annihilation,
-                   coherent_state, cutoff_for_leakage, fock_state, number,
-                   position, tensor, vacuum_state)
+from .fock import (DensityMatrix, ModeLayout, StateVector, _quadrature,
+                   _warn_large_displacement, annihilation, coherent_state,
+                   cutoff_for_leakage, fock_state, number, tensor,
+                   vacuum_state)
 from .tolerances import DEFAULT_TOL
 
 PRESELECT_LEAKAGE = 1e-9
@@ -116,6 +117,36 @@ def _preselect_am(params: ProtocolParams) -> StateVector:
     return tensor([_arm(params, "a"), vacuum_state(params.mirror_cutoff, "m")]).normalize()
 
 
+def _arm_b(params: ProtocolParams) -> np.ndarray:
+    """Arm b's normalized amplitudes at recombination: the coherent state it
+    stayed, with the free optical phase arm a got from the evolution."""
+    ev = params.evolution
+    phase = np.exp(-1j * ev.r * ev.wm_t) if ev.include_r_phase else 1.0
+    return _arm(params, "b", phase).normalize().amplitudes
+
+
+def _drive(params: ProtocolParams) -> ProtocolParams:
+    """``params`` with delta zeroed and the optical cutoff resolved: the key
+    (alpha, n_opt, mirror cutoff, evolution) of both engines' delta-free
+    stage, so every delta of a scan at one drive and cutoffs shares an entry."""
+    return replace(params, delta=0.0, optical_cutoff=params.n_opt)
+
+
+@functools.lru_cache(maxsize=8)
+def _evolved_ket(drive: ProtocolParams) -> tuple[np.ndarray, float, np.ndarray]:
+    """The delta-free front half of :func:`run_protocol`: the evolved (a, m)
+    ket grid, its norm^2 and arm b's amplitudes, for a :func:`_drive` key.
+
+    A miss runs the preselection leakage and mirror-tail checks; the cache
+    keeps no exception, so a failing key raises on every call.  Eight
+    entries, like :func:`_bs_eig`, each d dm + d complex numbers.  The arrays
+    are read-only (:class:`StateVector` freezes its amplitudes), because
+    every caller shares them.
+    """
+    psi = _factored_propagate(_preselect_am(drive), drive.evolution, "a", "m")
+    return psi.grid, psi.norm ** 2, _arm_b(drive)
+
+
 @functools.lru_cache(maxsize=8)
 def _bs_eig(d: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Per total photon number N = 0..min(d, 2d - 2): the arm-a occupations i
@@ -165,15 +196,11 @@ def _bs_kernel(theta: float, beta: np.ndarray) -> np.ndarray:
 
 
 def _recombiner(params: ProtocolParams) -> np.ndarray:
-    """W[j, c, n] = <c, j| U |n>_a |beta>_b for dark-port outcomes j = 0, 1.
-
-    Arm b is rebuilt as the coherent state it stayed, with the free optical
-    phase arm a got from the evolution; see :func:`_bs_kernel`.
+    """W[j, c, n] = <c, j| U |n>_a |beta>_b for dark-port outcomes j = 0, 1,
+    built from scratch; see :func:`_bs_kernel` and :func:`_arm_b`.  Both
+    engines form the same W from the arm-b amplitudes of their cached stage.
     """
-    ev = params.evolution
-    phase = np.exp(-1j * ev.r * ev.wm_t) if ev.include_r_phase else 1.0
-    beta = _arm(params, "b", phase).normalize().amplitudes
-    return _bs_kernel(math.pi / 4 + params.delta, beta)
+    return _bs_kernel(math.pi / 4 + params.delta, _arm_b(params))
 
 
 def _outcome(params: ProtocolParams, rho_m: np.ndarray, probs: np.ndarray,
@@ -185,7 +212,7 @@ def _outcome(params: ProtocolParams, rho_m: np.ndarray, probs: np.ndarray,
     so the trace the two outcomes leave is the probability of two or more
     dark-port photons.
     """
-    q = position(params.mirror_cutoff, 1.0, "m").matrix
+    q = _quadrature(params.mirror_cutoff)  # position in sigma units
     layout = ModeLayout.of(("m", params.mirror_cutoff))
     stats, reasons = {}, []
     for j, name in ((0, "noclick"), (1, "click")):
@@ -212,17 +239,19 @@ def _outcome(params: ProtocolParams, rho_m: np.ndarray, probs: np.ndarray,
         degenerate_reason="; ".join(reasons) or None)
 
 
-def _postselect(params: ProtocolParams, rho_am: np.ndarray) -> ProtocolOutcome:
+def _postselect(params: ProtocolParams, rho_am: np.ndarray,
+                beta: np.ndarray) -> ProtocolOutcome:
     """Recombine, postselect on the dark port and collect mirror statistics
     of a mixed (a, m) state: the damped engine's route.
 
     ``rho_am`` is the evolved (a, m) density matrix as a (da, dm, da, dm)
-    array.  With W from :func:`_recombiner` the dark-port outcome j leaves
-    the mirror in sum_{n n'} M_j[n, n'] rho[n, :, n', :] with
+    array and ``beta`` arm b's amplitudes.  With W from :func:`_recombiner`
+    the dark-port outcome j leaves the mirror in
+    sum_{n n'} M_j[n, n'] rho[n, :, n', :] with
     M_j[n, n'] = sum_c W[j, c, n] W*[j, c, n'].  The bright port is never
     conditioned, which equals tracing it out.
     """
-    w = _recombiner(params)
+    w = _bs_kernel(math.pi / 4 + params.delta, beta)
     m = w.transpose(0, 2, 1) @ w.conj()  # M_j[n, n'], as a BLAS batch
     rho_a = np.trace(rho_am, axis1=1, axis2=3)
     return _outcome(params, np.tensordot(m, rho_am, axes=([1, 2], [0, 2])),
@@ -237,12 +266,19 @@ def run_protocol(params: ProtocolParams) -> ProtocolOutcome:
     (bright port c) x mirror ket left by dark-port outcome j, and tracing
     out c gives the unnormalized mirror state x_j^T x_j^*.  No (a, m)
     density matrix is formed; :func:`_postselect` is the mixed-state route.
+
+    Everything before the recombiner is independent of delta and comes from
+    the stage :func:`_evolved_ket`, so the points of a delta scan at one
+    drive and cutoffs evolve the ket once.  The warning that the largest
+    mirror displacement is not small against the cutoff fires on every call.
     """
-    psi = factored_propagate(_preselect_am(params), params.evolution,
-                             coupled="a", mirror="m")
-    x = _recombiner(params) @ psi.grid
+    drive = _drive(params)
+    grid, norm2, beta = _evolved_ket(drive)
+    _warn_large_displacement(drive.evolution.disp_param, drive.optical_cutoff,
+                             drive.mirror_cutoff, stacklevel=2)
+    x = _bs_kernel(math.pi / 4 + params.delta, beta) @ grid
     probs = (x.real ** 2 + x.imag ** 2).sum(axis=(1, 2))
-    return _outcome(params, x.transpose(0, 2, 1) @ x.conj(), probs, psi.norm ** 2)
+    return _outcome(params, x.transpose(0, 2, 1) @ x.conj(), probs, norm2)
 
 
 def weak_value_numeric(params: ProtocolParams) -> float:

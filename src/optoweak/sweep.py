@@ -17,8 +17,9 @@ import numpy as np
 
 from . import analytics
 from .dissipation import damped_protocol
-from .dynamics import evolution_params
-from .errors import ConfigError, DegenerateBranchError
+from .dynamics import _mirror_tail, evolution_params
+from .errors import ConfigError, DegenerateBranchError, TruncationError
+from .fock import coherent_state
 from .interferometer import ProtocolParams, default_optical_cutoff, run_protocol
 from .tolerances import DEFAULT_TOL
 
@@ -136,28 +137,50 @@ def load_config(path: str | None, overrides: dict | None = None,
     return cfg
 
 
+def _exact_values(cfg: SweepConfig, name: str) -> list[float]:
+    """The values parameter ``name`` takes at the config's exact points: a
+    sweep's axis, else its fixed value; figure2 overlays run at
+    ``overlay_alpha2``."""
+    if cfg.mode != "sweep":
+        return [cfg.overlay_alpha2] if name == "alpha2" else [cfg.value(name)]
+    return cfg.axes.get(name) or [cfg.value(name)]
+
+
 def _check_exact_feasible(cfg: SweepConfig) -> None:
     """Refuse exact points whose largest arrays exceed the dense cap squared
     (a 4096 x 4096 complex matrix, 256 MiB): the beam-splitter
     block-eigenvector cache, the sum over N <= d of (block size)^2 entries,
     about d^3 / 3, and, when a point is damped (gamma > 0), the (a, m)
-    density matrix, (da dm)^2 entries.  Unitary points keep a ket."""
+    density matrix, (da dm)^2 entries.  Unitary points keep a ket.  Then,
+    for the modes that run exact points at the config's values (sweep, and
+    figure2's overlay), refuse a mirror cutoff that the engines' mirror-tail
+    check would reject at the worst point: the largest |alpha|^2 and the
+    largest |phi| = k |1 - e^{-i wm_t}| on the config's grid."""
     if cfg.engine == "analytic":
         return
-    alpha2 = cfg.value("alpha2") if cfg.mode == "sweep" else cfg.overlay_alpha2
-    alpha2 = max([alpha2] + cfg.axes.get("alpha2", []))
+    alpha2 = max(_exact_values(cfg, "alpha2"))
     n_opt = cfg.optical_cutoff if cfg.optical_cutoff is not None else default_optical_cutoff(alpha2)
     d = n_opt + 1
     cap = DEFAULT_TOL.dense_dim_cap ** 2
     cache = d * (d + 1) * (2 * d + 1) // 6 + (d - 1) ** 2  # blocks N < d, then N = d
     sizes = [("block-eigenvector cache", cache)]
     # only damped points build the density matrix; figure2 overlays are unitary
-    if cfg.mode == "sweep" and max([cfg.value("gamma")] + cfg.axes.get("gamma", [])) > 0.0:
+    if cfg.mode == "sweep" and max(_exact_values(cfg, "gamma")) > 0.0:
         sizes.insert(0, ("(a, m) density matrix", (d * (cfg.exact_mirror_cutoff + 1)) ** 2))
     for name, size in sizes:
         if size > cap:
             raise ConfigError(f"exact engine infeasible at |alpha|^2={alpha2:.3g}: "
                               f"the {name} has {size} entries (cap {cap})")
+    if cfg.mode not in ("sweep", "figure2"):
+        return
+    wm_t = max(_exact_values(cfg, "wm_t"), key=lambda w: evolution_params(1.0, w).abs_disp)
+    evolution = evolution_params(max(_exact_values(cfg, "k")), wm_t)
+    arm = coherent_state(math.sqrt(alpha2 / 2.0), n_opt, "a", leakage_tol=1.0)
+    try:
+        _mirror_tail(evolution, np.abs(arm.amplitudes) ** 2, cfg.exact_mirror_cutoff)
+    except TruncationError as err:
+        raise ConfigError(f"exact engine infeasible at |alpha|^2={alpha2:.3g}, "
+                          f"k={evolution.k:.3g}, wm_t={wm_t:.3g}: {err}") from err
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,16 @@ def test_sweep_requires_axes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("optoweak: config-error:")
 
 
+def test_mirror_tail_infeasible_sweep_exits_2_before_any_row(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out.csv"
+    cfg.write_text(json.dumps({"mode": "sweep", "engine": "exact", "fixed": {"alpha2": 200},
+                               "axes": {"delta": [0.005, 0.01]}}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "mirror cutoff 10 too small" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_infeasible_exact_sweep_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": "sweep", "fixed": {"alpha2": 400.0, "gamma": 1e-3},

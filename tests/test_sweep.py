@@ -7,7 +7,8 @@ import time
 import numpy as np
 import pytest
 
-from optoweak import ConfigError, ProtocolParams, evolution_params, run_protocol
+from optoweak import (ConfigError, ProtocolParams, TruncationError, evolution_params,
+                      run_protocol)
 from optoweak.cli import main
 from optoweak.sweep import (SWEEP_HEADER, SweepConfig, format_float, iter_sweep_rows,
                             load_config, run_figure2, run_figure3, run_table1,
@@ -113,6 +114,47 @@ class TestExactFeasibility:
             load_config(None, overrides={
                 "engine": "exact", "fixed": {"alpha2": 400.0},
                 "axes": {"delta": [0.005]}, "cutoffs": {"mirror": 1}}, default_mode="sweep")
+
+    def test_mirror_tail_refused_up_front(self):
+        # n_opt 285 photons displace the mirror by 285 |phi| = 2.85, past what
+        # mirror cutoff 10 holds; the engines would refuse the first point
+        with pytest.raises(ConfigError, match="mirror cutoff 10 too small for displacement 2.85"):
+            load_config(None, overrides={
+                "engine": "exact", "fixed": {"alpha2": 200},
+                "axes": {"delta": [0.005, 0.01]}}, default_mode="sweep")
+
+    def test_mirror_tail_checked_only_where_exact_points_run(self):
+        # figure3 and table1 run no exact point at the fixed k; figure2's
+        # overlay does, at overlay_alpha2 = 2, where 12 photons displace the
+        # mirror by 12 * 0.2 * 2 = 4.8
+        for mode in ("figure3", "table1"):
+            load_config(None, overrides={"mode": mode, "engine": "exact", "fixed": {"k": 0.2}})
+        with pytest.raises(ConfigError, match="mirror cutoff 10 too small for displacement 4.8"):
+            load_config(None, overrides={"mode": "figure2", "engine": "exact",
+                                         "fixed": {"k": 0.2}})
+
+    def test_mirror_tail_limit_matches_the_engine(self):
+        # at default cutoffs the unitary engine runs |alpha|^2 = 160 and
+        # refuses 161 (before any beam-splitter work, so the check is cheap)
+        self.exact_cfg(160.0)
+        with pytest.raises(ConfigError, match="mirror cutoff 10 too small"):
+            self.exact_cfg(161.0)
+        with pytest.raises(TruncationError, match="mirror cutoff 10 too small"):
+            run_protocol(ProtocolParams(alpha=complex(math.sqrt(161.0)), delta=0.005,
+                                        evolution=evolution_params(0.005, math.pi)))
+
+    def test_mirror_tail_uses_the_grid_values(self):
+        # the axes replace the fixed values at every point: |alpha|^2 2 and
+        # k 0.005 fit, the fixed |alpha|^2 200 and the k 0.05 on no axis never run
+        self.exact_cfg(200.0, axes={"delta": [0.005], "alpha2": [2.0]})
+        load_config(None, overrides={
+            "engine": "exact", "fixed": {"k": 0.05},
+            "axes": {"delta": [0.005], "k": [0.001, 0.005]}}, default_mode="sweep")
+        with pytest.raises(ConfigError, match="k=0.05, wm_t=3.14"):
+            load_config(None, overrides={
+                "engine": "exact", "fixed": {"alpha2": 12.0},
+                "axes": {"delta": [0.005], "k": [0.005, 0.05],
+                         "wm_t": [0.5, math.pi]}}, default_mode="sweep")
 
 
 class TestTable1:
