@@ -16,11 +16,10 @@ from .errors import (ConfigError, ConvergenceError, DegenerateBranchError,
                      InvariantError, LayoutError, OptoweakError,
                      TruncationError)
 from .fock import (DensityMatrix, ModeLayout, Operator, StateVector,
-                   annihilation, apply, branch_probabilities, coherent_state,
-                   creation, displacement, expectation, fock_state, identity,
-                   momentum, number, pointer_shift, poisson_tail, position,
-                   project_fock, reduced_density, relabel, tensor,
-                   vacuum_state)
+                   annihilation, apply, coherent_state, displacement,
+                   expectation, fock_state, number, pointer_shift,
+                   poisson_tail, position, project_fock, reduced_density,
+                   tensor, vacuum_state)
 from .interferometer import (ProtocolOutcome, ProtocolParams,
                              default_optical_cutoff, preselect, run_protocol,
                              weak_value_numeric)

@@ -18,7 +18,7 @@ import numpy as np
 from .dynamics import EvolutionParams, _mirror_tail
 from .errors import LayoutError
 from .fock import DensityMatrix, ModeLayout, annihilation
-from .interferometer import (ProtocolOutcome, ProtocolParams, _arm_b, _drive,
+from .interferometer import (ProtocolOutcome, ProtocolParams, _arm, _drive,
                              _postselect, _preselect_am)
 
 
@@ -40,17 +40,13 @@ class LindbladParams:
 
 def _hamiltonian(layout: ModeLayout, params: EvolutionParams,
                  coupled: str, mirror: str) -> np.ndarray:
-    """H = r n_a + c^dag c - k n_a (c + c^dag) on (coupled, mirror)."""
+    """H = c^dag c - k n_a (c + c^dag) on (coupled, mirror)."""
     da = layout.dim_of(coupled)
-    dm = layout.dim_of(mirror)
     if layout.labels != (coupled, mirror):
         raise LayoutError(f"expected layout ({coupled}, {mirror}), got {layout.labels}")
     c = annihilation(layout.cutoff(mirror), mirror).matrix
     na = np.diag(np.arange(da, dtype=float)).astype(complex)
-    h = np.kron(np.eye(da), c.conj().T @ c) - params.k * np.kron(na, c + c.conj().T)
-    if params.include_r_phase and params.r != 0.0:
-        h = h + params.r * np.kron(na, np.eye(dm))
-    return h
+    return np.kron(np.eye(da), c.conj().T @ c) - params.k * np.kron(na, c + c.conj().T)
 
 
 def lindblad_rhs(rho: DensityMatrix, params: LindbladParams,
@@ -78,7 +74,7 @@ def evolve_master(rho0: DensityMatrix, params: LindbladParams, total_time: float
 
     The (n, n') block R of rho obeys
     dR/dt = -i(H_n R - R H_n') + (gamma/2)(2 c R c^dag - c^dag c R - R c^dag c)
-    with H_n = c^dag c - k n (c + c^dag), plus r n with the optical phase on.
+    with H_n = c^dag c - k n (c + c^dag).
     Each block with n <= n' is propagated by expm of its dm^2 x dm^2
     generator; the others follow from R_n'n = R_nn'^dag.
     """
@@ -92,14 +88,12 @@ def evolve_master(rho0: DensityMatrix, params: LindbladParams, total_time: float
     if layout.labels != (coupled, mirror):
         raise LayoutError(f"expected layout ({coupled}, {mirror}), got {layout.labels}")
     da, dm = layout.dim_of(coupled), layout.dim_of(mirror)
-    base = params.base
-    r = base.r if base.include_r_phase else 0.0
     c = annihilation(layout.cutoff(mirror), mirror).matrix
     num, eye = c.T @ c, np.eye(dm)
     # row-major vectorization: vec(A R B) = (A kron B^T) vec(R); c and drive
     # are real, drive symmetric.  H_n = num + n drive, so the generator is
     # affine in (n, n'): gen = g0 + n g_n + n' g_n'.
-    drive = -base.k * (c + c.T) + r * eye
+    drive = -params.base.k * (c + c.T)
     g0 = (-1j * (np.kron(num, eye) - np.kron(eye, num))
           + (params.gamma / 2.0) * (2.0 * np.kron(c, c) - np.kron(num, eye)
                                     - np.kron(eye, num)))
@@ -136,7 +130,8 @@ def _evolved_rho(drive: ProtocolParams, gamma: float) -> tuple[np.ndarray, np.nd
     rho = evolve_master(DensityMatrix.from_state(psi),
                         LindbladParams(gamma=gamma, base=drive.evolution),
                         drive.evolution.wm_t)
-    return rho.matrix.reshape(psi.layout.shape * 2), _arm_b(drive)
+    beta = _arm(drive, "b").normalize().amplitudes
+    return rho.matrix.reshape(psi.layout.shape * 2), beta
 
 
 def damped_protocol(params: ProtocolParams, gamma: float) -> ProtocolOutcome:

@@ -2,9 +2,9 @@
 
 The exact propagator factorizes over photon-number blocks of the coupled
 optical mode: a mirror free rotation, then a photon-number-conditioned mirror
-displacement, then a number-squared (Kerr-like) phase, then optional optical
-frequency phases.  A dense matrix exponential of the Hamiltonian exists
-purely as an independent cross-check of that factorization.
+displacement, then a number-squared (Kerr-like) phase.  A dense matrix
+exponential of the Hamiltonian exists purely as an independent cross-check of
+that factorization.
 """
 
 from __future__ import annotations
@@ -25,16 +25,15 @@ from .tolerances import DEFAULT_TOL
 class EvolutionParams:
     """Dimensionless interaction parameters.
 
-    ``k`` is the scaled coupling (coupling rate over mechanical frequency),
-    ``wm_t`` the mechanical phase advance, ``r`` the optical-to-mechanical
-    frequency ratio.  The derived quantities are properties so they can never
-    drift out of sync with the primary fields.
+    ``k`` is the scaled coupling (coupling rate over mechanical frequency)
+    and ``wm_t`` the mechanical phase advance.  The optical frequency's
+    phase e^{-i (omega_c/omega_m) wm_t N} is common to both arms and commutes
+    with the recombiner, so it is not modelled.  The derived quantities are
+    properties so they can never drift out of sync with the primary fields.
     """
 
     k: float
     wm_t: float
-    r: float = 0.0
-    include_r_phase: bool = False
 
     def __post_init__(self):
         if self.k < 0:
@@ -63,12 +62,8 @@ class EvolutionParams:
         return 2.0 * self.disp_param.real
 
 
-def evolution_params(k: float, wm_t: float, r: float = 0.0,
-                     include_r_phase: bool = False) -> EvolutionParams:
-    return EvolutionParams(k=k, wm_t=wm_t, r=r, include_r_phase=include_r_phase)
-
-
-OPTICAL_LABELS = ("a", "b", "c", "d")
+def evolution_params(k: float, wm_t: float) -> EvolutionParams:
+    return EvolutionParams(k=k, wm_t=wm_t)
 
 
 def _mirror_tail(params: EvolutionParams, weights: np.ndarray,
@@ -94,7 +89,7 @@ def factored_propagate(state: StateVector, params: EvolutionParams,
 
     Right-to-left: mirror rotation e^{-i wm_t c^dag c}; per photon-number
     block n of ``coupled``, mirror displacement D(n phi); Kerr phase
-    e^{i kerr n^2}; optionally e^{-i r wm_t n_total} over the optical modes.
+    e^{i kerr n^2}.
     Every D(n phi) comes from one eigendecomposition and all blocks are
     displaced in one stacked contraction, never a joint matrix build.
     Raises :class:`TruncationError` past the mirror-tail budget, then warns
@@ -132,19 +127,10 @@ def _factored_propagate(state: StateVector, params: EvolutionParams,
     kerr = np.exp(1j * params.kerr_phase * np.arange(n_max + 1) ** 2)
     moved *= kerr.reshape((n_max + 1,) + (1,) * (moved.ndim - 1))
     g = np.moveaxis(moved, (0, g.ndim - 1), (c_ax, m_ax))
-    # optical frequency phases, diagonal in total photon number
-    if params.include_r_phase and params.r != 0.0:
-        for lab in layout.labels:
-            if lab in OPTICAL_LABELS:
-                ax = layout.axis(lab)
-                d = layout.dim_of(lab)
-                ph = np.exp(-1j * params.r * params.wm_t * np.arange(d))
-                g *= ph.reshape((1,) * ax + (d,) + (1,) * (g.ndim - ax - 1))
     return StateVector(layout, g.reshape(-1), leakage=state.leakage + tail)
 
 
 def factored_propagator(k: float, wm_t: float, optical_cutoff: int, mirror_cutoff: int,
-                        r: float = 0.0, include_r_phase: bool = False,
                         mirror_pad: int = 0, coupled: str = "a") -> Operator:
     """The factored propagator as an explicit block-diagonal matrix.
 
@@ -153,7 +139,7 @@ def factored_propagator(k: float, wm_t: float, optical_cutoff: int, mirror_cutof
     projection of the untruncated propagator instead of carrying cutoff
     artifacts of its own.
     """
-    params = evolution_params(k, wm_t, r, include_r_phase)
+    params = evolution_params(k, wm_t)
     da = optical_cutoff + 1
     dm = mirror_cutoff + 1
     dmp = mirror_cutoff + mirror_pad + 1
@@ -161,8 +147,6 @@ def factored_propagator(k: float, wm_t: float, optical_cutoff: int, mirror_cutof
     layout = ModeLayout.of((coupled, optical_cutoff), ("m", mirror_cutoff))
     n = np.arange(da)
     phase = np.exp(1j * params.kerr_phase * n * n)
-    if include_r_phase and r != 0.0:
-        phase *= np.exp(-1j * r * wm_t * n)
     _warn_large_displacement(params.disp_param, optical_cutoff,
                              mirror_cutoff + mirror_pad, stacklevel=2)
     blocks = (_displacement_powers(params.disp_param, optical_cutoff,
@@ -172,9 +156,9 @@ def factored_propagator(k: float, wm_t: float, optical_cutoff: int, mirror_cutof
 
 
 def dense_propagator(k: float, wm_t: float, optical_cutoff: int, mirror_cutoff: int,
-                     r: float = 0.0, mirror_pad: int = 0,
+                     mirror_pad: int = 0,
                      dim_cap: int = DEFAULT_TOL.dense_dim_cap) -> Operator:
-    """exp(-i H wm_t) with H = r n_a + c^dag c - k n_a (c + c^dag).
+    """exp(-i H wm_t) with H = c^dag c - k n_a (c + c^dag).
 
     Built by Hermitian eigendecomposition; exists only to cross-validate the
     factored path (an operator-ordering mistake there shows up immediately
@@ -187,9 +171,7 @@ def dense_propagator(k: float, wm_t: float, optical_cutoff: int, mirror_cutoff: 
         raise LayoutError(f"joint dimension {da * dmp} exceeds the dense cap {dim_cap}")
     c = annihilation(mirror_cutoff + mirror_pad, "m").matrix
     na = np.diag(np.arange(da, dtype=float)).astype(complex)
-    h = (r * np.kron(na, np.eye(dmp))
-         + np.kron(np.eye(da), c.conj().T @ c)
-         - k * np.kron(na, c + c.conj().T))
+    h = np.kron(np.eye(da), c.conj().T @ c) - k * np.kron(na, c + c.conj().T)
     w, v = np.linalg.eigh(h)
     u = (v * np.exp(-1j * w * wm_t)) @ v.conj().T
     if mirror_pad:
@@ -200,7 +182,7 @@ def dense_propagator(k: float, wm_t: float, optical_cutoff: int, mirror_cutoff: 
 
 def weak_approx_propagate(state: StateVector, params: EvolutionParams,
                           alpha: complex) -> StateVector:
-    """Apply exp[alpha e^{-i r wm_t} (a_c^dag + a_d^dag)(phi c^dag - phi* c)/2].
+    """Apply exp[alpha (a_c^dag + a_d^dag)(phi c^dag - phi* c)/2].
 
     This is the weak-interaction approximation of the post-beam-splitter
     evolution; it exists to test that approximation chain against the exact
@@ -216,7 +198,6 @@ def weak_approx_propagate(state: StateVector, params: EvolutionParams,
         warnings.warn(f"|phi|={params.abs_disp:.3g} is not small; the weak "
                       "approximation is unreliable", stacklevel=2)
     phi = params.disp_param
-    pref = alpha * np.exp(-1j * params.r * params.wm_t)
     cm = annihilation(layout.cutoff("m"), "m").matrix
     b = (phi * cm.conj().T - np.conj(phi) * cm) / 2.0
     ac_dag = annihilation(layout.cutoff("c"), "c").matrix.conj().T
@@ -231,11 +212,11 @@ def weak_approx_propagate(state: StateVector, params: EvolutionParams,
         out = out + out2
         out = np.tensordot(b, out, axes=([1], [axes["m"]]))
         out = np.moveaxis(out, 0, axes["m"])
-        return pref * out
+        return alpha * out
 
     # crude operator-norm bound decides how many scaling steps keep the
     # series fast and well-conditioned
-    bound = (abs(pref) * abs(phi)
+    bound = (abs(alpha) * abs(phi)
              * (math.sqrt(layout.dim_of("c")) + math.sqrt(layout.dim_of("d")))
              * math.sqrt(layout.dim_of("m")))
     steps = max(1, 1 << max(0, math.ceil(math.log2(max(bound, 1e-12)))))

@@ -112,9 +112,6 @@ class ModeLayout:
         ax = self.axis(label)
         return ModeLayout(self.modes[:ax] + self.modes[ax + 1:])
 
-    def relabeled(self, mapping: dict[str, str]) -> "ModeLayout":
-        return ModeLayout(tuple((mapping.get(lab, lab), cut) for lab, cut in self.modes))
-
     def ravel_index(self, occupation: tuple[int, ...]) -> int:
         """Flat index of a joint occupation (last mode fastest)."""
         if len(occupation) != len(self.modes):
@@ -162,23 +159,17 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-def relabel(state: StateVector, mapping: dict[str, str]) -> StateVector:
-    """Rename modes without touching amplitudes (e.g. {a,b} -> {c,d} at a BS)."""
-    return StateVector(state.layout.relabeled(mapping), state.amplitudes, state.leakage)
-
-
 @dataclass(frozen=True)
 class Operator:
     """Dense operator on the modes named by its layout.
 
-    The ``hermitian``/``unitary`` flags are only set by :meth:`of`, after a
-    numerical check; constructing directly leaves them False.
+    The ``hermitian`` flag is only set by :meth:`of`, after a numerical
+    check; constructing directly leaves it False.
     """
 
     layout: ModeLayout
     matrix: np.ndarray
     hermitian: bool = False
-    unitary: bool = False
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -191,16 +182,7 @@ class Operator:
     def of(cls, layout: ModeLayout, matrix: np.ndarray) -> "Operator":
         m = np.asarray(matrix, dtype=complex)
         herm = bool(np.abs(m - m.conj().T).max() < DEFAULT_TOL.hermitian_atol)
-        uni = bool(np.abs(m @ m.conj().T - np.eye(m.shape[0])).max() < DEFAULT_TOL.unitary_atol)
-        return cls(layout, m, hermitian=herm, unitary=uni)
-
-    def dagger(self) -> "Operator":
-        return Operator(self.layout, self.matrix.conj().T, self.hermitian, self.unitary)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if other.layout != self.layout:
-            raise LayoutError("operator layouts differ")
-        return Operator.of(self.layout, self.matrix @ other.matrix)
+        return cls(layout, m, hermitian=herm)
 
 
 @dataclass(frozen=True)
@@ -325,17 +307,9 @@ def annihilation(cutoff: int, label: str = "a") -> Operator:
     return Operator.of(ModeLayout.of((label, cutoff)), m)
 
 
-def creation(cutoff: int, label: str = "a") -> Operator:
-    return annihilation(cutoff, label).dagger()
-
-
 def number(cutoff: int, label: str = "a") -> Operator:
     m = np.diag(np.arange(cutoff + 1, dtype=float)).astype(complex)
     return Operator.of(ModeLayout.of((label, cutoff)), m)
-
-
-def identity(cutoff: int, label: str = "a") -> Operator:
-    return Operator.of(ModeLayout.of((label, cutoff)), np.eye(cutoff + 1, dtype=complex))
 
 
 def position(cutoff: int, sigma: float = 1.0, label: str = "m") -> Operator:
@@ -352,12 +326,6 @@ def _quadrature(cutoff: int) -> np.ndarray:
     q = c + c.conj().T
     q.setflags(write=False)
     return q
-
-
-def momentum(cutoff: int, sigma: float = 1.0, label: str = "m") -> Operator:
-    """p = i (c^dag - c) / (2 sigma), canonically conjugate to `position`."""
-    c = annihilation(cutoff, label).matrix
-    return Operator.of(ModeLayout.of((label, cutoff)), 1j * (c.conj().T - c) / (2 * sigma))
 
 
 def displacement(beta: complex, cutoff: int, label: str = "m") -> Operator:
@@ -449,14 +417,6 @@ def project_fock(state: StateVector, label: str, n: int) -> tuple[StateVector, f
     cond = StateVector(state.layout.without(label), sl.reshape(-1) / np.sqrt(prob),
                        state.leakage)
     return cond, prob
-
-
-def branch_probabilities(state: StateVector, label: str) -> np.ndarray:
-    """Probabilities of every Fock outcome of one mode (sums to the norm^2)."""
-    ax = state.layout.axis(label)
-    g = np.abs(state.grid) ** 2
-    other = tuple(i for i in range(g.ndim) if i != ax)
-    return g.sum(axis=other)
 
 
 def reduced_density(obj: StateVector | DensityMatrix,

@@ -58,7 +58,7 @@ class ProtocolParams:
         if self.alpha2 * self.delta ** 2 > DEFAULT_TOL.small_param_warn:
             warnings.warn(
                 f"|alpha|^2 delta^2 = {self.alpha2 * self.delta**2:.3g} is not small; "
-                "closed-form comparisons will degrade", stacklevel=2)
+                "closed-form comparisons will degrade", stacklevel=3)
 
     @property
     def alpha2(self) -> float:
@@ -94,18 +94,15 @@ class ProtocolOutcome:
     degenerate_reason: str | None = None
 
 
-def _arm(params: ProtocolParams, label: str, phase: complex = 1.0) -> StateVector:
-    """One preselected arm |phase alpha/sqrt2>; the leakage check of every
+def _arm(params: ProtocolParams, label: str) -> StateVector:
+    """One preselected arm |alpha/sqrt2>; the leakage check of every
     preselection (arm a and arm b of both engines) happens here."""
-    return coherent_state(params.alpha * phase / math.sqrt(2.0), params.n_opt, label,
+    return coherent_state(params.alpha / math.sqrt(2.0), params.n_opt, label,
                           leakage_tol=PRESELECT_LEAKAGE / 2)
 
 
 def preselect(params: ProtocolParams) -> StateVector:
-    """|alpha/sqrt2>_a |alpha/sqrt2>_b |0>_m (truncated, leakage-checked).
-
-    No optical phases here: those belong to the evolution step.
-    """
+    """|alpha/sqrt2>_a |alpha/sqrt2>_b |0>_m (truncated, leakage-checked)."""
     return tensor([_arm(params, "a"), _arm(params, "b"),
                    vacuum_state(params.mirror_cutoff, "m")])
 
@@ -115,14 +112,6 @@ def _preselect_am(params: ProtocolParams) -> StateVector:
     state that interacts.  Arm b stays coherent and is rebuilt at
     recombination."""
     return tensor([_arm(params, "a"), vacuum_state(params.mirror_cutoff, "m")]).normalize()
-
-
-def _arm_b(params: ProtocolParams) -> np.ndarray:
-    """Arm b's normalized amplitudes at recombination: the coherent state it
-    stayed, with the free optical phase arm a got from the evolution."""
-    ev = params.evolution
-    phase = np.exp(-1j * ev.r * ev.wm_t) if ev.include_r_phase else 1.0
-    return _arm(params, "b", phase).normalize().amplitudes
 
 
 def _drive(params: ProtocolParams) -> ProtocolParams:
@@ -144,7 +133,7 @@ def _evolved_ket(drive: ProtocolParams) -> tuple[np.ndarray, float, np.ndarray]:
     every caller shares them.
     """
     psi = _factored_propagate(_preselect_am(drive), drive.evolution, "a", "m")
-    return psi.grid, psi.norm ** 2, _arm_b(drive)
+    return psi.grid, psi.norm ** 2, _arm(drive, "b").normalize().amplitudes
 
 
 @functools.lru_cache(maxsize=8)
@@ -197,10 +186,11 @@ def _bs_kernel(theta: float, beta: np.ndarray) -> np.ndarray:
 
 def _recombiner(params: ProtocolParams) -> np.ndarray:
     """W[j, c, n] = <c, j| U |n>_a |beta>_b for dark-port outcomes j = 0, 1,
-    built from scratch; see :func:`_bs_kernel` and :func:`_arm_b`.  Both
-    engines form the same W from the arm-b amplitudes of their cached stage.
+    built from scratch; see :func:`_bs_kernel`.  Both engines form the same
+    W from the arm-b amplitudes of their cached stage.
     """
-    return _bs_kernel(math.pi / 4 + params.delta, _arm_b(params))
+    return _bs_kernel(math.pi / 4 + params.delta,
+                      _arm(params, "b").normalize().amplitudes)
 
 
 def _outcome(params: ProtocolParams, rho_m: np.ndarray, probs: np.ndarray,
@@ -290,11 +280,8 @@ def weak_value_numeric(params: ProtocolParams) -> float:
     The coupling plays no role: the weak value is a light-only quantity.
     """
     theta = math.pi / 4 + params.delta
-    phase = 1.0 + 0j
-    if params.evolution.include_r_phase and params.evolution.r != 0.0:
-        phase = np.exp(-1j * params.evolution.r * params.evolution.wm_t)
-    u = params.alpha * phase * (math.cos(theta) + math.sin(theta)) / math.sqrt(2.0)
-    v = params.alpha * phase * (math.sin(theta) - math.cos(theta)) / math.sqrt(2.0)
+    u = params.alpha * (math.cos(theta) + math.sin(theta)) / math.sqrt(2.0)
+    v = params.alpha * (math.sin(theta) - math.cos(theta)) / math.sqrt(2.0)
     # the bright port carries nearly all photons; size the space for it
     n_opt = cutoff_for_leakage(abs(u) ** 2, 1e-10, start=params.n_opt)
     cu = coherent_state(u, n_opt, "c").amplitudes

@@ -26,6 +26,7 @@ from .tolerances import DEFAULT_TOL
 MODES = ("figure2", "figure3", "table1", "verify", "sweep")
 ENGINES = ("analytic", "exact", "both")
 SWEEPABLE = ("delta", "k", "wm_t", "alpha2", "gamma")
+NONNEGATIVE = ("k", "wm_t", "alpha2", "gamma")  # every parameter but delta
 
 DEFAULT_FIXED = {"k": 0.005, "wm_t": math.pi, "alpha2": 30.0,
                  "delta": 0.005, "gamma": 0.0}
@@ -63,19 +64,44 @@ class SweepConfig:
         return self.mirror_cutoff
 
 
+def _number(key: str, val, minimum: float | None = None) -> float:
+    """The config value ``val`` of ``key`` as a float: it must be a finite
+    number, at least ``minimum`` when one is given."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+        raise ConfigError(f"{key} must be a finite number, got {val!r}")
+    if minimum is not None and val < minimum:
+        raise ConfigError(f"{key} must be >= {minimum:g}, got {val!r}")
+    return float(val)
+
+
+def _integer(key: str, val, minimum: int) -> int:
+    """The config value ``val`` of ``key``: an integer of at least ``minimum``."""
+    if isinstance(val, bool) or not isinstance(val, int) or val < minimum:
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {val!r}")
+    return val
+
+
+def _section(raw: dict, key: str) -> dict:
+    """A copy of the config object under ``key`` (empty when absent)."""
+    val = raw.get(key, {})
+    if not isinstance(val, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {val!r}")
+    return dict(val)
+
+
 def _expand_axis(name: str, spec) -> list[float]:
+    lo = 0.0 if name in NONNEGATIVE else None
     if isinstance(spec, dict):
         missing = {"start", "stop", "count"} - set(spec)
         if missing:
             raise ConfigError(f"axis {name!r} range needs start/stop/count, missing {sorted(missing)}")
-        count = int(spec["count"])
-        if count < 2:
-            raise ConfigError(f"axis {name!r} range count must be >= 2, got {count}")
-        return list(np.linspace(float(spec["start"]), float(spec["stop"]), count))
+        return list(np.linspace(_number(f"axes.{name}.start", spec["start"], lo),
+                                _number(f"axes.{name}.stop", spec["stop"], lo),
+                                _integer(f"axes.{name}.count", spec["count"], 2)))
     if isinstance(spec, (list, tuple)):
         if not spec:
             raise ConfigError(f"axis {name!r} value list is empty")
-        return [float(v) for v in spec]
+        return [_number(f"axes.{name}", v, lo) for v in spec]
     raise ConfigError(f"axis {name!r} must be a list or a start/stop/count range")
 
 
@@ -107,31 +133,34 @@ def load_config(path: str | None, overrides: dict | None = None,
     if engine not in ENGINES:
         raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
 
-    fixed = dict(raw.get("fixed", {}))
-    for key in fixed:
+    fixed = _section(raw, "fixed")
+    for key, val in fixed.items():
         if key not in DEFAULT_FIXED:
             raise ConfigError(f"unknown fixed parameter {key!r} (known: {sorted(DEFAULT_FIXED)})")
+        fixed[key] = _number(f"fixed.{key}", val, 0.0 if key in NONNEGATIVE else None)
     axes = {}
-    for name, spec in dict(raw.get("axes", {})).items():
+    for name, spec in _section(raw, "axes").items():
         if name not in SWEEPABLE:
             raise ConfigError(f"unknown sweep axis {name!r} (known: {SWEEPABLE})")
         axes[name] = _expand_axis(name, spec)
 
-    cut = dict(raw.get("cutoffs", {}))
-    for key in cut:
+    cut = _section(raw, "cutoffs")
+    for key, val in cut.items():
         if key not in ("optical", "mirror"):
             raise ConfigError(f"unknown cutoff key {key!r}")
+        if val is not None:
+            _integer(f"cutoffs.{key}", val, 0)
     pairs = raw.get("pairs", DEFAULT_PAIRS)
     try:
-        pairs = tuple((float(p), float(k)) for p, k in pairs)
+        pairs = tuple((_number("pairs probability", p), _number("pairs k", k))
+                      for p, k in pairs)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"pairs must be [probability, k] items: {err}") from err
 
     cfg = SweepConfig(
         mode=mode, engine=engine, fixed=fixed, axes=axes, pairs=pairs,
-        optical_cutoff=cut.get("optical"),
-        mirror_cutoff=None if cut.get("mirror") is None else int(cut["mirror"]),
-        overlay_alpha2=float(raw.get("overlay_alpha2", 2.0)),
+        optical_cutoff=cut.get("optical"), mirror_cutoff=cut.get("mirror"),
+        overlay_alpha2=_number("overlay_alpha2", raw.get("overlay_alpha2", 2.0), 0.0),
         out=raw.get("out"), svg=raw.get("svg"))
     _check_exact_feasible(cfg)
     return cfg

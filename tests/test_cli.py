@@ -53,6 +53,32 @@ def test_sweep_requires_axes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("optoweak: config-error:")
 
 
+@pytest.mark.parametrize("key, bad", [
+    ("cutoffs.optical", {"cutoffs": {"optical": "14"}}),
+    ("cutoffs.optical", {"cutoffs": {"optical": 9.5}}),
+    ("cutoffs.optical", {"cutoffs": {"optical": -3}}),
+    ("cutoffs.mirror", {"cutoffs": {"mirror": "x"}}),
+    ("cutoffs.mirror", {"cutoffs": {"mirror": -1}}),
+    ("cutoffs.mirror", {"cutoffs": {"mirror": 8.7}}),
+    ("axes.delta", {"axes": {"delta": ["a"]}}),
+    ("axes.delta.count", {"axes": {"delta": {"start": 0.001, "stop": 0.1, "count": "z"}}}),
+    ("fixed.alpha2", {"fixed": {"alpha2": "x"}}),
+    ("fixed.alpha2", {"fixed": {"alpha2": -2}}),
+    ("overlay_alpha2", {"overlay_alpha2": "q"}),
+    ("fixed.k", {"fixed": {"k": -1}}),
+    ("axes.gamma", {"axes": {"delta": [0.005], "gamma": [-1e-3]}}),
+    ("fixed", {"fixed": [1]}),
+    ("cutoffs", {"cutoffs": 5}),
+])
+def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, key, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "sweep", "axes": {"delta": [0.005]}, **bad}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("optoweak: config-error:")
+    assert key in err
+
+
 def test_mirror_tail_infeasible_sweep_exits_2_before_any_row(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "out.csv"

@@ -124,10 +124,9 @@ class TestDenseOracle:
     """Block evolution against expm of the dense joint-space superoperator."""
 
     @pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.5])
-    @pytest.mark.parametrize("r_phase", [False, True])
-    def test_block_evolution_matches_dense_superoperator(self, gamma, r_phase):
+    def test_block_evolution_matches_dense_superoperator(self, gamma):
         lay = ModeLayout.of(("a", 3), ("m", 4))
-        base = evolution_params(0.1, math.pi, r=0.7, include_r_phase=r_phase)
+        base = evolution_params(0.1, math.pi)
         lb = LindbladParams(gamma, base)
         rho0 = random_density(np.random.default_rng(7), lay)  # not a product state
         t = base.wm_t
@@ -189,21 +188,6 @@ class TestDampedProtocol:
         with pytest.raises(TruncationError) as damped:
             damped_protocol(p, 0.0)
         assert damped.value.leakage == unitary.value.leakage > 1e-3
-
-
-class TestOpticalPhaseConsistency:
-    def test_damped_matches_unitary_with_r_phase_enabled(self):
-        # arm a picks its optical phase up from the Hamiltonian, arm b at
-        # recombination; any mismatch would detune the dark port (r wm_t is
-        # not a multiple of 2 pi, so a missing phase shows)
-        p = ProtocolParams(alpha=complex(math.sqrt(0.5)), delta=0.005,
-                           evolution=evolution_params(0.005, math.pi, r=0.7,
-                                                      include_r_phase=True),
-                           optical_cutoff=9, mirror_cutoff=5)
-        damped = damped_protocol(p, 0.0)
-        unitary = run_protocol(p)
-        assert damped.p_click == pytest.approx(unitary.p_click, abs=1e-8)
-        assert damped.diff == pytest.approx(unitary.diff, abs=1e-8)
 
 
 class TestTrajectoryHealth:

@@ -12,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import optoweak
-from optoweak import (DegenerateBranchError, DensityMatrix, InvariantError,
-                      LayoutError, ModeLayout, Operator, TruncationError,
-                      annihilation,
-                      apply, branch_probabilities, coherent_state,
-                      displacement, expectation, fock_state, identity,
-                      momentum, number, pointer_shift, position, project_fock,
-                      poisson_tail, reduced_density, tensor, vacuum_state)
+from optoweak import (DEFAULT_TOL, DegenerateBranchError, DensityMatrix,
+                      InvariantError, LayoutError, ModeLayout, Operator,
+                      TruncationError, annihilation, apply, coherent_state,
+                      displacement, expectation, fock_state, number,
+                      pointer_shift, position, project_fock, poisson_tail,
+                      reduced_density, tensor, vacuum_state)
 from optoweak.fock import _displacement_powers
 
 
@@ -169,7 +168,7 @@ class TestDisplacement:
     def test_zero_is_identity(self):
         d = displacement(0.0, 5)
         assert np.allclose(d.matrix, np.eye(6), atol=1e-14)
-        assert d.unitary
+        assert np.abs(d.matrix @ d.matrix.conj().T - np.eye(6)).max() < DEFAULT_TOL.unitary_atol
 
     def test_small_displacement_matches_series(self):
         d = displacement(0.01, 12)
@@ -202,6 +201,10 @@ class TestDisplacement:
         monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
         with pytest.raises(TruncationError, match="unitarity"):
             _displacement_powers(0.1, 5, 6)
+
+
+def identity(cutoff, label):
+    return Operator.of(ModeLayout.of((label, cutoff)), np.eye(cutoff + 1))
 
 
 class TestApply:
@@ -255,8 +258,8 @@ class TestProjectFock:
         amps = rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)
         from optoweak import StateVector
         s = StateVector(lay, amps)
-        probs = branch_probabilities(s, "d")
-        assert probs.sum() == pytest.approx(s.norm ** 2, rel=1e-10)
+        total = sum(project_fock(s, "d", n)[1] for n in range(5))
+        assert total == pytest.approx(s.norm ** 2, rel=1e-10)
 
     def test_product_state_factorization(self):
         a = coherent_state(0.7, 8, "a", leakage_tol=1.0).normalize()
@@ -277,11 +280,6 @@ class TestExpectationAndPointerShift:
         rho_i = DensityMatrix.from_state(vacuum_state(15, "m"))
         val = pointer_shift(rho_f, rho_i, position(15, sigma, "m"))
         assert val == pytest.approx(2 * sigma * beta, abs=1e-9)
-
-    def test_momentum_shift_zero_for_real_displacement(self):
-        rho_f = DensityMatrix.from_state(coherent_state(0.35, 15, "m"))
-        rho_i = DensityMatrix.from_state(vacuum_state(15, "m"))
-        assert pointer_shift(rho_f, rho_i, momentum(15, 1.0, "m")) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_trace_branch_raises(self):
         lay = ModeLayout.of(("m", 4))
@@ -372,9 +370,8 @@ class TestOperatorFlags:
     def test_flags_require_numerical_check(self):
         mat = np.eye(4, dtype=complex)
         raw = Operator(ModeLayout.of(("a", 3)), mat)
-        assert not raw.hermitian and not raw.unitary
-        checked = Operator.of(ModeLayout.of(("a", 3)), mat)
-        assert checked.hermitian and checked.unitary
+        assert not raw.hermitian
+        assert Operator.of(ModeLayout.of(("a", 3)), mat).hermitian
 
 
 class TestApplyGenerality:
