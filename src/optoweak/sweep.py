@@ -74,6 +74,16 @@ def _number(key: str, val, minimum: float | None = None) -> float:
     return float(val)
 
 
+def _parameter(key: str, name: str, val) -> float:
+    """The config value ``val`` of parameter ``name``, read under ``key``:
+    a finite number, >= 0 except for delta, and |delta| < pi/4 (the mixing
+    angle pi/4 + delta stays inside (0, pi/2), as the engines require)."""
+    x = _number(key, val, 0.0 if name in NONNEGATIVE else None)
+    if name == "delta" and abs(x) >= math.pi / 4:
+        raise ConfigError(f"{key} must satisfy |delta| < pi/4, got {val!r}")
+    return x
+
+
 def _integer(key: str, val, minimum: int) -> int:
     """The config value ``val`` of ``key``: an integer of at least ``minimum``."""
     if isinstance(val, bool) or not isinstance(val, int) or val < minimum:
@@ -90,18 +100,17 @@ def _section(raw: dict, key: str) -> dict:
 
 
 def _expand_axis(name: str, spec) -> list[float]:
-    lo = 0.0 if name in NONNEGATIVE else None
     if isinstance(spec, dict):
         missing = {"start", "stop", "count"} - set(spec)
         if missing:
             raise ConfigError(f"axis {name!r} range needs start/stop/count, missing {sorted(missing)}")
-        return list(np.linspace(_number(f"axes.{name}.start", spec["start"], lo),
-                                _number(f"axes.{name}.stop", spec["stop"], lo),
+        return list(np.linspace(_parameter(f"axes.{name}.start", name, spec["start"]),
+                                _parameter(f"axes.{name}.stop", name, spec["stop"]),
                                 _integer(f"axes.{name}.count", spec["count"], 2)))
     if isinstance(spec, (list, tuple)):
         if not spec:
             raise ConfigError(f"axis {name!r} value list is empty")
-        return [_number(f"axes.{name}", v, lo) for v in spec]
+        return [_parameter(f"axes.{name}", name, v) for v in spec]
     raise ConfigError(f"axis {name!r} must be a list or a start/stop/count range")
 
 
@@ -137,7 +146,7 @@ def load_config(path: str | None, overrides: dict | None = None,
     for key, val in fixed.items():
         if key not in DEFAULT_FIXED:
             raise ConfigError(f"unknown fixed parameter {key!r} (known: {sorted(DEFAULT_FIXED)})")
-        fixed[key] = _number(f"fixed.{key}", val, 0.0 if key in NONNEGATIVE else None)
+        fixed[key] = _parameter(f"fixed.{key}", key, val)
     axes = {}
     for name, spec in _section(raw, "axes").items():
         if name not in SWEEPABLE:
@@ -180,7 +189,8 @@ def _check_exact_feasible(cfg: SweepConfig) -> None:
     (a 4096 x 4096 complex matrix, 256 MiB): the beam-splitter
     block-eigenvector cache, the sum over N <= d of (block size)^2 entries,
     about d^3 / 3, and, when a point is damped (gamma > 0), the (a, m)
-    density matrix, (da dm)^2 entries.  Unitary points keep a ket.  Then,
+    density matrix, (da dm)^2 entries, and the generator of one of its
+    blocks, dm^4 entries.  Unitary points keep a ket.  Then,
     for the modes that run exact points at the config's values (sweep, and
     figure2's overlay), refuse a mirror cutoff that the engines' mirror-tail
     check would reject at the worst point: the largest |alpha|^2 and the
@@ -195,7 +205,8 @@ def _check_exact_feasible(cfg: SweepConfig) -> None:
     sizes = [("block-eigenvector cache", cache)]
     # only damped points build the density matrix; figure2 overlays are unitary
     if cfg.mode == "sweep" and max(_exact_values(cfg, "gamma")) > 0.0:
-        sizes.insert(0, ("(a, m) density matrix", (d * (cfg.exact_mirror_cutoff + 1)) ** 2))
+        dm = cfg.exact_mirror_cutoff + 1
+        sizes = [("(a, m) density matrix", (d * dm) ** 2), ("block generator", dm ** 4)] + sizes
     for name, size in sizes:
         if size > cap:
             raise ConfigError(f"exact engine infeasible at |alpha|^2={alpha2:.3g}: "

@@ -79,6 +79,25 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, key, bad):
     assert key in err
 
 
+@pytest.mark.parametrize("key, bad", [
+    ("fixed.delta", {"fixed": {"delta": 0.9}, "axes": {"k": [0.005]}}),
+    ("axes.delta", {"axes": {"delta": [0.005, 0.9]}}),
+    ("axes.delta.start", {"axes": {"delta": {"start": -0.8, "stop": 0.01, "count": 3}}}),
+    ("axes.delta.stop", {"axes": {"delta": {"start": 0.01, "stop": 0.7854, "count": 3}}}),
+])
+def test_delta_outside_pi_over_4_exits_2_before_any_row(tmp_path, capsys, key, bad):
+    # the engines take |delta| < pi/4 only; the exact engine used to fail at
+    # the first point, after the CSV header was written, with exit 3
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out.csv"
+    cfg.write_text(json.dumps({"mode": "sweep", "engine": "exact", **bad}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("optoweak: config-error:")
+    assert f"{key} must satisfy |delta| < pi/4" in err
+    assert not out.exists()
+
+
 def test_mirror_tail_infeasible_sweep_exits_2_before_any_row(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "out.csv"

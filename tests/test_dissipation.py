@@ -12,6 +12,7 @@ from optoweak import (DensityMatrix, LindbladParams,
                       ModeLayout, ProtocolParams, TruncationError, coherent_state,
                       damped_protocol, evolution_params, evolve_master, fock_state,
                       lindblad_rhs, number, run_protocol, tensor, vacuum_state)
+from optoweak.dissipation import _THETA13, _expm
 from optoweak.dynamics import factored_propagate
 
 
@@ -133,6 +134,47 @@ class TestDenseOracle:
         ref = expm(t * dense_superoperator(lay, lb)) @ rho0.matrix.reshape(-1)
         out = evolve_master(rho0, lb, t)
         assert np.abs(out.matrix - ref.reshape(lay.dim, lay.dim)).max() < 1e-12
+
+
+def non_normal(rng, n, norm):
+    """A complex non-normal n x n matrix of 1-norm ``norm``."""
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a = np.triu(a) + 0.3 * a
+    return a * (norm / np.abs(a).sum(axis=0).max())
+
+
+def rel_dev(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+class TestExpm:
+    """The block propagator's Pade exponential against scipy's."""
+
+    @pytest.mark.parametrize("n", [1, 4, 16, 121])
+    @pytest.mark.parametrize("norm", [0.5, 3.0, 4.2, 10.0, 40.0, 80.0])
+    def test_matches_scipy(self, n, norm):
+        # norms below theta13 take no squaring, 80 takes five; applied to
+        # the identity, the propagator is the exponential itself
+        rng = np.random.default_rng(n)
+        a = non_normal(rng, n, norm)
+        vec = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+        assert rel_dev(_expm(a[None], np.eye(n)[None])[0], expm(a)) < 1e-13
+        assert rel_dev(_expm(a[None], vec[None])[0], expm(a) @ vec) < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    def test_zero_matrix_is_identity(self, n):
+        vec = np.arange(2 * n * 2).reshape(2, n, 2) + 1j
+        assert np.abs(_expm(np.zeros((2, n, n), dtype=complex), vec) - vec).max() < 1e-13
+
+    def test_stack_matches_each_matrix_alone(self):
+        # norms on both sides of theta13, so the stack mixes scalings
+        rng = np.random.default_rng(11)
+        norms = (0.5 * _THETA13, 2.0 * _THETA13, 3.0, 40.0, 80.0)
+        a = np.stack([non_normal(rng, 16, x) for x in norms])
+        vec = rng.normal(size=(len(norms), 16, 2)) + 0j
+        stack = _expm(a, vec)
+        for i in range(len(norms)):
+            assert rel_dev(stack[i], _expm(a[i:i + 1], vec[i:i + 1])[0]) < 1e-13
 
 
 class TestDampedProtocol:

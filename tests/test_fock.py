@@ -103,14 +103,22 @@ class TestPoissonTail:
         assert poisson_tail(0.0, cutoff) == 0.0
 
     def test_import_loads_no_scipy(self):
-        snippet = ("import sys, optoweak\n"
-                   "print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        # neither the import nor a damped point (its density-matrix
+        # evolution included) loads scipy
+        damped_point = (
+            "p = optoweak.ProtocolParams(alpha=complex(2 ** 0.5), delta=0.005,\n"
+            "    evolution=optoweak.evolution_params(0.005, 3.141592653589793),\n"
+            "    optical_cutoff=12, mirror_cutoff=3)\n"
+            "optoweak.damped_protocol(p, 5e-7)\n")
         src = str(Path(optoweak.__file__).resolve().parents[1])
-        run = subprocess.run([sys.executable, "-c", snippet], capture_output=True,
-                             text=True, timeout=120,
-                             env=dict(os.environ, PYTHONPATH=src))
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == []
+        for work in ("", damped_point):
+            snippet = ("import sys, optoweak\n" + work +
+                       "print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+            run = subprocess.run([sys.executable, "-c", snippet], capture_output=True,
+                                 text=True, timeout=120,
+                                 env=dict(os.environ, PYTHONPATH=src))
+            assert run.returncode == 0, run.stderr
+            assert run.stdout.split() == [], work
 
 
 class TestTensor:

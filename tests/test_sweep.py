@@ -107,6 +107,14 @@ class TestExactFeasibility:
             self.exact_cfg(100.0, axes={"delta": [0.005], "gamma": [0.0, 1e-3]},
                            cutoffs={"mirror": 30})
 
+    def test_damped_point_bounded_by_block_generator(self):
+        # |alpha|^2 2 (n_opt 12): the density matrix is (13 * 65)^2 entries,
+        # but one block's generator is 65^4 = 17850625 > 4096^2; 64^4 fits
+        with pytest.raises(ConfigError, match="block generator has 17850625 entries"):
+            self.exact_cfg(2.0, gamma=1e-3, cutoffs={"mirror": 64})
+        self.exact_cfg(2.0, gamma=1e-3, cutoffs={"mirror": 63})
+        self.exact_cfg(2.0, cutoffs={"mirror": 64})  # unitary: no generator
+
     def test_alpha2_400_small_mirror_rejected_by_eigenvector_cache(self):
         # mirror cutoff 1: the density matrix is only (521 * 2)^2 entries, but
         # the block eigenvectors for N <= 521 hold 47546461
