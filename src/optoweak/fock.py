@@ -314,18 +314,22 @@ def number(cutoff: int, label: str = "a") -> Operator:
 
 def position(cutoff: int, sigma: float = 1.0, label: str = "m") -> Operator:
     """q = sigma (c + c^dag); sigma is the zero-point spread (1 = sigma units)."""
-    return Operator.of(ModeLayout.of((label, cutoff)), sigma * _quadrature(cutoff))
+    return Operator.of(ModeLayout.of((label, cutoff)), sigma * _moment_table(cutoff)[1])
 
 
 @functools.lru_cache(maxsize=8)
-def _quadrature(cutoff: int) -> np.ndarray:
-    """The matrix of c + c^dag, built and checked once per cutoff and kept
-    read-only: :func:`position` in sigma units, for callers that need only
-    the array."""
-    c = annihilation(cutoff).matrix
-    q = c + c.conj().T
-    q.setflags(write=False)
-    return q
+def _moment_table(cutoff: int) -> tuple[ModeLayout, np.ndarray, np.ndarray]:
+    """The layout of mirror mode ``m`` and the real, symmetric matrices of
+    q = c + c^dag (:func:`position` in sigma units) and q^2, built once per
+    cutoff and kept read-only; Tr(rho q) is the elementwise sum of Re(rho) q."""
+    c = annihilation(cutoff).matrix.real
+    q = c + c.T
+    # not q @ q: a process's first real BLAS product maps about 256 KB of
+    # OpenBLAS buffers, and the engines otherwise multiply complex matrices
+    q2 = np.einsum("ij,jk->ik", q, q)
+    for arr in (q, q2):
+        arr.setflags(write=False)
+    return ModeLayout.of(("m", cutoff)), q, q2
 
 
 def displacement(beta: complex, cutoff: int, label: str = "m") -> Operator:

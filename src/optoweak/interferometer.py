@@ -22,10 +22,9 @@ import numpy as np
 
 from .dynamics import EvolutionParams, _factored_propagate
 from .errors import DegenerateBranchError, InvariantError, LayoutError
-from .fock import (DensityMatrix, ModeLayout, StateVector, _quadrature,
-                   _warn_large_displacement, annihilation, coherent_state,
-                   cutoff_for_leakage, fock_state, number, tensor,
-                   vacuum_state)
+from .fock import (DensityMatrix, StateVector, _moment_table,
+                   _warn_large_displacement, coherent_state, cutoff_for_leakage,
+                   tensor, vacuum_state)
 from .tolerances import DEFAULT_TOL
 
 PRESELECT_LEAKAGE = 1e-9
@@ -184,15 +183,6 @@ def _bs_kernel(theta: float, beta: np.ndarray) -> np.ndarray:
     return w
 
 
-def _recombiner(params: ProtocolParams) -> np.ndarray:
-    """W[j, c, n] = <c, j| U |n>_a |beta>_b for dark-port outcomes j = 0, 1,
-    built from scratch; see :func:`_bs_kernel`.  Both engines form the same
-    W from the arm-b amplitudes of their cached stage.
-    """
-    return _bs_kernel(math.pi / 4 + params.delta,
-                      _arm(params, "b").normalize().amplitudes)
-
-
 def _outcome(params: ProtocolParams, rho_m: np.ndarray, probs: np.ndarray,
              trace: float) -> ProtocolOutcome:
     """Mirror statistics from the unnormalized conditional mirror states
@@ -202,8 +192,7 @@ def _outcome(params: ProtocolParams, rho_m: np.ndarray, probs: np.ndarray,
     so the trace the two outcomes leave is the probability of two or more
     dark-port photons.
     """
-    q = _quadrature(params.mirror_cutoff)  # position in sigma units
-    layout = ModeLayout.of(("m", params.mirror_cutoff))
+    layout, q, q2 = _moment_table(params.mirror_cutoff)
     stats, reasons = {}, []
     for j, name in ((0, "noclick"), (1, "click")):
         p = float(probs[j])
@@ -214,8 +203,8 @@ def _outcome(params: ProtocolParams, rho_m: np.ndarray, probs: np.ndarray,
             stats[name] = (p, None, math.nan, math.nan)
             continue
         rho = (rho_m[j] + rho_m[j].conj().T) / (2 * p)
-        tq = float(np.trace(rho @ q).real)
-        tq2 = float(np.trace(rho @ q @ q).real)
+        tq = float((rho.real * q).sum())
+        tq2 = float((rho.real * q2).sum())
         stats[name] = (p, DensityMatrix(layout, rho), tq,
                        math.sqrt(max(tq2 - tq * tq, 0.0)))
 
@@ -229,30 +218,32 @@ def _outcome(params: ProtocolParams, rho_m: np.ndarray, probs: np.ndarray,
         degenerate_reason="; ".join(reasons) or None)
 
 
-def _postselect(params: ProtocolParams, rho_am: np.ndarray,
-                beta: np.ndarray) -> ProtocolOutcome:
+def _postselect(params: ProtocolParams, rho: np.ndarray, rho_a: np.ndarray,
+                trace: float, beta: np.ndarray) -> ProtocolOutcome:
     """Recombine, postselect on the dark port and collect mirror statistics
     of a mixed (a, m) state: the damped engine's route.
 
-    ``rho_am`` is the evolved (a, m) density matrix as a (da, dm, da, dm)
-    array and ``beta`` arm b's amplitudes.  With W from :func:`_recombiner`
-    the dark-port outcome j leaves the mirror in
-    sum_{n n'} M_j[n, n'] rho[n, :, n', :] with
-    M_j[n, n'] = sum_c W[j, c, n] W*[j, c, n'].  The bright port is never
-    conditioned, which equals tracing it out.
+    ``rho`` is the evolved (a, m) density matrix as a (d^2, dm^2) array in
+    (n n', m m') order, ``rho_a`` its partial trace over the mirror, ``trace``
+    the trace of rho_a and ``beta`` arm b's amplitudes.  With W from
+    :func:`_bs_kernel` the dark-port outcome j leaves the mirror in
+    sum_{n n'} M_j[n, n'] rho[n n', :] with
+    M_j[n, n'] = sum_c W[j, c, n] W*[j, c, n'], so both outcomes are one
+    matrix product, and outcome j has probability Tr(M_j rho_a).  The bright
+    port is never conditioned, which equals tracing it out.
     """
     w = _bs_kernel(math.pi / 4 + params.delta, beta)
     m = w.transpose(0, 2, 1) @ w.conj()  # M_j[n, n'], as a BLAS batch
-    rho_a = np.trace(rho_am, axis1=1, axis2=3)
-    return _outcome(params, np.tensordot(m, rho_am, axes=([1, 2], [0, 2])),
-                    np.einsum("jnk,nk->j", m, rho_a).real, float(np.trace(rho_a).real))
+    dm = params.mirror_cutoff + 1
+    return _outcome(params, (m.reshape(2, -1) @ rho).reshape(2, dm, dm),
+                    np.einsum("jnk,nk->j", m, rho_a).real, trace)
 
 
 def run_protocol(params: ProtocolParams) -> ProtocolOutcome:
     """Run the unitary pipeline and collect both dark-port branches.
 
     The (a, m) ket evolves under the factored propagator and stays a ket up
-    to the dark port: x_j = W_j psi, with W from :func:`_recombiner`, is the
+    to the dark port: x_j = W_j psi, with W from :func:`_bs_kernel`, is the
     (bright port c) x mirror ket left by dark-port outcome j, and tracing
     out c gives the unnormalized mirror state x_j^T x_j^*.  No (a, m)
     density matrix is formed; :func:`_postselect` is the mixed-state route.
@@ -272,34 +263,26 @@ def run_protocol(params: ProtocolParams) -> ProtocolOutcome:
 
 
 def weak_value_numeric(params: ProtocolParams) -> float:
-    """<psi_f| n_a |psi_i> / <psi_f|psi_i> in the truncated space.
+    """<psi_f| n_a |psi_i> / <psi_f|psi_i> in closed form.
 
-    ``psi_i`` is the preselected light expressed on the output ports,
-    ``psi_f`` postselects one dark-port photon; the arm-a number operator is
-    expanded as cos^2 n_c + cos sin (a_c^dag a_d + a_c a_d^dag) + sin^2 n_d.
-    The coupling plays no role: the weak value is a light-only quantity.
+    On the output ports the preselected light is |u>_c |v>_d with
+    u = alpha (cos theta + sin theta) / sqrt 2 and
+    v = alpha (sin theta - cos theta) / sqrt 2; ``psi_f = |u>_c |1>_d``
+    postselects one dark-port photon.  The arm-a number operator is
+    cos^2 n_c + cos sin (a_c^dag a_d + a_c a_d^dag) + sin^2 n_d, and its
+    coherent-state matrix elements give
+    cos^2 |u|^2 + cos sin (u* v + u / v) + sin^2.  The overlap
+    <psi_f|psi_i> = v e^{-|v|^2/2} vanishes with v.  The coupling plays no
+    role: the weak value is a light-only quantity.
     """
     theta = math.pi / 4 + params.delta
-    u = params.alpha * (math.cos(theta) + math.sin(theta)) / math.sqrt(2.0)
-    v = params.alpha * (math.sin(theta) - math.cos(theta)) / math.sqrt(2.0)
-    # the bright port carries nearly all photons; size the space for it
-    n_opt = cutoff_for_leakage(abs(u) ** 2, 1e-10, start=params.n_opt)
-    cu = coherent_state(u, n_opt, "c").amplitudes
-    cv = coherent_state(v, n_opt, "d", leakage_tol=1.0).amplitudes
-    one = fock_state(1, n_opt, "d").amplitudes
-    a = annihilation(n_opt).matrix
-    n_op = number(n_opt).matrix
-
     cth, sth = math.cos(theta), math.sin(theta)
-    # all brackets factorize over the two product states
-    den = complex(np.vdot(cu, cu)) * complex(np.vdot(one, cv))
-    if abs(den) < 1e-30:
-        raise DegenerateBranchError("pre/post selection overlap vanishes", abs(den))
-    num = (cth ** 2 * np.vdot(cu, n_op @ cu) * np.vdot(one, cv)
-           + cth * sth * (np.vdot(cu, a.conj().T @ cu) * np.vdot(one, a @ cv)
-                          + np.vdot(cu, a @ cu) * np.vdot(one, a.conj().T @ cv))
-           + sth ** 2 * np.vdot(cu, cu) * np.vdot(one, n_op @ cv))
-    wv = complex(num) / den
+    u = complex(params.alpha) * (cth + sth) / math.sqrt(2.0)
+    v = complex(params.alpha) * (sth - cth) / math.sqrt(2.0)
+    overlap = abs(v) * math.exp(-abs(v) ** 2 / 2)
+    if overlap < 1e-30:
+        raise DegenerateBranchError("pre/post selection overlap vanishes", overlap)
+    wv = cth ** 2 * abs(u) ** 2 + cth * sth * (u.conjugate() * v + u / v) + sth ** 2
     if complex(params.alpha).imag == 0.0 and not abs(wv.imag) < 1e-8:
         raise InvariantError("weak value of a real drive has an imaginary part",
                              abs(wv.imag))

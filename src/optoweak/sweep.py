@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytics
-from .dissipation import damped_protocol
+from .dissipation import _EXPM_WORKSPACE, damped_protocol
 from .dynamics import _mirror_tail, evolution_params
 from .errors import ConfigError, DegenerateBranchError, TruncationError
 from .fock import coherent_state
@@ -189,8 +189,9 @@ def _check_exact_feasible(cfg: SweepConfig) -> None:
     (a 4096 x 4096 complex matrix, 256 MiB): the beam-splitter
     block-eigenvector cache, the sum over N <= d of (block size)^2 entries,
     about d^3 / 3, and, when a point is damped (gamma > 0), the (a, m)
-    density matrix, (da dm)^2 entries, and the generator of one of its
-    blocks, dm^4 entries.  Unitary points keep a ket.  Then,
+    density matrix, (da dm)^2 entries, and the working set of one block's
+    exponential, _EXPM_WORKSPACE generators of dm^4 entries.  Unitary points
+    keep a ket.  Then,
     for the modes that run exact points at the config's values (sweep, and
     figure2's overlay), refuse a mirror cutoff that the engines' mirror-tail
     check would reject at the worst point: the largest |alpha|^2 and the
@@ -206,7 +207,8 @@ def _check_exact_feasible(cfg: SweepConfig) -> None:
     # only damped points build the density matrix; figure2 overlays are unitary
     if cfg.mode == "sweep" and max(_exact_values(cfg, "gamma")) > 0.0:
         dm = cfg.exact_mirror_cutoff + 1
-        sizes = [("(a, m) density matrix", (d * dm) ** 2), ("block generator", dm ** 4)] + sizes
+        sizes = [("(a, m) density matrix", (d * dm) ** 2),
+                 ("block exponential's working set", _EXPM_WORKSPACE * dm ** 4)] + sizes
     for name, size in sizes:
         if size > cap:
             raise ConfigError(f"exact engine infeasible at |alpha|^2={alpha2:.3g}: "

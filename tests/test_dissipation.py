@@ -1,6 +1,7 @@
 """Damped master-equation integration and the damped protocol."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from optoweak import (DensityMatrix, LindbladParams,
                       ModeLayout, ProtocolParams, TruncationError, coherent_state,
                       damped_protocol, evolution_params, evolve_master, fock_state,
                       lindblad_rhs, number, run_protocol, tensor, vacuum_state)
-from optoweak.dissipation import _THETA13, _expm
+from optoweak.dissipation import _EXPM_WORKSPACE, _THETA13, _expm
 from optoweak.dynamics import factored_propagate
 
 
@@ -54,6 +55,22 @@ class TestRhs:
 
 
 class TestEvolveMaster:
+    def test_working_set_is_the_feasibility_count(self):
+        # mirror cutoff 15: one 256 x 256 block generator per chunk, the
+        # limit the feasibility guard bounds by _EXPM_WORKSPACE generators
+        psi = tensor([coherent_state(0.3, 1, "a", leakage_tol=1.0),
+                      vacuum_state(15, "m")]).normalize()
+        rho0 = DensityMatrix.from_state(psi)
+        params = LindbladParams(1e-3, evolution_params(0.005, math.pi))
+        tracemalloc.start()
+        try:
+            evolve_master(rho0, params, math.pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        generators = peak / (16 * 16 ** 4)
+        assert _EXPM_WORKSPACE - 1 < generators <= _EXPM_WORKSPACE
+
     def test_matches_unitary_at_zero_damping(self):
         k, wm_t = 0.005, math.pi
         base = evolution_params(k, wm_t)

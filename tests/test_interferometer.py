@@ -14,9 +14,10 @@ from optoweak import (DEFAULT_TOL, DegenerateBranchError, DensityMatrix,
                       number, position, preselect, run_protocol, tensor,
                       weak_value_numeric)
 from optoweak import analytics as an
+from optoweak.dissipation import _evolved_rho
 from optoweak.dynamics import factored_propagate
-from optoweak.interferometer import (_bs_eig, _bs_kernel, _preselect_am,
-                                     _recombiner)
+from optoweak.fock import cutoff_for_leakage
+from optoweak.interferometer import _arm, _bs_eig, _bs_kernel, _preselect_am
 
 
 def make_params(alpha2, delta, k=0.005, wm_t=math.pi, **kw):
@@ -241,6 +242,34 @@ class TestRunProtocol:
         assert out.p_click + out.p_noclick + out.p_residual == pytest.approx(1.0, abs=1e-9)
 
 
+def dense_weak_value(params):
+    """<psi_f| n_a |psi_i> / <psi_f|psi_i> from truncated Fock-space
+    brackets: the oracle of the closed form in :func:`weak_value_numeric`.
+
+    ``psi_i`` is the preselected light expressed on the output ports,
+    ``psi_f`` postselects one dark-port photon; the arm-a number operator is
+    expanded as cos^2 n_c + cos sin (a_c^dag a_d + a_c a_d^dag) + sin^2 n_d.
+    """
+    theta = math.pi / 4 + params.delta
+    u = params.alpha * (math.cos(theta) + math.sin(theta)) / math.sqrt(2.0)
+    v = params.alpha * (math.sin(theta) - math.cos(theta)) / math.sqrt(2.0)
+    # the bright port carries nearly all photons; size the space for it
+    n_opt = cutoff_for_leakage(abs(u) ** 2, 1e-10, start=params.n_opt)
+    cu = coherent_state(u, n_opt, "c").amplitudes
+    cv = coherent_state(v, n_opt, "d", leakage_tol=1.0).amplitudes
+    one = fock_state(1, n_opt, "d").amplitudes
+    a = annihilation(n_opt).matrix
+    n_op = number(n_opt).matrix
+    cth, sth = math.cos(theta), math.sin(theta)
+    # all brackets factorize over the two product states
+    den = complex(np.vdot(cu, cu)) * complex(np.vdot(one, cv))
+    num = (cth ** 2 * np.vdot(cu, n_op @ cu) * np.vdot(one, cv)
+           + cth * sth * (np.vdot(cu, a.conj().T @ cu) * np.vdot(one, a @ cv)
+                          + np.vdot(cu, a @ cu) * np.vdot(one, a.conj().T @ cv))
+           + sth ** 2 * np.vdot(cu, cu) * np.vdot(one, n_op @ cv))
+    return complex(num) / den
+
+
 class TestWeakValueNumeric:
     def closed_form(self, alpha2, delta):
         """Independent oracle: exact single-mode matrix elements."""
@@ -250,6 +279,21 @@ class TestWeakValueNumeric:
         return (math.cos(th) ** 2 * u ** 2
                 + math.cos(th) * math.sin(th) * (u * v + u / v)
                 + math.sin(th) ** 2)
+
+    @pytest.mark.parametrize("alpha2", [0.5, 2.0, 12.0, 30.0])
+    @pytest.mark.parametrize("delta", [-0.03, 0.001, 0.005, 0.02, 0.05])
+    def test_matches_dense_brackets(self, alpha2, delta):
+        params = make_params(alpha2, delta, k=0.0)
+        ref = dense_weak_value(params)
+        assert abs(ref.imag) < 1e-12
+        assert weak_value_numeric(params) == pytest.approx(ref.real, rel=1e-8)
+
+    def test_complex_drive_matches_dense_brackets(self):
+        params = ProtocolParams(alpha=3.0 * np.exp(0.7j), delta=0.02,
+                                evolution=evolution_params(0.0, math.pi))
+        ref = dense_weak_value(params)
+        assert weak_value_numeric(params) == pytest.approx(ref.real, rel=1e-8)
+        assert abs(ref.imag) < 1e-8
 
     @pytest.mark.parametrize("alpha2,delta", [(1.0, 0.05), (4.0, 0.02), (30.0, 0.05)])
     def test_matches_closed_form_matrix_elements(self, alpha2, delta):
@@ -344,7 +388,7 @@ def density_route(params, rho_am):
     contracted one branch at a time with M_j = W_j^T W_j^*: the reference
     for the ket path of :func:`run_protocol` and the batched contraction of
     the damped engine."""
-    w = _recombiner(params)
+    w = _bs_kernel(math.pi / 4 + params.delta, _arm(params, "b").normalize().amplitudes)
     m = w.transpose(0, 2, 1) @ w.conj()
     rho_a = np.trace(rho_am, axis1=1, axis2=3)
     probs = np.einsum("jnk,nk->j", m, rho_a).real
@@ -389,6 +433,27 @@ class TestKetPostselection:
         out = damped_protocol(params, 5e-7)
         for name in self.PROBS + self.MOMENTS:
             assert getattr(out, name) == pytest.approx(ref[name], abs=1e-13), name
+
+    @pytest.mark.parametrize("cutoffs", [(12, 3), (20, 6)])
+    def test_damped_hits_and_misses_match_density_route(self, cutoffs):
+        # each delta once as a stage miss, once as a hit after another delta
+        scan = [make_params(2.0, delta, optical_cutoff=cutoffs[0], mirror_cutoff=cutoffs[1])
+                for delta in (0.001, 0.005, 0.01, 0.03, 0.05)]
+        psi = _preselect_am(scan[0])
+        rho = evolve_master(DensityMatrix.from_state(psi),
+                            LindbladParams(gamma=5e-7, base=scan[0].evolution),
+                            scan[0].evolution.wm_t).matrix.reshape(psi.layout.shape * 2)
+        for params, other in zip(scan, scan[::-1]):
+            ref = density_route(params, rho)
+            _evolved_rho.cache_clear()
+            miss = damped_protocol(params, 5e-7)
+            _evolved_rho.cache_clear()
+            damped_protocol(other, 5e-7)
+            hit = damped_protocol(params, 5e-7)
+            assert _evolved_rho.cache_info().hits == 1
+            for out in (miss, hit):
+                for name in self.PROBS + self.MOMENTS:
+                    assert getattr(out, name) == pytest.approx(ref[name], abs=1e-13), name
 
     def test_paper_point_builds_no_joint_density_matrix(self):
         # the (d dm)^2 density matrix alone is 7.6 MiB at n_opt 63, mirror 10

@@ -1,0 +1,16 @@
+"""Checks on the library source itself."""
+
+import ast
+from pathlib import Path
+
+import optoweak
+
+SOURCES = sorted(Path(optoweak.__file__).resolve().parent.glob("*.py"))
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert, so invariants raise typed errors instead
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert SOURCES and found == []

@@ -11,6 +11,7 @@ import pytest
 from optoweak import (ProtocolParams, TruncationError, damped_protocol,
                       evolution_params, run_protocol)
 from optoweak.dissipation import _evolved_rho
+from optoweak.fock import _moment_table
 from optoweak.interferometer import _drive, _evolved_ket
 
 FIELDS = ("p_click", "p_noclick", "p_residual", "q_click", "q_noclick",
@@ -71,6 +72,57 @@ def test_paper_point_miss_builds_no_joint_density_matrix():
         tracemalloc.stop()
     assert _evolved_ket.cache_info().misses == 1
     assert peak < 2 * 2 ** 20
+
+
+def _traced_peak(run, params):
+    tracemalloc.start()
+    try:
+        run(params)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_damped_hit_allocates_less_than_one_density_matrix():
+    # n_opt 30, mirror 8: one (d dm)^2 array is 1.25 MB; the stage keeps
+    # it in contraction order, so a hit copies none of it
+    scan = [make_params(2.0, delta, optical_cutoff=30, mirror_cutoff=8)
+            for delta in (0.01, 0.02)]
+    damped(scan[0])  # the miss, and the block-eigenvector cache
+    peak = _traced_peak(damped, scan[1])
+    assert _evolved_rho.cache_info().hits >= 1
+    assert peak < 16 * (31 * 9) ** 2
+
+
+def test_damped_miss_holds_no_more_density_matrices():
+    # n_opt 110, mirror 3: one (d dm)^2 array is 3.2 MB, larger than the
+    # block exponentials' working set; evolve_master peaks at 5.68 of them,
+    # and the stage, which ends holding the density matrix and its
+    # reordered copy, must not raise that peak
+    params = make_params(30.0, 0.01, k=1e-4, optical_cutoff=110, mirror_cutoff=3)
+    damped(params)  # warm the block-eigenvector cache
+    _evolved_rho.cache_clear()
+    peak = _traced_peak(damped, params)
+    assert _evolved_rho.cache_info().misses == 1
+    assert peak < 6 * 16 * (111 * 4) ** 2
+
+
+def _assert_read_only(arrays):
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0
+
+
+def test_damped_stage_holds_one_density_matrix_read_only():
+    params = make_params(2.0, 0.01, optical_cutoff=12, mirror_cutoff=3)
+    damped(params)
+    arrays = [x for x in _evolved_rho(_drive(params), GAMMA) if isinstance(x, np.ndarray)]
+    assert [a.shape for a in arrays if a.size >= (13 * 4) ** 2] == [(13 ** 2, 4 ** 2)]
+    _assert_read_only(arrays)
+
+
+def test_moment_tables_are_read_only():
+    _assert_read_only(_moment_table(3)[1:])
 
 
 def test_delta_and_default_cutoff_share_a_key():

@@ -108,11 +108,13 @@ class TestExactFeasibility:
                            cutoffs={"mirror": 30})
 
     def test_damped_point_bounded_by_block_generator(self):
-        # |alpha|^2 2 (n_opt 12): the density matrix is (13 * 65)^2 entries,
-        # but one block's generator is 65^4 = 17850625 > 4096^2; 64^4 fits
-        with pytest.raises(ConfigError, match="block generator has 17850625 entries"):
-            self.exact_cfg(2.0, gamma=1e-3, cutoffs={"mirror": 64})
-        self.exact_cfg(2.0, gamma=1e-3, cutoffs={"mirror": 63})
+        # |alpha|^2 2 (n_opt 12): the density matrix is (13 * 34)^2 entries,
+        # but one block's exponential holds 13 generators of 34^4 entries,
+        # 17372368 > 4096^2; 13 * 33^4 fits
+        with pytest.raises(ConfigError,
+                           match="block exponential's working set has 17372368 entries"):
+            self.exact_cfg(2.0, gamma=1e-3, cutoffs={"mirror": 33})
+        self.exact_cfg(2.0, gamma=1e-3, cutoffs={"mirror": 32})
         self.exact_cfg(2.0, cutoffs={"mirror": 64})  # unitary: no generator
 
     def test_alpha2_400_small_mirror_rejected_by_eigenvector_cache(self):
