@@ -10,18 +10,16 @@ from .analytics import (AnalyticInputs, alpha2_for_probability,
                         weak_value_one_photon)
 from .dissipation import LindbladParams, damped_protocol, evolve_master, lindblad_rhs
 from .dynamics import (EvolutionParams, dense_propagator, evolution_params,
-                       factored_propagate, factored_propagator,
-                       weak_approx_propagate)
+                       factored_propagate, weak_approx_propagate)
 from .errors import (ConfigError, ConvergenceError, DegenerateBranchError,
                      InvariantError, LayoutError, OptoweakError,
                      TruncationError)
 from .fock import (DensityMatrix, ModeLayout, Operator, StateVector,
-                   annihilation, apply, coherent_state, displacement,
-                   expectation, fock_state, number, pointer_shift,
-                   poisson_tail, position, project_fock, reduced_density,
-                   tensor, vacuum_state)
+                   annihilation, coherent_state, expectation, fock_state,
+                   pointer_shift, poisson_tail, position, project_fock,
+                   reduced_density, tensor, vacuum_state)
 from .interferometer import (ProtocolOutcome, ProtocolParams,
-                             default_optical_cutoff, preselect, run_protocol,
+                             default_optical_cutoff, run_protocol,
                              weak_value_numeric)
 from .tolerances import DEFAULT_TOL, Tolerances
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EvolutionParams, _mirror_tail
+from .dynamics import EvolutionParams, _mirror_tail, _require_am
 from .errors import LayoutError
 from .fock import DensityMatrix, ModeLayout, annihilation
 from .interferometer import (ProtocolOutcome, ProtocolParams, _arm, _drive,
@@ -38,27 +38,24 @@ class LindbladParams:
             raise LayoutError("gamma must be >= 0")
 
 
-def _hamiltonian(layout: ModeLayout, params: EvolutionParams,
-                 coupled: str, mirror: str) -> np.ndarray:
-    """H = c^dag c - k n_a (c + c^dag) on (coupled, mirror)."""
-    da = layout.dim_of(coupled)
-    if layout.labels != (coupled, mirror):
-        raise LayoutError(f"expected layout ({coupled}, {mirror}), got {layout.labels}")
-    c = annihilation(layout.cutoff(mirror), mirror).matrix
+def _hamiltonian(layout: ModeLayout, params: EvolutionParams) -> np.ndarray:
+    """H = c^dag c - k n_a (c + c^dag) on (a, m)."""
+    _require_am(layout)
+    da = layout.dim_of("a")
+    c = annihilation(layout.cutoff("m")).matrix
     na = np.diag(np.arange(da, dtype=float)).astype(complex)
     return np.kron(np.eye(da), c.conj().T @ c) - params.k * np.kron(na, c + c.conj().T)
 
 
-def lindblad_rhs(rho: DensityMatrix, params: LindbladParams,
-                 coupled: str = "a", mirror: str = "m") -> np.ndarray:
+def lindblad_rhs(rho: DensityMatrix, params: LindbladParams) -> np.ndarray:
     """-i[H, rho] + (gamma/2)(2 c rho c^dag - c^dag c rho - rho c^dag c).
 
     Returns the derivative as a plain matrix (it is traceless and Hermitian,
     not a density matrix).
     """
-    h = _hamiltonian(rho.layout, params.base, coupled, mirror)
-    c = np.kron(np.eye(rho.layout.dim_of(coupled)),
-                annihilation(rho.layout.cutoff(mirror), mirror).matrix)
+    h = _hamiltonian(rho.layout, params.base)
+    c = np.kron(np.eye(rho.layout.dim_of("a")),
+                annihilation(rho.layout.cutoff("m")).matrix)
     r = rho.matrix
     out = -1j * (h @ r - r @ h)
     if params.gamma != 0.0:
@@ -115,8 +112,8 @@ def _expm(a: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def evolve_master(rho0: DensityMatrix, params: LindbladParams, total_time: float,
-                  coupled: str = "a", mirror: str = "m") -> DensityMatrix:
+def evolve_master(rho0: DensityMatrix, params: LindbladParams,
+                  total_time: float) -> DensityMatrix:
     """Exact evolution under the damped master equation, block by block.
 
     The (n, n') block R of rho obeys
@@ -131,10 +128,9 @@ def evolve_master(rho0: DensityMatrix, params: LindbladParams, total_time: float
     if total_time == 0:
         return rho0
     layout = rho0.layout
-    if layout.labels != (coupled, mirror):
-        raise LayoutError(f"expected layout ({coupled}, {mirror}), got {layout.labels}")
-    da, dm = layout.dim_of(coupled), layout.dim_of(mirror)
-    c = annihilation(layout.cutoff(mirror), mirror).matrix
+    _require_am(layout)
+    da, dm = layout.shape
+    c = annihilation(dm - 1).matrix
     num, eye = c.T @ c, np.eye(dm)
     # row-major vectorization: vec(A R B) = (A kron B^T) vec(R); c and drive
     # are real, drive symmetric.  H_n = num + n drive, so the generator is

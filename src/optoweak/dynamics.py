@@ -1,7 +1,7 @@
 """Exact and approximate evolution of the optomechanical interaction.
 
-The exact propagator factorizes over photon-number blocks of the coupled
-optical mode: a mirror free rotation, then a photon-number-conditioned mirror
+The exact propagator factorizes over photon-number blocks of arm ``a``:
+a mirror free rotation, then a photon-number-conditioned mirror
 displacement, then a number-squared (Kerr-like) phase.  A dense matrix
 exponential of the Hamiltonian exists purely as an independent cross-check of
 that factorization.
@@ -69,7 +69,7 @@ def evolution_params(k: float, wm_t: float) -> EvolutionParams:
 def _mirror_tail(params: EvolutionParams, weights: np.ndarray,
                  mirror_cutoff: int) -> float:
     """Occupation-weighted Poisson tail of the per-block mirror displacements
-    over the coupled mode's photon-number ``weights``; both engines raise
+    over arm a's photon-number ``weights``; both engines raise
     :class:`TruncationError` here past ``Tolerances.propagate_leakage``."""
     total = float(weights.sum())
     if total == 0.0:
@@ -83,76 +83,43 @@ def _mirror_tail(params: EvolutionParams, weights: np.ndarray,
     return tail
 
 
-def factored_propagate(state: StateVector, params: EvolutionParams,
-                       coupled: str = "a", mirror: str = "m") -> StateVector:
-    """Evolve ``state`` with the factored propagator.
+def _require_am(layout: ModeLayout) -> None:
+    """Raise :class:`LayoutError` unless ``layout`` is (arm a, mirror m)."""
+    if layout.labels != ("a", "m"):
+        raise LayoutError(f"expected layout ('a', 'm'), got {layout.labels}")
+
+
+def factored_propagate(state: StateVector, params: EvolutionParams) -> StateVector:
+    """Evolve an (a, m) ``state`` with the factored propagator.
 
     Right-to-left: mirror rotation e^{-i wm_t c^dag c}; per photon-number
-    block n of ``coupled``, mirror displacement D(n phi); Kerr phase
+    block n of arm a, mirror displacement D(n phi); Kerr phase
     e^{i kerr n^2}.
     Every D(n phi) comes from one eigendecomposition and all blocks are
     displaced in one stacked contraction, never a joint matrix build.
     Raises :class:`TruncationError` past the mirror-tail budget, then warns
     when the largest displacement is not small against the mirror cutoff.
     """
-    out = _factored_propagate(state, params, coupled, mirror)
-    _warn_large_displacement(params.disp_param, state.layout.cutoff(coupled),
-                             state.layout.cutoff(mirror), stacklevel=2)
+    out = _factored_propagate(state, params)
+    _warn_large_displacement(params.disp_param, state.layout.cutoff("a"),
+                             state.layout.cutoff("m"), stacklevel=2)
     return out
 
 
-def _factored_propagate(state: StateVector, params: EvolutionParams,
-                        coupled: str, mirror: str) -> StateVector:
+def _factored_propagate(state: StateVector, params: EvolutionParams) -> StateVector:
     """:func:`factored_propagate` without its warning, for callers that
     cache the result and so warn on every call themselves."""
-    layout = state.layout
-    c_ax = layout.axis(coupled)
-    m_ax = layout.axis(mirror)
-    if coupled == mirror:
-        raise LayoutError("coupled mode and mirror mode must differ")
-    dm = layout.dim_of(mirror)
-    n_max = layout.cutoff(coupled)
-    other = tuple(i for i in range(len(layout.modes)) if i != c_ax)
-    weights = (np.abs(state.grid) ** 2).sum(axis=other)
-    tail = _mirror_tail(params, weights, layout.cutoff(mirror))
-
+    _require_am(state.layout)
+    n_max, m_cut = state.layout.cutoff("a"), state.layout.cutoff("m")
+    tail = _mirror_tail(params, (np.abs(state.grid) ** 2).sum(axis=1), m_cut)
     g = np.array(state.grid)  # writable copy
     # mirror free rotation (acts first)
-    rot = np.exp(-1j * params.wm_t * np.arange(dm))
-    g *= rot.reshape((1,) * m_ax + (dm,) + (1,) * (g.ndim - m_ax - 1))
+    g *= np.exp(-1j * params.wm_t * np.arange(m_cut + 1))
     # per-block displacement on the mirror axis, then Kerr phase
-    moved = np.moveaxis(g, (c_ax, m_ax), (0, g.ndim - 1))
-    dn = _displacement_powers(params.disp_param, n_max, layout.cutoff(mirror))
-    moved[1:] = np.einsum("n...j,nij->n...i", moved[1:], dn[1:])
-    kerr = np.exp(1j * params.kerr_phase * np.arange(n_max + 1) ** 2)
-    moved *= kerr.reshape((n_max + 1,) + (1,) * (moved.ndim - 1))
-    g = np.moveaxis(moved, (0, g.ndim - 1), (c_ax, m_ax))
-    return StateVector(layout, g.reshape(-1), leakage=state.leakage + tail)
-
-
-def factored_propagator(k: float, wm_t: float, optical_cutoff: int, mirror_cutoff: int,
-                        mirror_pad: int = 0, coupled: str = "a") -> Operator:
-    """The factored propagator as an explicit block-diagonal matrix.
-
-    With ``mirror_pad > 0`` each block is built on a padded mirror space and
-    projected back to ``mirror_cutoff``; the result then approximates the
-    projection of the untruncated propagator instead of carrying cutoff
-    artifacts of its own.
-    """
-    params = evolution_params(k, wm_t)
-    da = optical_cutoff + 1
-    dm = mirror_cutoff + 1
-    dmp = mirror_cutoff + mirror_pad + 1
-    rot = np.exp(-1j * wm_t * np.arange(dmp))
-    layout = ModeLayout.of((coupled, optical_cutoff), ("m", mirror_cutoff))
-    n = np.arange(da)
-    phase = np.exp(1j * params.kerr_phase * n * n)
-    _warn_large_displacement(params.disp_param, optical_cutoff,
-                             mirror_cutoff + mirror_pad, stacklevel=2)
-    blocks = (_displacement_powers(params.disp_param, optical_cutoff,
-                                   mirror_cutoff + mirror_pad) * rot)[:, :dm, :dm]
-    full = np.einsum("nij,nk->nikj", phase[:, None, None] * blocks, np.eye(da))
-    return Operator.of(layout, full.reshape(da * dm, da * dm))
+    dn = _displacement_powers(params.disp_param, n_max, m_cut)
+    g[1:] = np.einsum("nj,nij->ni", g[1:], dn[1:])
+    g *= np.exp(1j * params.kerr_phase * np.arange(n_max + 1) ** 2)[:, None]
+    return StateVector(state.layout, g.reshape(-1), leakage=state.leakage + tail)
 
 
 def dense_propagator(k: float, wm_t: float, optical_cutoff: int, mirror_cutoff: int,
@@ -160,9 +127,10 @@ def dense_propagator(k: float, wm_t: float, optical_cutoff: int, mirror_cutoff: 
                      dim_cap: int = DEFAULT_TOL.dense_dim_cap) -> Operator:
     """exp(-i H wm_t) with H = c^dag c - k n_a (c + c^dag).
 
-    Built by Hermitian eigendecomposition; exists only to cross-validate the
-    factored path (an operator-ordering mistake there shows up immediately
-    here).  ``mirror_pad`` works as in :func:`factored_propagator`.
+    Built by Hermitian eigendecomposition, as the oracle of
+    :func:`factored_propagate` (an operator-ordering mistake there shows up
+    here at once).  ``mirror_pad`` extra mirror levels, projected out at the
+    end, keep the cutoff's own artifacts off the compared block.
     """
     da = optical_cutoff + 1
     dm = mirror_cutoff + 1

@@ -7,7 +7,7 @@ varies fastest*.  All index arithmetic goes through :class:`ModeLayout` so the
 convention exists in exactly one place.
 
 Everything here is pure: states and operators are immutable after
-construction and safe to share across parallel workers.
+construction.
 """
 
 from __future__ import annotations
@@ -112,12 +112,6 @@ class ModeLayout:
         ax = self.axis(label)
         return ModeLayout(self.modes[:ax] + self.modes[ax + 1:])
 
-    def ravel_index(self, occupation: tuple[int, ...]) -> int:
-        """Flat index of a joint occupation (last mode fastest)."""
-        if len(occupation) != len(self.modes):
-            raise LayoutError("occupation length does not match layout")
-        return int(np.ravel_multi_index(occupation, self.shape))
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -154,9 +148,6 @@ class StateVector:
         if n < DEFAULT_TOL.degenerate_prob:
             raise DegenerateBranchError("cannot normalize a zero state", n)
         return StateVector(self.layout, self.amplitudes / n, self.leakage)
-
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -307,11 +298,6 @@ def annihilation(cutoff: int, label: str = "a") -> Operator:
     return Operator.of(ModeLayout.of((label, cutoff)), m)
 
 
-def number(cutoff: int, label: str = "a") -> Operator:
-    m = np.diag(np.arange(cutoff + 1, dtype=float)).astype(complex)
-    return Operator.of(ModeLayout.of((label, cutoff)), m)
-
-
 def position(cutoff: int, sigma: float = 1.0, label: str = "m") -> Operator:
     """q = sigma (c + c^dag); sigma is the zero-point spread (1 = sigma units)."""
     return Operator.of(ModeLayout.of((label, cutoff)), sigma * _moment_table(cutoff)[1])
@@ -330,17 +316,6 @@ def _moment_table(cutoff: int) -> tuple[ModeLayout, np.ndarray, np.ndarray]:
     for arr in (q, q2):
         arr.setflags(write=False)
     return ModeLayout.of(("m", cutoff)), q, q2
-
-
-def displacement(beta: complex, cutoff: int, label: str = "m") -> Operator:
-    """D(beta) = exp(beta c^dag - beta* c), unitary up to floating error.
-
-    Built by Hermitian eigendecomposition of the generator, so it is unitary
-    on the truncated space by construction (no series truncation to tune).
-    """
-    _warn_large_displacement(beta, 1, cutoff, stacklevel=2)
-    mat = _displacement_powers(beta, 1, cutoff)[1]
-    return Operator.of(ModeLayout.of((label, cutoff)), mat)
 
 
 def _warn_large_displacement(beta: complex, n_max: int, cutoff: int,
@@ -376,7 +351,7 @@ def _displacement_powers(beta: complex, n_max: int, cutoff: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# applying, projecting, expecting
+# projecting, expecting
 
 def _check_targets(op: Operator, layout: ModeLayout, targets: tuple[str, ...]) -> None:
     if len(targets) != len(op.layout.modes):
@@ -385,21 +360,6 @@ def _check_targets(op: Operator, layout: ModeLayout, targets: tuple[str, ...]) -
         if layout.cutoff(t) != cut:
             raise LayoutError(
                 f"cutoff mismatch on mode {t!r}: state {layout.cutoff(t)}, operator {cut}")
-
-
-def apply(op: Operator, state: StateVector,
-          targets: tuple[str, ...] | None = None) -> StateVector:
-    """Apply ``op`` on ``targets`` (default: the operator's own labels),
-    acting as identity on every other mode."""
-    targets = tuple(targets) if targets is not None else op.layout.labels
-    _check_targets(op, state.layout, targets)
-    axes = [state.layout.axis(t) for t in targets]
-    tdims = [state.layout.dim_of(t) for t in targets]
-    nt = len(targets)
-    op_tensor = op.matrix.reshape(tuple(tdims) + tuple(tdims))
-    out = np.tensordot(op_tensor, state.grid, axes=(list(range(nt, 2 * nt)), axes))
-    out = np.moveaxis(out, list(range(nt)), axes)
-    return StateVector(state.layout, out.reshape(-1), state.leakage)
 
 
 def project_fock(state: StateVector, label: str, n: int) -> tuple[StateVector, float]:
@@ -432,14 +392,11 @@ def reduced_density(obj: StateVector | DensityMatrix,
 
 def expectation(obj: StateVector | DensityMatrix, op: Operator,
                 targets: tuple[str, ...] | None = None) -> complex:
-    """<op> on a state or density matrix; ``targets`` as in :func:`apply`."""
+    """<op> on a state or density matrix, through its reduced density matrix
+    on ``targets`` (default: the operator's own labels, in its order)."""
     targets = tuple(targets) if targets is not None else op.layout.labels
     _check_targets(op, obj.layout, targets)
-    if isinstance(obj, StateVector):
-        val = complex(np.vdot(obj.amplitudes, apply(op, obj, targets).amplitudes))
-    else:
-        red = obj.partial_trace(targets)
-        val = complex(np.trace(red.matrix @ op.matrix))
+    val = complex(np.trace(reduced_density(obj, targets).matrix @ op.matrix))
     if op.hermitian and not abs(val.imag) < 1e-10:
         raise InvariantError("Hermitian expectation has an imaginary part", abs(val.imag))
     return val

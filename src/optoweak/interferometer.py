@@ -100,16 +100,9 @@ def _arm(params: ProtocolParams, label: str) -> StateVector:
                           leakage_tol=PRESELECT_LEAKAGE / 2)
 
 
-def preselect(params: ProtocolParams) -> StateVector:
-    """|alpha/sqrt2>_a |alpha/sqrt2>_b |0>_m (truncated, leakage-checked)."""
-    return tensor([_arm(params, "a"), _arm(params, "b"),
-                   vacuum_state(params.mirror_cutoff, "m")])
-
-
 def _preselect_am(params: ProtocolParams) -> StateVector:
-    """The normalized (a, m) factor of :func:`preselect`: the part of the
-    state that interacts.  Arm b stays coherent and is rebuilt at
-    recombination."""
+    """|alpha/sqrt2>_a |0>_m, normalized: the part of the preselected state
+    that interacts.  Arm b stays coherent and is rebuilt at recombination."""
     return tensor([_arm(params, "a"), vacuum_state(params.mirror_cutoff, "m")]).normalize()
 
 
@@ -131,7 +124,7 @@ def _evolved_ket(drive: ProtocolParams) -> tuple[np.ndarray, float, np.ndarray]:
     are read-only (:class:`StateVector` freezes its amplitudes), because
     every caller shares them.
     """
-    psi = _factored_propagate(_preselect_am(drive), drive.evolution, "a", "m")
+    psi = _factored_propagate(_preselect_am(drive), drive.evolution)
     return psi.grid, psi.norm ** 2, _arm(drive, "b").normalize().amplitudes
 
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     # state / operator algebra
-    norm_atol: float = 1e-12          # |norm - 1| after normalize()
     hermitian_atol: float = 1e-10     # max |M - M^dag| to set the hermitian flag
     unitary_atol: float = 1e-9        # max |D D^dag - I| of a displacement stack
     coherent_leakage: float = 1e-10   # default allowed coherent-state leakage

@@ -9,12 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from optoweak import (DensityMatrix, LindbladParams,
-                      ModeLayout, ProtocolParams, TruncationError, coherent_state,
+from optoweak import (DensityMatrix, LindbladParams, ModeLayout, Operator,
+                      ProtocolParams, TruncationError, coherent_state,
                       damped_protocol, evolution_params, evolve_master, fock_state,
-                      lindblad_rhs, number, run_protocol, tensor, vacuum_state)
+                      lindblad_rhs, run_protocol, tensor, vacuum_state)
 from optoweak.dissipation import _EXPM_WORKSPACE, _THETA13, _expm
 from optoweak.dynamics import factored_propagate
+
+
+def number(cutoff, label):
+    return Operator.of(ModeLayout.of((label, cutoff)), np.diag(np.arange(cutoff + 1.0)))
 
 
 def random_density(rng, lay):
@@ -29,7 +33,7 @@ class TestRhs:
         base = evolution_params(0.05, math.pi)
         lay = ModeLayout.of(("a", 3), ("m", 4))
         from optoweak.dissipation import _hamiltonian
-        h = _hamiltonian(lay, base, "a", "m")
+        h = _hamiltonian(lay, base)
         w, v = np.linalg.eigh(h)
         proj = np.outer(v[:, 3], v[:, 3].conj())
         rhs = lindblad_rhs(DensityMatrix(lay, proj), LindbladParams(0.0, base))

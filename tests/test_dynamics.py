@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optoweak import (DEFAULT_TOL, DensityMatrix, LayoutError, TruncationError,
-                      coherent_state, dense_propagator, evolution_params,
-                      factored_propagate, factored_propagator, fock_state,
-                      pointer_shift, position, reduced_density, tensor,
-                      vacuum_state, weak_approx_propagate)
+from optoweak import (DEFAULT_TOL, DensityMatrix, LayoutError, LindbladParams,
+                      TruncationError, coherent_state, dense_propagator,
+                      evolution_params, evolve_master, factored_propagate,
+                      fock_state, lindblad_rhs, pointer_shift, position,
+                      reduced_density, tensor, vacuum_state,
+                      weak_approx_propagate)
+from optoweak.fock import _displacement_powers
+from optoweak.verify import _factored_block
 
 
 class TestEvolutionParams:
@@ -85,6 +88,18 @@ class TestFactoredPropagate:
         with pytest.raises(TruncationError):
             factored_propagate(s, evolution_params(0.25, math.pi))
 
+    def test_warns_when_displacement_large_for_mirror_cutoff(self):
+        # |6 phi|^2 = 9 > 0.25 * 20 with phi = 2k = 0.5; the mirror tail
+        # still passes, so only the warning flags it
+        s = tensor([coherent_state(0.3, 6, "a", leakage_tol=1.0),
+                    vacuum_state(20, "m")]).normalize()
+        params = evolution_params(0.25, math.pi)
+        with pytest.warns(UserWarning, match="not small against cutoff 20"):
+            factored_propagate(s, params)
+        wide = tensor([coherent_state(0.3, 6, "a", leakage_tol=1.0),
+                       vacuum_state(40, "m")]).normalize()
+        factored_propagate(wide, params)  # 9 < 0.25 * 40: silent under filterwarnings=error
+
 
 class TestDensePropagator:
     def test_zero_time_identity(self):
@@ -110,9 +125,9 @@ class TestDensePropagator:
             dense_propagator(0.1, 1.0, 80, 80)
 
     def test_matches_factored_on_padded_block(self):
-        uf = factored_propagator(0.1, math.pi, 3, 7, mirror_pad=24)
+        uf = _factored_block(0.1, math.pi, 3, 7, 24)
         ud = dense_propagator(0.1, math.pi, 3, 7, mirror_pad=24)
-        assert np.abs(uf.matrix - ud.matrix).max() < 1e-8
+        assert np.abs(uf - ud.matrix).max() < 1e-8
 
     def test_wrong_ordering_would_be_caught(self):
         # rotation-after-displacement equals displacement by phi*e^{-i wt};
@@ -122,12 +137,12 @@ class TestDensePropagator:
         params = evolution_params(k, wt)
         wrong_phi = params.disp_param * np.exp(-1j * wt)
         ud = dense_propagator(k, wt, 1, 7, mirror_pad=24)
-        from optoweak import displacement as disp
+        disp = _displacement_powers(params.disp_param, 1, 31)[1]
         rot = np.diag(np.exp(-1j * wt * np.arange(32)))
-        block = (rot @ disp(params.disp_param, 31).matrix)[:8, :8]  # wrong order
+        block = (rot @ disp)[:8, :8]  # wrong order
         dev = np.abs(ud.matrix[8:, 8:] - np.exp(1j * params.kerr_phase) * block).max()
         assert dev > 1e-3
-        good = (disp(params.disp_param, 31).matrix @ rot)[:8, :8]
+        good = (disp @ rot)[:8, :8]
         dev_good = np.abs(ud.matrix[8:, 8:] - np.exp(1j * params.kerr_phase) * good).max()
         assert dev_good < 1e-9
         assert abs(wrong_phi - params.disp_param) > 0.01  # orders genuinely differ
@@ -174,13 +189,15 @@ class TestWeakApproxPropagate:
         assert np.abs(out.amplitudes - ref).max() < 1e-12
 
 
-class TestLayoutGenerality:
-    def test_mirror_first_layout_same_physics(self):
-        # mode order must not change the evolved amplitudes, only their layout
-        k, wt = 0.08, 1.1
-        params = evolution_params(k, wt)
-        arm = coherent_state(0.9, 8, "a", leakage_tol=1.0)
-        mir = vacuum_state(10, "m")
-        out_am = factored_propagate(tensor([arm, mir]), params)
-        out_ma = factored_propagate(tensor([mir, arm]), params)
-        assert np.abs(out_am.grid - out_ma.grid.T).max() < 1e-14
+class TestLayout:
+    def test_mirror_first_layout_refused(self):
+        # the exact engines evolve arm a then mirror m, in that order only
+        params = evolution_params(0.08, 1.1)
+        psi = tensor([vacuum_state(10, "m"), coherent_state(0.9, 8, "a", leakage_tol=1.0)])
+        rho = DensityMatrix.from_state(psi)
+        with pytest.raises(LayoutError, match="expected layout"):
+            factored_propagate(psi, params)
+        with pytest.raises(LayoutError, match="expected layout"):
+            evolve_master(rho, LindbladParams(1e-3, params), 1.1)
+        with pytest.raises(LayoutError, match="expected layout"):
+            lindblad_rhs(rho, LindbladParams(1e-3, params))

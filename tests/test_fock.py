@@ -14,11 +14,19 @@ from hypothesis import strategies as st
 import optoweak
 from optoweak import (DEFAULT_TOL, DegenerateBranchError, DensityMatrix,
                       InvariantError, LayoutError, ModeLayout, Operator,
-                      TruncationError, annihilation, apply, coherent_state,
-                      displacement, expectation, fock_state, number,
-                      pointer_shift, position, project_fock, poisson_tail,
-                      reduced_density, tensor, vacuum_state)
+                      TruncationError, annihilation, coherent_state,
+                      expectation, fock_state, pointer_shift, position,
+                      project_fock, poisson_tail, reduced_density, tensor,
+                      vacuum_state)
 from optoweak.fock import _displacement_powers
+
+
+def number(cutoff, label="a"):
+    return Operator.of(ModeLayout.of((label, cutoff)), np.diag(np.arange(cutoff + 1.0)))
+
+
+def displacement(beta, cutoff):
+    return _displacement_powers(beta, 1, cutoff)[1]
 
 
 def poisson_tail_direct(lam: float, cutoff: int) -> float:
@@ -46,8 +54,8 @@ class TestModeLayout:
     def test_last_mode_varies_fastest(self):
         lay = ModeLayout.of(("a", 1), ("m", 2))
         # index = n_a * 3 + n_m
-        assert lay.ravel_index((1, 2)) == 5
-        assert lay.ravel_index((0, 1)) == 1
+        assert np.ravel_multi_index((1, 2), lay.shape) == 5
+        assert np.ravel_multi_index((0, 1), lay.shape) == 1
 
 
 class TestCoherentState:
@@ -124,12 +132,12 @@ class TestPoissonTail:
 class TestTensor:
     def test_vacuum_pair(self):
         s = tensor([fock_state(0, 2, "a"), fock_state(0, 3, "m")])
-        assert s.amplitudes[s.layout.ravel_index((0, 0))] == 1.0
+        assert s.amplitudes[np.ravel_multi_index((0, 0), s.layout.shape)] == 1.0
         assert s.norm == 1.0
 
     def test_one_photon_slot(self):
         s = tensor([fock_state(1, 2, "a"), fock_state(0, 3, "m")])
-        assert s.amplitudes[s.layout.ravel_index((1, 0))] == 1.0
+        assert s.amplitudes[np.ravel_multi_index((1, 0), s.layout.shape)] == 1.0
 
     def test_norm_is_product_of_norms(self):
         a = coherent_state(1.0, 6, "a", leakage_tol=1.0)
@@ -171,34 +179,55 @@ class TestOperators:
         val = expectation(s, number(20))
         assert val.real == pytest.approx(alpha ** 2, abs=1e-9)
 
+    def test_cutoff_mismatch_rejected(self):
+        s = tensor([fock_state(0, 4, "a"), vacuum_state(3, "m")])
+        with pytest.raises(LayoutError):
+            expectation(s, number(5, "a"))
+
+    def test_target_arity_mismatch_rejected(self):
+        s = tensor([fock_state(0, 4, "a"), vacuum_state(3, "m")])
+        with pytest.raises(LayoutError, match="arity"):
+            expectation(s, number(4, "a"), targets=("a", "m"))
+
+    def test_two_mode_op_on_reordered_nonadjacent_targets(self):
+        # <op> on (m, a) of an (a, b, m) state equals Tr(rho_ma op) built by hand
+        import optoweak as ow
+        rng = np.random.default_rng(3)
+        da, db, dm = 3, 2, 4
+        lay = ModeLayout.of(("a", da - 1), ("b", db - 1), ("m", dm - 1))
+        amps = rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)
+        state = ow.StateVector(lay, amps)
+        gen = rng.normal(size=(dm * da, dm * da)) + 1j * rng.normal(size=(dm * da, dm * da))
+        op = Operator(ModeLayout.of(("m", dm - 1), ("a", da - 1)), gen)
+        got = expectation(state, op, targets=("m", "a"))
+        # reference: permute (a,b,m) -> (m,a,b) and trace out b
+        psi = state.grid.transpose(2, 0, 1).reshape(dm * da, db)
+        ref = np.trace(psi @ psi.conj().T @ gen)
+        assert abs(got - ref) < 1e-12
+
 
 class TestDisplacement:
     def test_zero_is_identity(self):
         d = displacement(0.0, 5)
-        assert np.allclose(d.matrix, np.eye(6), atol=1e-14)
-        assert np.abs(d.matrix @ d.matrix.conj().T - np.eye(6)).max() < DEFAULT_TOL.unitary_atol
+        assert np.allclose(d, np.eye(6), atol=1e-14)
+        assert np.abs(d @ d.conj().T - np.eye(6)).max() < DEFAULT_TOL.unitary_atol
 
     def test_small_displacement_matches_series(self):
-        d = displacement(0.01, 12)
-        out = apply(d, vacuum_state(12, "m"))
+        out = displacement(0.01, 12) @ vacuum_state(12, "m").amplitudes
         ref = coherent_state(0.01, 12, "m", leakage_tol=1.0)
-        assert np.abs(out.amplitudes - ref.amplitudes).max() < 1e-10
+        assert np.abs(out - ref.amplitudes).max() < 1e-10
 
     def test_inverse_pair(self):
         d = displacement(0.3 + 0.1j, 10)
         dm = displacement(-0.3 - 0.1j, 10)
-        assert np.abs(d.matrix @ dm.matrix - np.eye(11)).max() < 1e-9
-
-    def test_warns_when_beta_large_for_cutoff(self):
-        with pytest.warns(UserWarning):
-            displacement(2.0, 4)
+        assert np.abs(d @ dm - np.eye(11)).max() < 1e-9
 
     def test_powers_match_one_displacement_per_n(self):
         phi, cutoff, n_max = 0.03 - 0.02j, 10, 40
         stack = _displacement_powers(phi, n_max, cutoff)
         assert stack.shape == (n_max + 1, cutoff + 1, cutoff + 1)
         for n in range(n_max + 1):
-            assert np.abs(stack[n] - displacement(n * phi, cutoff).matrix).max() < 1e-13
+            assert np.abs(stack[n] - displacement(n * phi, cutoff)).max() < 1e-13
 
     def test_powers_fail_unitarity_check_as_one_stack(self, monkeypatch):
         real_eigh = np.linalg.eigh
@@ -209,34 +238,6 @@ class TestDisplacement:
         monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
         with pytest.raises(TruncationError, match="unitarity"):
             _displacement_powers(0.1, 5, 6)
-
-
-def identity(cutoff, label):
-    return Operator.of(ModeLayout.of((label, cutoff)), np.eye(cutoff + 1))
-
-
-class TestApply:
-    def test_identity_leaves_state(self):
-        s = tensor([coherent_state(0.5, 5, "a", leakage_tol=1.0), vacuum_state(3, "m")])
-        out = apply(identity(5, "a"), s)
-        assert np.array_equal(out.amplitudes, s.amplitudes)
-
-    def test_number_eigenstate(self):
-        s = tensor([fock_state(2, 4, "a"), vacuum_state(3, "m")])
-        out = apply(number(4, "a"), s)
-        assert np.allclose(out.amplitudes, 2 * s.amplitudes)
-
-    def test_cutoff_mismatch_rejected(self):
-        s = tensor([fock_state(0, 4, "a"), vacuum_state(3, "m")])
-        with pytest.raises(LayoutError):
-            apply(identity(5, "a"), s)
-
-    @given(st.floats(-0.8, 0.8), st.floats(-0.8, 0.8))
-    @settings(max_examples=25, deadline=None)
-    def test_unitary_preserves_norm(self, re, im):
-        s = tensor([coherent_state(0.4, 8, "a", leakage_tol=1.0), coherent_state(0.2, 6, "m", leakage_tol=1.0)])
-        out = apply(displacement(complex(re, im), 6, "m"), s)
-        assert out.norm == pytest.approx(s.norm, abs=1e-10)
 
 
 class TestProjectFock:
@@ -359,8 +360,8 @@ class TestDensityMatrix:
         joint = DensityMatrix.from_state(tensor([a, m]))
         red = joint.partial_trace(("m", "a"))
         assert red.layout.labels == ("m", "a")
-        assert red.matrix[red.layout.ravel_index((0, 1)),
-                          red.layout.ravel_index((0, 1))] == pytest.approx(1.0)
+        idx = np.ravel_multi_index((0, 1), red.layout.shape)
+        assert red.matrix[idx, idx] == pytest.approx(1.0)
 
     def test_validate_catches_bad_trace(self):
         lay = ModeLayout.of(("m", 3))
@@ -380,21 +381,3 @@ class TestOperatorFlags:
         raw = Operator(ModeLayout.of(("a", 3)), mat)
         assert not raw.hermitian
         assert Operator.of(ModeLayout.of(("a", 3)), mat).hermitian
-
-
-class TestApplyGenerality:
-    def test_two_mode_op_on_reordered_nonadjacent_targets(self):
-        # op on (m, a) of an (a, b, m) state equals the explicit kron route
-        import optoweak as ow
-        rng = np.random.default_rng(3)
-        da, db, dm = 3, 2, 4
-        lay = ModeLayout.of(("a", da - 1), ("b", db - 1), ("m", dm - 1))
-        amps = rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)
-        state = ow.StateVector(lay, amps)
-        gen = rng.normal(size=(dm * da, dm * da)) + 1j * rng.normal(size=(dm * da, dm * da))
-        op = Operator(ModeLayout.of(("m", dm - 1), ("a", da - 1)), gen)
-        got = apply(op, state, targets=("m", "a")).grid
-        # reference: permute (a,b,m) -> (m,a,b), apply kron(gen, I_b), permute back
-        ref = state.grid.transpose(2, 0, 1).reshape(dm * da, db)
-        ref = (gen @ ref).reshape(dm, da, db).transpose(1, 2, 0)
-        assert np.abs(got - ref).max() < 1e-12
