@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EvolutionParams, _mirror_tail, _require_am
+from .dynamics import EvolutionParams, _hamiltonian, _mirror_tail, _require_am
 from .errors import LayoutError
-from .fock import DensityMatrix, ModeLayout, annihilation
+from .fock import DensityMatrix, annihilation
 from .interferometer import (ProtocolOutcome, ProtocolParams, _arm, _drive,
                              _postselect, _preselect_am)
+from .tolerances import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -38,25 +39,16 @@ class LindbladParams:
             raise LayoutError("gamma must be >= 0")
 
 
-def _hamiltonian(layout: ModeLayout, params: EvolutionParams) -> np.ndarray:
-    """H = c^dag c - k n_a (c + c^dag) on (a, m)."""
-    _require_am(layout)
-    da = layout.dim_of("a")
-    c = annihilation(layout.cutoff("m")).matrix
-    na = np.diag(np.arange(da, dtype=float)).astype(complex)
-    return np.kron(np.eye(da), c.conj().T @ c) - params.k * np.kron(na, c + c.conj().T)
-
-
 def lindblad_rhs(rho: DensityMatrix, params: LindbladParams) -> np.ndarray:
     """-i[H, rho] + (gamma/2)(2 c rho c^dag - c^dag c rho - rho c^dag c).
 
     Returns the derivative as a plain matrix (it is traceless and Hermitian,
     not a density matrix).
     """
-    h = _hamiltonian(rho.layout, params.base)
-    c = np.kron(np.eye(rho.layout.dim_of("a")),
-                annihilation(rho.layout.cutoff("m")).matrix)
-    r = rho.matrix
+    _require_am(rho.layout)
+    (da, dm), r = rho.layout.shape, rho.matrix
+    h = _hamiltonian(da, dm - 1, params.base.k)
+    c = np.kron(np.eye(da), annihilation(dm - 1).matrix)
     out = -1j * (h @ r - r @ h)
     if params.gamma != 0.0:
         cd = c.conj().T
@@ -114,22 +106,30 @@ def _expm(a: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 def evolve_master(rho0: DensityMatrix, params: LindbladParams,
                   total_time: float) -> DensityMatrix:
-    """Exact evolution under the damped master equation, block by block.
-
-    The (n, n') block R of rho obeys
-    dR/dt = -i(H_n R - R H_n') + (gamma/2)(2 c R c^dag - c^dag c R - R c^dag c)
-    with H_n = c^dag c - k n (c + c^dag).
-    Each block with n <= n' is propagated by :func:`_expm` of its
-    dm^2 x dm^2 generator, stacked in chunks of about 1 MiB of generators;
-    the others follow from R_n'n = R_nn'^dag.
-    """
+    """Exact evolution under the damped master equation, block by block (:func:`_evolve_blocks`)."""
     if total_time < 0:
         raise LayoutError("total_time must be >= 0")
     if total_time == 0:
         return rho0
-    layout = rho0.layout
-    _require_am(layout)
-    da, dm = layout.shape
+    _require_am(rho0.layout)
+    da, dm = rho0.layout.shape
+    rows, cols = np.triu_indices(da)
+    out = _evolve_blocks(rho0.matrix.reshape(da, dm, da, dm)[rows, :, cols], da, params, total_time)
+    return DensityMatrix(rho0.layout, out.transpose(0, 2, 1, 3).reshape(da * dm, da * dm))
+
+
+def _evolve_blocks(upper: np.ndarray, da: int, params: LindbladParams,
+                   total_time: float) -> np.ndarray:
+    """Evolve ``upper``, the blocks R_nn' of rho with n <= n' in
+    ``np.triu_indices(da)`` order (it may be overwritten), and return every
+    block in one (da, da, dm, dm) array.  R obeys
+    dR/dt = -i(H_n R - R H_n') + (gamma/2)(2 c R c^dag - c^dag c R - R c^dag c)
+    with H_n = c^dag c - k n (c + c^dag), and is propagated by :func:`_expm` of
+    its dm^2 x dm^2 generator, in stacks of about 1 MiB of generators.  The
+    others follow from R_n'n = R_nn'^dag, so only the diagonal blocks are made
+    Hermitian, after a check against the density matrix's tolerance.
+    """
+    dm = upper.shape[-1]
     c = annihilation(dm - 1).matrix
     num, eye = c.T @ c, np.eye(dm)
     # row-major vectorization: vec(A R B) = (A kron B^T) vec(R); c and drive
@@ -141,20 +141,23 @@ def evolve_master(rho0: DensityMatrix, params: LindbladParams,
                                     - np.kron(eye, num)))
     g_n = -1j * np.kron(drive, eye)
     g_n2 = 1j * np.kron(eye, drive)
-    blocks = rho0.matrix.reshape(da, dm, da, dm).transpose(0, 2, 1, 3)
     rows, cols = np.triu_indices(da)
-    vecs = blocks[rows, cols].reshape(-1, dm * dm, 1)
+    vecs = upper.reshape(-1, dm * dm, 1)
     step = max(1, 2 ** 16 // dm ** 4)
-    for lo in range(0, len(rows), step):
+    for lo in range(0, len(rows) if total_time else 0, step):  # t = 0 keeps them
         n = rows[lo:lo + step, None, None]
         n2 = cols[lo:lo + step, None, None]
         gen = total_time * (g0 + n * g_n + n2 * g_n2)
         vecs[lo:lo + step] = _expm(gen, vecs[lo:lo + step])
-    out = np.empty_like(blocks)
+    out = np.empty((da, da, dm, dm), dtype=complex)
     out[rows, cols] = vecs.reshape(-1, dm, dm)
-    out[cols, rows] = out[rows, cols].conj().transpose(0, 2, 1)
-    final = out.transpose(0, 2, 1, 3).reshape(da * dm, da * dm)
-    return DensityMatrix(layout, (final + final.conj().T) / 2)
+    out[cols, rows] = vecs.reshape(-1, dm, dm).conj().transpose(0, 2, 1)
+    diag = out[range(da), range(da)]
+    herm = diag.conj().transpose(0, 2, 1)
+    if np.abs(diag - herm).max() >= DEFAULT_TOL.density_hermitian_atol:
+        raise LayoutError("density matrix is not Hermitian within tolerance")
+    out[range(da), range(da)] = (diag + herm) / 2
+    return out
 
 
 @functools.lru_cache(maxsize=1)
@@ -175,12 +178,12 @@ def _evolved_rho(drive: ProtocolParams, gamma: float
     psi = _preselect_am(drive)
     _mirror_tail(drive.evolution, (np.abs(psi.grid) ** 2).sum(axis=1),
                  drive.mirror_cutoff)
-    rho = evolve_master(DensityMatrix.from_state(psi),
-                        LindbladParams(gamma=gamma, base=drive.evolution),
-                        drive.evolution.wm_t).matrix.reshape(psi.layout.shape * 2)
-    rho_a = np.trace(rho, axis1=1, axis2=3)
     d, dm = psi.layout.shape
-    pairs = rho.transpose(0, 2, 1, 3).reshape(d * d, dm * dm)  # a copy
+    rows, cols = np.triu_indices(d)
+    rho = _evolve_blocks(psi.grid[rows, :, None] * psi.grid[cols, None, :].conj(), d,
+                         LindbladParams(gamma=gamma, base=drive.evolution), drive.evolution.wm_t)
+    rho_a = functools.reduce(np.add, (rho[:, :, m, m] for m in range(dm)))  # summed over m in order
+    pairs = rho.reshape(d * d, dm * dm)
     for arr in (pairs, rho_a):
         arr.setflags(write=False)
     return pairs, rho_a, float(np.trace(rho_a).real), _arm(drive, "b").normalize().amplitudes

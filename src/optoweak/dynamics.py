@@ -122,6 +122,13 @@ def _factored_propagate(state: StateVector, params: EvolutionParams) -> StateVec
     return StateVector(state.layout, g.reshape(-1), leakage=state.leakage + tail)
 
 
+def _hamiltonian(da: int, mirror_cutoff: int, k: float) -> np.ndarray:
+    """H = c^dag c - k n_a (c + c^dag) on (a, m), for the dense oracles."""
+    c = annihilation(mirror_cutoff).matrix
+    na = np.diag(np.arange(da, dtype=float)).astype(complex)
+    return np.kron(np.eye(da), c.conj().T @ c) - k * np.kron(na, c + c.conj().T)
+
+
 def dense_propagator(k: float, wm_t: float, optical_cutoff: int, mirror_cutoff: int,
                      mirror_pad: int = 0,
                      dim_cap: int = DEFAULT_TOL.dense_dim_cap) -> Operator:
@@ -132,15 +139,10 @@ def dense_propagator(k: float, wm_t: float, optical_cutoff: int, mirror_cutoff: 
     here at once).  ``mirror_pad`` extra mirror levels, projected out at the
     end, keep the cutoff's own artifacts off the compared block.
     """
-    da = optical_cutoff + 1
-    dm = mirror_cutoff + 1
-    dmp = mirror_cutoff + mirror_pad + 1
+    da, dm, dmp = optical_cutoff + 1, mirror_cutoff + 1, mirror_cutoff + mirror_pad + 1
     if da * dmp > dim_cap:
         raise LayoutError(f"joint dimension {da * dmp} exceeds the dense cap {dim_cap}")
-    c = annihilation(mirror_cutoff + mirror_pad, "m").matrix
-    na = np.diag(np.arange(da, dtype=float)).astype(complex)
-    h = np.kron(np.eye(da), c.conj().T @ c) - k * np.kron(na, c + c.conj().T)
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(_hamiltonian(da, mirror_cutoff + mirror_pad, k))
     u = (v * np.exp(-1j * w * wm_t)) @ v.conj().T
     if mirror_pad:
         u = u.reshape(da, dmp, da, dmp)[:, :dm, :, :dm].reshape(da * dm, da * dm)

@@ -91,10 +91,7 @@ class ModeLayout:
 
     @property
     def dim(self) -> int:
-        d = 1
-        for _, cut in self.modes:
-            d *= cut + 1
-        return d
+        return math.prod(self.shape)
 
     def axis(self, label: str) -> int:
         for i, (lab, _) in enumerate(self.modes):
@@ -286,10 +283,7 @@ def tensor(states: list[StateVector] | tuple[StateVector, ...]) -> StateVector:
     amps = states[0].amplitudes
     for s in states[1:]:
         amps = np.kron(amps, s.amplitudes)
-    leak = 1.0
-    for s in states:
-        leak *= 1.0 - s.leakage
-    return StateVector(layout, amps, leakage=1.0 - leak)
+    return StateVector(layout, amps, leakage=1.0 - math.prod(1.0 - s.leakage for s in states))
 
 
 def annihilation(cutoff: int, label: str = "a") -> Operator:

@@ -120,7 +120,7 @@ def _evolved_ket(drive: ProtocolParams) -> tuple[np.ndarray, float, np.ndarray]:
 
     A miss runs the preselection leakage and mirror-tail checks; the cache
     keeps no exception, so a failing key raises on every call.  Eight
-    entries, like :func:`_bs_eig`, each d dm + d complex numbers.  The arrays
+    entries, like :func:`_bs_tables`, each d dm + d complex numbers.  The arrays
     are read-only (:class:`StateVector` freezes its amplitudes), because
     every caller shares them.
     """
@@ -129,24 +129,27 @@ def _evolved_ket(drive: ProtocolParams) -> tuple[np.ndarray, float, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=8)
-def _bs_eig(d: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Per total photon number N = 0..min(d, 2d - 2): the arm-a occupations i
-    of the block states |i, N - i> kept by cutoff d, and the eigenvalues and
-    eigenvectors of i G_N (see :func:`_bs_kernel`).  Blocks with N > d reach
-    no dark-port occupation below 2, so they are not needed.
-
-    They depend on d alone, so every point of a sweep reuses them; eight
-    entries cover a five-cutoff sweep, each about d^3 / 3 complex numbers.
-    Read-only, because every caller shares them.
+def _bs_tables(d: int) -> tuple[tuple, ...]:
+    """Theta-free tables of :func:`_bs_kernel` per total photon number
+    N = 0..min(d, 2d - 2) (larger N reach no dark-port occupation below 2),
+    on the block states |i, N - i> that cutoff d keeps: the eigenvalues of
+    i G_N, the eigenvector rows of the states c = N - j with j <= 1 dark-port
+    photons, vec^H, arm b's occupations N - i, the pi-flip signs 1 - 2 j, and
+    the scatter indices j, c and slice of i.  They depend on d alone, so every
+    point of a sweep reuses them; eight entries cover a five-cutoff sweep, each
+    about d^3 / 3 complex numbers, read-only because every caller shares them.
     """
     blocks = []
     for n_tot in range(min(d + 1, 2 * d - 1)):
         i = np.arange(max(0, n_tot - d + 1), min(n_tot, d - 1) + 1)
         off = np.sqrt((i[:-1] + 1.0) * (n_tot - i[:-1]))
         ev, vec = np.linalg.eigh(1j * (np.diag(off, -1) - np.diag(off, 1)))
-        for arr in (i, ev, vec):
+        c = np.arange(max(n_tot - 1, i[0]), min(n_tot, i[-1]) + 1)  # rows with j <= 1
+        j = n_tot - c
+        arrays = (ev, vec[c - i[0]], vec.conj().T, n_tot - i, (1 - 2 * j)[:, None], j, c)
+        for arr in arrays:
             arr.setflags(write=False)
-        blocks.append((i, ev, vec))
+        blocks.append(arrays + (slice(i[0], i[-1] + 1),))
     return tuple(blocks)
 
 
@@ -162,17 +165,14 @@ def _bs_kernel(theta: float, beta: np.ndarray) -> np.ndarray:
     (1989)).  Each block generator is real and tridiagonal with
     G[i+1, i] = -G[i, i+1] = sqrt((i+1)(N-i)); blocks with N >= d lose the
     states past the cutoff, exactly as the truncated generator does.  The
-    eigenpairs of i G_N come from :func:`_bs_eig`; only the block rows
-    i = N - j, the ones with j dark-port photons, are formed.
+    eigenpairs of i G_N and every index come from :func:`_bs_tables`; only
+    the block rows i = N - j, the ones with j dark-port photons, are formed.
     """
-    d = len(beta)
-    w = np.zeros((2, d, d), dtype=complex)
-    for n_tot, (i, ev, vec) in enumerate(_bs_eig(d)):
-        c = np.arange(max(n_tot - 1, i[0]), min(n_tot, i[-1]) + 1)  # rows with j <= 1
-        j = n_tot - c
-        rows = (vec[c - i[0]] * np.exp(-1j * theta * ev)) @ vec.conj().T
-        rows *= beta[n_tot - i] * (1 - 2 * j)[:, None]  # pi flip on j = 1
-        w[j, c, i[0]:i[-1] + 1] = rows
+    w = np.zeros((2, len(beta), len(beta)), dtype=complex)
+    for ev, vr, vh, bidx, sign, j, c, sl in _bs_tables(len(beta)):
+        rows = (vr * np.exp(-1j * theta * ev)) @ vh
+        rows *= beta[bidx] * sign  # pi flip on j = 1
+        w[j, c, sl] = rows
     return w
 
 

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from optoweak import (DensityMatrix, LindbladParams, ModeLayout, Operator,
-                      ProtocolParams, TruncationError, coherent_state,
+                      LayoutError, ProtocolParams, TruncationError, coherent_state,
                       damped_protocol, evolution_params, evolve_master, fock_state,
                       lindblad_rhs, run_protocol, tensor, vacuum_state)
-from optoweak.dissipation import _EXPM_WORKSPACE, _THETA13, _expm
-from optoweak.dynamics import factored_propagate
+from optoweak.dissipation import _EXPM_WORKSPACE, _THETA13, _evolve_blocks, _expm
+from optoweak.dynamics import _hamiltonian, factored_propagate
 
 
 def number(cutoff, label):
@@ -32,8 +32,7 @@ class TestRhs:
     def test_eigenprojector_commutator_vanishes(self):
         base = evolution_params(0.05, math.pi)
         lay = ModeLayout.of(("a", 3), ("m", 4))
-        from optoweak.dissipation import _hamiltonian
-        h = _hamiltonian(lay, base)
+        h = _hamiltonian(4, 4, base.k)
         w, v = np.linalg.eigh(h)
         proj = np.outer(v[:, 3], v[:, 3].conj())
         rhs = lindblad_rhs(DensityMatrix(lay, proj), LindbladParams(0.0, base))
@@ -74,6 +73,15 @@ class TestEvolveMaster:
             tracemalloc.stop()
         generators = peak / (16 * 16 ** 4)
         assert _EXPM_WORKSPACE - 1 < generators <= _EXPM_WORKSPACE
+
+    def test_block_evolution_refuses_a_non_hermitian_diagonal_block(self):
+        # da 2: blocks (0, 0), (0, 1), (1, 1); only the diagonal ones are
+        # not mirrored from another block
+        upper = np.zeros((3, 2, 2), dtype=complex)
+        upper[0] = [[0.5, 0.1], [0.0, 0.5]]
+        params = LindbladParams(1e-3, evolution_params(0.05, 1.0))
+        with pytest.raises(LayoutError, match="not Hermitian"):
+            _evolve_blocks(upper, 2, params, 0.5)
 
     def test_matches_unitary_at_zero_damping(self):
         k, wm_t = 0.005, math.pi

@@ -16,7 +16,7 @@ from optoweak import analytics as an
 from optoweak.dissipation import _evolved_rho
 from optoweak.dynamics import factored_propagate
 from optoweak.fock import cutoff_for_leakage
-from optoweak.interferometer import _arm, _bs_eig, _bs_kernel, _preselect_am
+from optoweak.interferometer import _arm, _bs_kernel, _bs_tables, _preselect_am
 
 
 def make_params(alpha2, delta, k=0.005, wm_t=math.pi, **kw):
@@ -69,6 +69,24 @@ def dense_kernel(theta, beta):
     return out
 
 
+def loop_kernel(theta, beta):
+    """:func:`_bs_kernel` with its tables formed per call: the eigenpairs,
+    row indices, arm-b indices and signs of each block, in the same
+    arithmetic order."""
+    d = len(beta)
+    w = np.zeros((2, d, d), dtype=complex)
+    for n_tot in range(min(d + 1, 2 * d - 1)):
+        i = np.arange(max(0, n_tot - d + 1), min(n_tot, d - 1) + 1)
+        off = np.sqrt((i[:-1] + 1.0) * (n_tot - i[:-1]))
+        ev, vec = np.linalg.eigh(1j * (np.diag(off, -1) - np.diag(off, 1)))
+        c = np.arange(max(n_tot - 1, i[0]), min(n_tot, i[-1]) + 1)  # rows with j <= 1
+        j = n_tot - c
+        rows = (vec[c - i[0]] * np.exp(-1j * theta * ev)) @ vec.conj().T
+        rows *= beta[n_tot - i] * (1 - 2 * j)[:, None]  # pi flip on j = 1
+        w[j, c, i[0]:i[-1] + 1] = rows
+    return w
+
+
 class TestBeamSplitter:
     @pytest.mark.parametrize("cutoff", [0, 1, 2, 6, 12])
     @pytest.mark.parametrize("theta", [math.pi / 4 + 0.03, math.pi / 2, 0.3])
@@ -93,14 +111,26 @@ class TestBeamSplitter:
             beta = rng.normal(size=d) + 1j * rng.normal(size=d)
             assert np.abs(_bs_kernel(theta, beta) - dense_kernel(theta, beta)).max() < 1e-13
 
-    def test_cached_eigenpairs_are_read_only(self):
-        _bs_kernel(0.3, np.ones(5, dtype=complex))
+    def test_tables_are_cached_per_cutoff_and_read_only(self):
+        _bs_tables.cache_clear()
+        for cutoff, theta in [(4, 0.3), (4, math.pi / 4 + 0.03), (6, 0.3)]:
+            _bs_kernel(theta, np.ones(cutoff + 1, dtype=complex))
+        # one entry per cutoff; the second angle at cutoff 4 is a hit
+        info = _bs_tables.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (2, 2, 1)
         # only blocks N <= d reach a dark-port occupation below 2
-        assert [len(i) for i, _, _ in _bs_eig(5)] == [1, 2, 3, 4, 5, 4]
-        for arrays in _bs_eig(5):
-            for arr in arrays:
+        assert [len(block[0]) for block in _bs_tables(5)] == [1, 2, 3, 4, 5, 4]
+        for block in _bs_tables(5):
+            for arr in block[:-1]:
                 with pytest.raises(ValueError):
                     arr[...] = 0
+
+    @pytest.mark.parametrize("d", [1, 2, 13, 34, 64])
+    def test_tables_keep_the_loop_kernel_bits(self, d):
+        rng = np.random.default_rng(d)
+        beta = rng.normal(size=d) + 1j * rng.normal(size=d)
+        for theta in (0.3, math.pi / 4 + 0.005, math.pi / 2):
+            assert (_bs_kernel(theta, beta) == loop_kernel(theta, beta)).all()
 
     def test_balanced_maps_coherent_pair(self):
         u, v = 0.6, -0.3
@@ -460,7 +490,7 @@ class TestKetPostselection:
     def test_paper_point_builds_no_joint_density_matrix(self):
         # the (d dm)^2 density matrix alone is 7.6 MiB at n_opt 63, mirror 10
         params = make_params(30.0, 0.005)
-        run_protocol(params)  # warm the block-eigenvector cache
+        run_protocol(params)  # warm the recombiner tables
         tracemalloc.start()
         try:
             run_protocol(params)

@@ -62,7 +62,7 @@ def test_paper_point_miss_builds_no_joint_density_matrix():
     # ket stage: the (d dm)^2 density matrix alone is 7.6 MiB at n_opt 63,
     # mirror 10
     params = make_params(30.0, 0.005)
-    run_protocol(params)  # warm the block-eigenvector cache
+    run_protocol(params)  # warm the recombiner tables
     _evolved_ket.cache_clear()
     tracemalloc.start()
     try:
@@ -88,23 +88,23 @@ def test_damped_hit_allocates_less_than_one_density_matrix():
     # it in contraction order, so a hit copies none of it
     scan = [make_params(2.0, delta, optical_cutoff=30, mirror_cutoff=8)
             for delta in (0.01, 0.02)]
-    damped(scan[0])  # the miss, and the block-eigenvector cache
+    damped(scan[0])  # the miss, and the recombiner tables
     peak = _traced_peak(damped, scan[1])
     assert _evolved_rho.cache_info().hits >= 1
     assert peak < 16 * (31 * 9) ** 2
 
 
 def test_damped_miss_holds_no_more_density_matrices():
-    # n_opt 110, mirror 3: one (d dm)^2 array is 3.2 MB, larger than the
-    # block exponentials' working set; evolve_master peaks at 5.68 of them,
-    # and the stage, which ends holding the density matrix and its
-    # reordered copy, must not raise that peak
+    # n_opt 110, mirror 3: one (d dm)^2 array is 3.2 MB.  A miss builds only
+    # the blocks n <= n' (0.54 of one) and evolves them in block order; it
+    # peaks at 3.28 of them, about 2.7 of which are one stack's exponential
+    # working set
     params = make_params(30.0, 0.01, k=1e-4, optical_cutoff=110, mirror_cutoff=3)
-    damped(params)  # warm the block-eigenvector cache
+    damped(params)  # warm the recombiner tables
     _evolved_rho.cache_clear()
     peak = _traced_peak(damped, params)
     assert _evolved_rho.cache_info().misses == 1
-    assert peak < 6 * 16 * (111 * 4) ** 2
+    assert peak < 3.4 * 16 * (111 * 4) ** 2
 
 
 def _assert_read_only(arrays):

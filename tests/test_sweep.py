@@ -117,13 +117,22 @@ class TestExactFeasibility:
         self.exact_cfg(2.0, gamma=1e-3, cutoffs={"mirror": 32})
         self.exact_cfg(2.0, cutoffs={"mirror": 64})  # unitary: no generator
 
-    def test_alpha2_400_small_mirror_rejected_by_eigenvector_cache(self):
+    def test_alpha2_400_small_mirror_rejected_by_recombiner_tables(self):
         # mirror cutoff 1: the density matrix is only (521 * 2)^2 entries, but
-        # the block eigenvectors for N <= 521 hold 47546461
-        with pytest.raises(ConfigError, match="block-eigenvector cache has 47546461 entries"):
+        # the recombiner tables for N <= 521 hold 47546461 entries of vec^H,
+        # 272480 eigenvector rows and 136501 eigenvalues
+        with pytest.raises(ConfigError, match="recombiner-table cache has 47955443 entries"):
             load_config(None, overrides={
                 "engine": "exact", "fixed": {"alpha2": 400.0},
                 "axes": {"delta": [0.005]}, "cutoffs": {"mirror": 1}}, default_mode="sweep")
+
+    def test_recombiner_tables_set_the_limit_from_mirror_cutoff_16(self):
+        # optical cutoff 365 (|alpha|^2 266.5) is the largest whose tables fit:
+        # 16745108 entries; cutoff 366 (|alpha|^2 267) needs 16881631 > 4096^2
+        for alpha2 in (266.0, 266.5):
+            self.exact_cfg(alpha2, cutoffs={"mirror": 16})
+        with pytest.raises(ConfigError, match="recombiner-table cache has 16881631 entries"):
+            self.exact_cfg(267.0, cutoffs={"mirror": 16})
 
     def test_mirror_tail_refused_up_front(self):
         # n_opt 285 photons displace the mirror by 285 |phi| = 2.85, past what
