@@ -129,28 +129,34 @@ def _evolved_ket(drive: ProtocolParams) -> tuple[np.ndarray, float, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=8)
-def _bs_tables(d: int) -> tuple[tuple, ...]:
-    """Theta-free tables of :func:`_bs_kernel` per total photon number
-    N = 0..min(d, 2d - 2) (larger N reach no dark-port occupation below 2),
-    on the block states |i, N - i> that cutoff d keeps: the eigenvalues of
-    i G_N, the eigenvector rows of the states c = N - j with j <= 1 dark-port
-    photons, vec^H, arm b's occupations N - i, the pi-flip signs 1 - 2 j, and
-    the scatter indices j, c and slice of i.  They depend on d alone, so every
-    point of a sweep reuses them; eight entries cover a five-cutoff sweep, each
-    about d^3 / 3 complex numbers, read-only because every caller shares them.
+def _bs_tables(d: int) -> tuple:
+    """Theta-free tables of :func:`_bs_kernel` for the blocks of total photon
+    number N = 0..min(d, 2d - 2) (larger N reach no dark-port occupation
+    below 2) on the states |i, N - i> that cutoff d keeps: all blocks'
+    eigenvalues of i G_N, concatenated; per block, the eigenvector rows of
+    the states c = N - j with j <= 1 dark-port photons, vec^H and the slices
+    of its eigenvalues and row elements; over every row element, arm b's
+    occupation N - i, the pi-flip sign 1 - 2 j and the index of (j, c, i) in
+    the flattened output.  They depend on d alone, so every point of a sweep
+    reuses them; eight entries cover a five-cutoff sweep, each about d^3 / 3
+    complex numbers, read-only because every caller shares them.
     """
-    blocks = []
+    evs, blocks, idx, n_ev, n_el = [], [], [], 0, 0
     for n_tot in range(min(d + 1, 2 * d - 1)):
         i = np.arange(max(0, n_tot - d + 1), min(n_tot, d - 1) + 1)
         off = np.sqrt((i[:-1] + 1.0) * (n_tot - i[:-1]))
         ev, vec = np.linalg.eigh(1j * (np.diag(off, -1) - np.diag(off, 1)))
-        c = np.arange(max(n_tot - 1, i[0]), min(n_tot, i[-1]) + 1)  # rows with j <= 1
+        c = np.arange(max(n_tot - 1, i[0]), min(n_tot, i[-1]) + 1)[:, None]  # j <= 1
         j = n_tot - c
-        arrays = (ev, vec[c - i[0]], vec.conj().T, n_tot - i, (1 - 2 * j)[:, None], j, c)
-        for arr in arrays:
-            arr.setflags(write=False)
-        blocks.append(arrays + (slice(i[0], i[-1] + 1),))
-    return tuple(blocks)
+        idx.append(np.broadcast_arrays(n_tot - i, 1 - 2 * j, (j * d + c) * d + i))
+        blocks.append((vec[c[:, 0] - i[0]], vec.conj().T, slice(n_ev, n_ev + len(i)),
+                       slice(n_el, n_el + c.size * len(i))))
+        evs.append(ev)
+        n_ev, n_el = n_ev + len(i), n_el + c.size * len(i)
+    ev, bidx, sign, flat = (np.concatenate([a.ravel() for a in col]) for col in (evs, *zip(*idx)))
+    for arr in (ev, bidx, sign, flat, *(a for block in blocks for a in block[:2])):
+        arr.setflags(write=False)
+    return ev, tuple(blocks), bidx, sign, flat
 
 
 def _bs_kernel(theta: float, beta: np.ndarray) -> np.ndarray:
@@ -166,13 +172,18 @@ def _bs_kernel(theta: float, beta: np.ndarray) -> np.ndarray:
     G[i+1, i] = -G[i, i+1] = sqrt((i+1)(N-i)); blocks with N >= d lose the
     states past the cutoff, exactly as the truncated generator does.  The
     eigenpairs of i G_N and every index come from :func:`_bs_tables`; only
-    the block rows i = N - j, the ones with j dark-port photons, are formed.
+    the block rows i = N - j, the ones with j dark-port photons, are formed:
+    one exponential of all eigenvalues, one small product per block into a
+    flat buffer, then one scale by arm b and the signs and one scatter.
     """
+    ev, blocks, bidx, sign, flat = _bs_tables(len(beta))
+    e = np.exp(-1j * theta * ev)
+    buf = np.empty(len(flat), dtype=complex)
+    for vr, vh, s, o in blocks:
+        np.matmul(vr * e[s], vh, out=buf[o].reshape(len(vr), -1))
+    buf *= beta[bidx] * sign  # pi flip on j = 1
     w = np.zeros((2, len(beta), len(beta)), dtype=complex)
-    for ev, vr, vh, bidx, sign, j, c, sl in _bs_tables(len(beta)):
-        rows = (vr * np.exp(-1j * theta * ev)) @ vh
-        rows *= beta[bidx] * sign  # pi flip on j = 1
-        w[j, c, sl] = rows
+    w.ravel()[flat] = buf
     return w
 
 

@@ -14,10 +14,6 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
 PALETTE = ("#000000", "#1a9850", "#2166ac", "#d73027", "#7b3294", "#e08214")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
-
-
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0

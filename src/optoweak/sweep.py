@@ -188,10 +188,11 @@ def _check_exact_feasible(cfg: SweepConfig) -> None:
     """Refuse exact points whose largest arrays exceed the dense cap squared
     (a 4096 x 4096 complex matrix, 256 MiB): the recombiner-table cache of
     one optical cutoff, about d^3 / 3 entries (vec^H of each block N <= d,
-    the block rows with j <= 1 dark-port photons and the eigenvalues), and,
-    when a point is damped (gamma > 0), the (a, m) density matrix,
-    (da dm)^2 entries, and the working set of one block's exponential,
-    _EXPM_WORKSPACE generators of dm^4 entries.  Unitary points keep a ket.
+    the block rows with j <= 1 dark-port photons, the eigenvalues and the
+    arm-b, sign and scatter indices of every row element), and, when a point
+    is damped (gamma > 0), the (a, m) density matrix, (da dm)^2 entries, and
+    the working set of one block's exponential, _EXPM_WORKSPACE generators
+    of dm^4 entries.  Unitary points keep a ket.
     Then, for the modes that run exact points at the config's values (sweep,
     and figure2's overlay), refuse a mirror cutoff that the engines'
     mirror-tail check would reject at the worst point: the largest |alpha|^2
@@ -202,8 +203,8 @@ def _check_exact_feasible(cfg: SweepConfig) -> None:
     n_opt = cfg.optical_cutoff if cfg.optical_cutoff is not None else default_optical_cutoff(alpha2)
     d = n_opt + 1
     cap = DEFAULT_TOL.dense_dim_cap ** 2
-    # vec^H d(d+1)(2d+1)/6 + (d-1)^2, rows d^2 + 2d - 2, eigenvalues d(d+1)/2 + d - 1
-    cache = d * (d + 1) * (2 * d + 1) // 6 + d * (d + 1) // 2 + 2 * d * d + d - 2
+    # vec^H d(d+1)(2d+1)/6 + (d-1)^2, eigenvalues d(d+1)/2 + d - 1, rows + indices 4(d^2+2d-2)
+    cache = d * (d + 1) * (2 * d + 1) // 6 + d * (d + 1) // 2 + 5 * d * d + 7 * d - 8
     sizes = [("recombiner-table cache", cache)]
     # only damped points build the density matrix; figure2 overlays are unitary
     if cfg.mode == "sweep" and max(_exact_values(cfg, "gamma")) > 0.0:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +363,29 @@ class TestDensityMatrix:
         assert red.layout.labels == ("m", "a")
         idx = np.ravel_multi_index((0, 1), red.layout.shape)
         assert red.matrix[idx, idx] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("row, col", [(0, 3), (700, 703), (1023, 1020)])
+    def test_hermitian_check_covers_every_row_block(self, row, col):
+        # one broken pair inside the first, a middle or the last row block
+        m = np.eye(1024, dtype=complex)
+        m[row, col] = 1e-9
+        with pytest.raises(LayoutError, match="not Hermitian"):
+            DensityMatrix(ModeLayout.of(("a", 31), ("m", 31)), m)
+
+    def test_hermitian_check_holds_row_blocks_not_matrices(self):
+        # dimension 1024 (16 MiB): m - m^H and its abs, taken whole, held
+        # 2.5 matrices beside m; in row blocks the check holds a few rows
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(1024, 1024)) + 1j * rng.normal(size=(1024, 1024))
+        m = a + a.conj().T
+        del a
+        tracemalloc.start()
+        try:
+            DensityMatrix(ModeLayout.of(("a", 31), ("m", 31)), m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * m.nbytes
 
     def test_validate_catches_bad_trace(self):
         lay = ModeLayout.of(("m", 3))

@@ -118,14 +118,21 @@ class TestBeamSplitter:
         # one entry per cutoff; the second angle at cutoff 4 is a hit
         info = _bs_tables.cache_info()
         assert (info.currsize, info.misses, info.hits) == (2, 2, 1)
+        ev, blocks, bidx, sign, flat = _bs_tables(5)
         # only blocks N <= d reach a dark-port occupation below 2
-        assert [len(block[0]) for block in _bs_tables(5)] == [1, 2, 3, 4, 5, 4]
-        for block in _bs_tables(5):
-            for arr in block[:-1]:
-                with pytest.raises(ValueError):
-                    arr[...] = 0
+        assert [len(vh) for _, vh, _, _ in blocks] == [1, 2, 3, 4, 5, 4]
+        # the block slices tile the eigenvalues and the row elements in order
+        for at, total in (([s for _, _, s, _ in blocks], len(ev)),
+                          ([o for _, _, _, o in blocks], len(flat))):
+            assert [s.start for s in at] == [0] + [s.stop for s in at[:-1]]
+            assert at[-1].stop == total
+        assert [vr.size for vr, _, _, _ in blocks] == [o.stop - o.start for *_, o in blocks]
+        assert len(bidx) == len(sign) == len(np.unique(flat)) == len(flat)
+        for arr in (ev, bidx, sign, flat, *(a for vr, vh, _, _ in blocks for a in (vr, vh))):
+            with pytest.raises(ValueError):
+                arr[...] = 0
 
-    @pytest.mark.parametrize("d", [1, 2, 13, 34, 64])
+    @pytest.mark.parametrize("d", [1, 2, 3, 13, 34, 64])
     def test_tables_keep_the_loop_kernel_bits(self, d):
         rng = np.random.default_rng(d)
         beta = rng.normal(size=d) + 1j * rng.normal(size=d)

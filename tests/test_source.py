@@ -14,3 +14,18 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert SOURCES and found == []
+
+
+def test_library_does_not_import_scipy():
+    # the engines are numpy-only; scipy is a test extra in pyproject.toml
+    def roots(node):
+        if isinstance(node, ast.Import):
+            return {alias.name.split(".")[0] for alias in node.names}
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            return {node.module.split(".")[0]}
+        return set()
+
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if "scipy" in roots(node)]
+    assert SOURCES and found == []

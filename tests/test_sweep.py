@@ -3,13 +3,15 @@
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from optoweak import (ConfigError, ProtocolParams, TruncationError, evolution_params,
-                      run_protocol)
+from optoweak import (DEFAULT_TOL, ConfigError, ProtocolParams, TruncationError,
+                      evolution_params, run_protocol, sweep)
 from optoweak.cli import main
+from optoweak.interferometer import _bs_tables, default_optical_cutoff
 from optoweak.sweep import (SWEEP_HEADER, SweepConfig, format_float, iter_sweep_rows,
                             load_config, run_figure2, run_figure3, run_table1,
                             write_csv)
@@ -120,19 +122,31 @@ class TestExactFeasibility:
     def test_alpha2_400_small_mirror_rejected_by_recombiner_tables(self):
         # mirror cutoff 1: the density matrix is only (521 * 2)^2 entries, but
         # the recombiner tables for N <= 521 hold 47546461 entries of vec^H,
-        # 272480 eigenvector rows and 136501 eigenvalues
-        with pytest.raises(ConfigError, match="recombiner-table cache has 47955443 entries"):
+        # 136501 eigenvalues, and 272481 row elements in the eigenvector rows
+        # and in each of the arm-b, sign and scatter index arrays
+        with pytest.raises(ConfigError, match="recombiner-table cache has 48772886 entries"):
             load_config(None, overrides={
                 "engine": "exact", "fixed": {"alpha2": 400.0},
                 "axes": {"delta": [0.005]}, "cutoffs": {"mirror": 1}}, default_mode="sweep")
 
     def test_recombiner_tables_set_the_limit_from_mirror_cutoff_16(self):
-        # optical cutoff 365 (|alpha|^2 266.5) is the largest whose tables fit:
-        # 16745108 entries; cutoff 366 (|alpha|^2 267) needs 16881631 > 4096^2
-        for alpha2 in (266.0, 266.5):
+        # optical cutoff 362 (|alpha|^2 264) is the largest whose tables fit:
+        # 16737438 entries; cutoff 363 (|alpha|^2 264.5) needs 16873940 > 4096^2
+        for alpha2 in (263.5, 264.0):
             self.exact_cfg(alpha2, cutoffs={"mirror": 16})
-        with pytest.raises(ConfigError, match="recombiner-table cache has 16881631 entries"):
-            self.exact_cfg(267.0, cutoffs={"mirror": 16})
+        with pytest.raises(ConfigError, match="recombiner-table cache has 16873940 entries"):
+            self.exact_cfg(264.5, cutoffs={"mirror": 16})
+
+    @pytest.mark.parametrize("alpha2", [0.5, 2.0, 12.0])
+    def test_recombiner_term_counts_the_tables_the_kernel_keeps(self, monkeypatch, alpha2):
+        # with the cap lowered to one entry the guard reports its count, which
+        # must be every entry of the cached tables at that optical cutoff
+        monkeypatch.setattr(sweep, "DEFAULT_TOL", replace(DEFAULT_TOL, dense_dim_cap=1))
+        ev, blocks, *index = _bs_tables(default_optical_cutoff(alpha2) + 1)
+        entries = (ev.size + sum(vr.size + vh.size for vr, vh, _, _ in blocks)
+                   + sum(a.size for a in index))
+        with pytest.raises(ConfigError, match=f"recombiner-table cache has {entries} entries"):
+            self.exact_cfg(alpha2)
 
     def test_mirror_tail_refused_up_front(self):
         # n_opt 285 photons displace the mirror by 285 |phi| = 2.85, past what
