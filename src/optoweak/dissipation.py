@@ -189,15 +189,20 @@ def _evolved_rho(drive: ProtocolParams, gamma: float
     return pairs, rho_a, float(np.trace(rho_a).real), _arm(drive, "b").normalize().amplitudes
 
 
-def damped_protocol(params: ProtocolParams, gamma: float) -> ProtocolOutcome:
-    """The interferometer pipeline with the a-m segment damped.
+def _damped_scan(points: list[ProtocolParams], gamma: float) -> list[ProtocolOutcome]:
+    """:func:`damped_protocol` at each delta of ``points`` (one drive): one
+    stage lookup, then :func:`optoweak.interferometer._postselect`."""
+    return _postselect(points, *_evolved_rho(_drive(points[0]), gamma))
 
-    Recombination and the outcome record are those of
-    :func:`optoweak.interferometer.run_protocol`, mirror-tail check included;
-    postselection contracts the mixed state through
-    :func:`optoweak.interferometer._postselect`.  The evolved density matrix
-    does not depend on delta and comes from the stage :func:`_evolved_rho`,
-    so consecutive points of a delta scan at one drive, cutoffs and gamma
-    evolve it once.
+
+def damped_protocol(params: ProtocolParams, gamma: float) -> ProtocolOutcome:
+    """The interferometer pipeline with the a-m segment damped (a one-delta
+    :func:`_damped_scan`).
+
+    Recombination, the mirror-tail check and the outcome record are those of
+    :func:`optoweak.interferometer.run_protocol`; postselection contracts the
+    mixed state.  The evolved density matrix does not depend on delta and
+    comes from the stage :func:`_evolved_rho`, once per drive, cutoffs and
+    gamma.
     """
-    return _postselect(params, *_evolved_rho(_drive(params), gamma))
+    return _damped_scan([params], gamma)[0]

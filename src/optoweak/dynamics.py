@@ -174,15 +174,11 @@ def weak_approx_propagate(state: StateVector, params: EvolutionParams,
     ad_dag = annihilation(layout.cutoff("d"), "d").matrix.conj().T
     axes = {lab: layout.axis(lab) for lab in ("c", "d", "m")}
 
+    def on(op: np.ndarray, g: np.ndarray, lab: str) -> np.ndarray:  # op on mode lab
+        return np.moveaxis(np.tensordot(op, g, axes=([1], [axes[lab]])), 0, axes[lab])
+
     def apply_x(g: np.ndarray) -> np.ndarray:
-        out = np.tensordot(ac_dag, g, axes=([1], [axes["c"]]))
-        out = np.moveaxis(out, 0, axes["c"])
-        out2 = np.tensordot(ad_dag, g, axes=([1], [axes["d"]]))
-        out2 = np.moveaxis(out2, 0, axes["d"])
-        out = out + out2
-        out = np.tensordot(b, out, axes=([1], [axes["m"]]))
-        out = np.moveaxis(out, 0, axes["m"])
-        return alpha * out
+        return alpha * on(b, on(ac_dag, g, "c") + on(ad_dag, g, "d"), "m")
 
     # crude operator-norm bound decides how many scaling steps keep the
     # series fast and well-conditioned

@@ -168,9 +168,17 @@ class Operator:
 
     @classmethod
     def of(cls, layout: ModeLayout, matrix: np.ndarray) -> "Operator":
-        m = np.asarray(matrix, dtype=complex)
-        herm = bool(np.abs(m - m.conj().T).max() < DEFAULT_TOL.hermitian_atol)
-        return cls(layout, m, hermitian=herm)
+        m = cls(layout, matrix).matrix  # the shape check first
+        return cls(layout, m, hermitian=_hermitian(m, DEFAULT_TOL.hermitian_atol))
+
+
+def _hermitian(m: np.ndarray, atol: float) -> bool:
+    """max |m - m^H| < atol, in row blocks of 2^16 entries: a few rows, not a matrix."""
+    step = max(1, (1 << 16) // len(m))
+    for r in range(0, len(m), step):
+        if not np.abs(m[r:r + step] - m[:, r:r + step].conj().T).max() < atol:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -179,7 +187,8 @@ class DensityMatrix:
 
     The constructor checks Hermiticity only; trace normalization is the
     caller's business because postselected (sub-normalized) branches are
-    legitimate intermediate objects.
+    legitimate intermediate objects.  It takes ownership of a complex
+    ``matrix``: it keeps that array, uncopied, and makes it read-only.
     """
 
     layout: ModeLayout
@@ -189,11 +198,8 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != self.layout.dim:
             raise LayoutError(f"matrix shape {m.shape} != layout dimension {self.layout.dim}")
-        step = max(1, (1 << 16) // len(m))  # row blocks: a few rows beside m, not a matrix
-        for r in range(0, len(m), step):
-            if (np.abs(m[r:r + step] - m[:, r:r + step].conj().T).max()
-                    >= DEFAULT_TOL.density_hermitian_atol):
-                raise LayoutError("density matrix is not Hermitian within tolerance")
+        if not _hermitian(m, DEFAULT_TOL.density_hermitian_atol):
+            raise LayoutError("density matrix is not Hermitian within tolerance")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

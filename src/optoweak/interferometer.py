@@ -133,35 +133,35 @@ def _bs_tables(d: int) -> tuple:
     """Theta-free tables of :func:`_bs_kernel` for the blocks of total photon
     number N = 0..min(d, 2d - 2) (larger N reach no dark-port occupation
     below 2) on the states |i, N - i> that cutoff d keeps: all blocks'
-    eigenvalues of i G_N, concatenated; per block, the eigenvector rows of
-    the states c = N - j with j <= 1 dark-port photons, vec^H and the slices
-    of its eigenvalues and row elements; over every row element, arm b's
-    occupation N - i, the pi-flip sign 1 - 2 j and the index of (j, c, i) in
-    the flattened output.  They depend on d alone, so every point of a sweep
-    reuses them; eight entries cover a five-cutoff sweep, each about d^3 / 3
-    complex numbers, read-only because every caller shares them.
+    eigenvalues of i G_N, concatenated; per block, vec^H and the slice of its
+    row elements, the eigenvector rows of the states c = N - j with j <= 1
+    dark-port photons; over every row element, its eigenvector entry and
+    eigenvalue index, arm b's occupation N - i, the pi-flip sign 1 - 2 j and
+    the index of (j, c, i) in the flattened output.  They depend on d alone;
+    eight entries cover a five-cutoff sweep, each about d^3 / 3 complex
+    numbers, read-only because every caller shares them.
     """
-    evs, blocks, idx, n_ev, n_el = [], [], [], 0, 0
+    evs, blocks, flats, n_ev, n_el = [], [], [], 0, 0
     for n_tot in range(min(d + 1, 2 * d - 1)):
         i = np.arange(max(0, n_tot - d + 1), min(n_tot, d - 1) + 1)
         off = np.sqrt((i[:-1] + 1.0) * (n_tot - i[:-1]))
         ev, vec = np.linalg.eigh(1j * (np.diag(off, -1) - np.diag(off, 1)))
         c = np.arange(max(n_tot - 1, i[0]), min(n_tot, i[-1]) + 1)[:, None]  # j <= 1
         j = n_tot - c
-        idx.append(np.broadcast_arrays(n_tot - i, 1 - 2 * j, (j * d + c) * d + i))
-        blocks.append((vec[c[:, 0] - i[0]], vec.conj().T, slice(n_ev, n_ev + len(i)),
-                       slice(n_el, n_el + c.size * len(i))))
+        flats.append(np.broadcast_arrays(vec[c[:, 0] - i[0]], n_ev + i - i[0], n_tot - i,
+                                         1 - 2 * j, (j * d + c) * d + i))
+        blocks.append((vec.conj().T, slice(n_el, n_el + c.size * len(i))))
         evs.append(ev)
         n_ev, n_el = n_ev + len(i), n_el + c.size * len(i)
-    ev, bidx, sign, flat = (np.concatenate([a.ravel() for a in col]) for col in (evs, *zip(*idx)))
-    for arr in (ev, bidx, sign, flat, *(a for block in blocks for a in block[:2])):
+    tables = [np.concatenate([a.ravel() for a in col]) for col in (evs, *zip(*flats))]
+    for arr in (*tables, *(vh for vh, _ in blocks)):
         arr.setflags(write=False)
-    return ev, tuple(blocks), bidx, sign, flat
+    return tables[0], tuple(blocks), *tables[1:]
 
 
-def _bs_kernel(theta: float, beta: np.ndarray) -> np.ndarray:
-    """W[j, c, n] = <c, j| U |n>_a |beta>_b for dark-port occupation j = 0, 1,
-    on two modes of dimension d = len(beta).
+def _bs_kernel(thetas: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """W[t, j, c, n] = <c, j| U(thetas[t]) |n>_a |beta>_b for dark-port
+    occupation j = 0, 1, on two modes of dimension d = len(beta).
 
     U is the mixer with outputs c = cos a + sin b, d = sin a - cos b:
     exp[theta(a^dag b - a b^dag)] followed by a pi phase flip on odd
@@ -172,19 +172,30 @@ def _bs_kernel(theta: float, beta: np.ndarray) -> np.ndarray:
     G[i+1, i] = -G[i, i+1] = sqrt((i+1)(N-i)); blocks with N >= d lose the
     states past the cutoff, exactly as the truncated generator does.  The
     eigenpairs of i G_N and every index come from :func:`_bs_tables`; only
-    the block rows i = N - j, the ones with j dark-port photons, are formed:
-    one exponential of all eigenvalues, one small product per block into a
-    flat buffer, then one scale by arm b and the signs and one scatter.
+    the block rows i = N - j, the ones with j dark-port photons, are formed,
+    for all angles at once: one exponential of all eigenvalues, one gather
+    into the eigenvector rows, one batched product per block into a flat
+    buffer, then one scale by arm b and the signs and one scatter.
     """
-    ev, blocks, bidx, sign, flat = _bs_tables(len(beta))
-    e = np.exp(-1j * theta * ev)
-    buf = np.empty(len(flat), dtype=complex)
-    for vr, vh, s, o in blocks:
-        np.matmul(vr * e[s], vh, out=buf[o].reshape(len(vr), -1))
+    ev, blocks, vr, evidx, bidx, sign, flat = _bs_tables(len(beta))
+    t = len(thetas)
+    rows = vr * np.exp(-1j * thetas[:, None] * ev)[:, evidx]
+    buf = np.empty_like(rows)
+    for vh, o in blocks:
+        np.matmul(rows[:, o].reshape(t, -1, len(vh)), vh, out=buf[:, o].reshape(t, -1, len(vh)))
     buf *= beta[bidx] * sign  # pi flip on j = 1
-    w = np.zeros((2, len(beta), len(beta)), dtype=complex)
-    w.ravel()[flat] = buf
+    w = np.zeros((t, 2, len(beta), len(beta)), dtype=complex)
+    w.reshape(t, -1)[:, flat] = buf
     return w
+
+
+def _recombined(points: list[ProtocolParams], beta: np.ndarray):
+    """(chunk, W) over slices of ``points``, W from :func:`_bs_kernel` at their
+    angles pi/4 + delta: max(1, 2^16 // (2 d^2)) angles, about 1 MiB of W."""
+    step = max(1, 2 ** 16 // (2 * len(beta) ** 2))
+    for lo in range(0, len(points), step):
+        chunk = points[lo:lo + step]
+        yield chunk, _bs_kernel(np.array([math.pi / 4 + p.delta for p in chunk]), beta)
 
 
 def _outcome(params: ProtocolParams, rho_m: np.ndarray, probs: np.ndarray,
@@ -222,10 +233,11 @@ def _outcome(params: ProtocolParams, rho_m: np.ndarray, probs: np.ndarray,
         degenerate_reason="; ".join(reasons) or None)
 
 
-def _postselect(params: ProtocolParams, rho: np.ndarray, rho_a: np.ndarray,
-                trace: float, beta: np.ndarray) -> ProtocolOutcome:
+def _postselect(points: list[ProtocolParams], rho: np.ndarray, rho_a: np.ndarray,
+                trace: float, beta: np.ndarray) -> list[ProtocolOutcome]:
     """Recombine, postselect on the dark port and collect mirror statistics
-    of a mixed (a, m) state: the damped engine's route.
+    of a mixed (a, m) state at each delta of ``points`` (one drive): the
+    damped engine's route.
 
     ``rho`` is the evolved (a, m) density matrix as a (d^2, dm^2) array in
     (n n', m m') order, ``rho_a`` its partial trace over the mirror, ``trace``
@@ -233,37 +245,51 @@ def _postselect(params: ProtocolParams, rho: np.ndarray, rho_a: np.ndarray,
     :func:`_bs_kernel` the dark-port outcome j leaves the mirror in
     sum_{n n'} M_j[n, n'] rho[n n', :] with
     M_j[n, n'] = sum_c W[j, c, n] W*[j, c, n'], so both outcomes are one
-    matrix product, and outcome j has probability Tr(M_j rho_a).  The bright
-    port is never conditioned, which equals tracing it out.
+    matrix product per delta, and outcome j has probability Tr(M_j rho_a).
+    The bright port is never conditioned, which equals tracing it out.
     """
-    w = _bs_kernel(math.pi / 4 + params.delta, beta)
-    m = w.transpose(0, 2, 1) @ w.conj()  # M_j[n, n'], as a BLAS batch
-    dm = params.mirror_cutoff + 1
-    return _outcome(params, (m.reshape(2, -1) @ rho).reshape(2, dm, dm),
-                    np.einsum("jnk,nk->j", m, rho_a).real, trace)
+    dm, out = points[0].mirror_cutoff + 1, []
+    for chunk, w in _recombined(points, beta):
+        m = w.transpose(0, 1, 3, 2) @ w.conj()  # M_j[n, n'], as a BLAS batch
+        rho_m = (m.reshape(len(chunk), 2, -1) @ rho).reshape(-1, 2, dm, dm)
+        probs = np.einsum("tjnk,nk->tj", m, rho_a).real
+        out += [_outcome(*args, trace) for args in zip(chunk, rho_m, probs)]
+    return out
+
+
+def _scan(points: list[ProtocolParams]) -> list[ProtocolOutcome]:
+    """:func:`run_protocol` at each delta of ``points``, which share one
+    :func:`_drive` key and were each built, so checked, by the caller: one
+    stage lookup, one displacement warning (at the caller's caller) and
+    the recombiner in angle batches (:func:`_recombined`)."""
+    drive = _drive(points[0])
+    grid, norm2, beta = _evolved_ket(drive)
+    _warn_large_displacement(drive.evolution.disp_param, drive.optical_cutoff,
+                             drive.mirror_cutoff, stacklevel=3)
+    out = []
+    for chunk, w in _recombined(points, beta):
+        x = w @ grid
+        probs = (x.real ** 2 + x.imag ** 2).sum(axis=(2, 3))
+        out += [_outcome(*args, norm2) for args in
+                zip(chunk, x.transpose(0, 1, 3, 2) @ x.conj(), probs)]
+    return out
 
 
 def run_protocol(params: ProtocolParams) -> ProtocolOutcome:
-    """Run the unitary pipeline and collect both dark-port branches.
+    """Run the unitary pipeline and collect both dark-port branches (a
+    one-delta :func:`_scan`).
 
     The (a, m) ket evolves under the factored propagator and stays a ket up
     to the dark port: x_j = W_j psi, with W from :func:`_bs_kernel`, is the
     (bright port c) x mirror ket left by dark-port outcome j, and tracing
     out c gives the unnormalized mirror state x_j^T x_j^*.  No (a, m)
     density matrix is formed; :func:`_postselect` is the mixed-state route.
-
-    Everything before the recombiner is independent of delta and comes from
-    the stage :func:`_evolved_ket`, so the points of a delta scan at one
-    drive and cutoffs evolve the ket once.  The warning that the largest
-    mirror displacement is not small against the cutoff fires on every call.
+    Everything before the recombiner is independent of delta: the stage
+    :func:`_evolved_ket` evolves the ket once per drive and cutoffs.  The
+    warning that the largest mirror displacement is not small against the
+    cutoff fires on every call.
     """
-    drive = _drive(params)
-    grid, norm2, beta = _evolved_ket(drive)
-    _warn_large_displacement(drive.evolution.disp_param, drive.optical_cutoff,
-                             drive.mirror_cutoff, stacklevel=2)
-    x = _bs_kernel(math.pi / 4 + params.delta, beta) @ grid
-    probs = (x.real ** 2 + x.imag ** 2).sum(axis=(1, 2))
-    return _outcome(params, x.transpose(0, 2, 1) @ x.conj(), probs, norm2)
+    return _scan([params])[0]
 
 
 def weak_value_numeric(params: ProtocolParams) -> float:

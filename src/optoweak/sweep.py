@@ -8,6 +8,7 @@ byte-stable across runs.  Rows stream in grid order, to a file or to stdout.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import sys
@@ -16,11 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytics
-from .dissipation import _EXPM_WORKSPACE, damped_protocol
+from .dissipation import _EXPM_WORKSPACE, _damped_scan
 from .dynamics import _mirror_tail, evolution_params
 from .errors import ConfigError, DegenerateBranchError, TruncationError
 from .fock import coherent_state
-from .interferometer import ProtocolParams, default_optical_cutoff, run_protocol
+from .interferometer import ProtocolParams, _scan, default_optical_cutoff
 from .tolerances import DEFAULT_TOL
 
 MODES = ("figure2", "figure3", "table1", "verify", "sweep")
@@ -37,6 +38,7 @@ DELTA_GRID = {"start": 0.001, "stop": 0.12, "count": 200}
 CONFIG_KEYS = ("mode", "engine", "fixed", "axes", "pairs", "cutoffs",
                "overlay_alpha2", "out", "svg")
 RETIRED_KEYS = ("workers",)  # accepted and ignored
+SCAN_POINTS = 512  # grid points per batch of exact scans
 
 
 @dataclass(frozen=True)
@@ -188,8 +190,9 @@ def _check_exact_feasible(cfg: SweepConfig) -> None:
     """Refuse exact points whose largest arrays exceed the dense cap squared
     (a 4096 x 4096 complex matrix, 256 MiB): the recombiner-table cache of
     one optical cutoff, about d^3 / 3 entries (vec^H of each block N <= d,
-    the block rows with j <= 1 dark-port photons, the eigenvalues and the
-    arm-b, sign and scatter indices of every row element), and, when a point
+    the eigenvalues, and of every element of the block rows with j <= 1
+    dark-port photons its entry and eigenvalue, arm-b, sign and scatter
+    indices), and, when a point
     is damped (gamma > 0), the (a, m) density matrix, (da dm)^2 entries, and
     the working set of one block's exponential, _EXPM_WORKSPACE generators
     of dm^4 entries.  Unitary points keep a ket.
@@ -203,8 +206,8 @@ def _check_exact_feasible(cfg: SweepConfig) -> None:
     n_opt = cfg.optical_cutoff if cfg.optical_cutoff is not None else default_optical_cutoff(alpha2)
     d = n_opt + 1
     cap = DEFAULT_TOL.dense_dim_cap ** 2
-    # vec^H d(d+1)(2d+1)/6 + (d-1)^2, eigenvalues d(d+1)/2 + d - 1, rows + indices 4(d^2+2d-2)
-    cache = d * (d + 1) * (2 * d + 1) // 6 + d * (d + 1) // 2 + 5 * d * d + 7 * d - 8
+    # vec^H d(d+1)(2d+1)/6 + (d-1)^2, eigenvalues d(d+1)/2 + d - 1, rows + indices 5(d^2+2d-2)
+    cache = d * (d + 1) * (2 * d + 1) // 6 + d * (d + 1) // 2 + 6 * d * d + 9 * d - 10
     sizes = [("recombiner-table cache", cache)]
     # only damped points build the density matrix; figure2 overlays are unitary
     if cfg.mode == "sweep" and max(_exact_values(cfg, "gamma")) > 0.0:
@@ -278,20 +281,19 @@ def _analytic_point(k: float, wm_t: float, alpha2: float, delta: float) -> dict:
     return out
 
 
-def _exact_point(cfg: SweepConfig, k: float, wm_t: float, alpha2: float,
-                 delta: float, gamma: float) -> dict:
-    params = ProtocolParams(
-        alpha=complex(math.sqrt(alpha2)), delta=delta,
-        evolution=evolution_params(k, wm_t),
-        optical_cutoff=cfg.optical_cutoff, mirror_cutoff=cfg.exact_mirror_cutoff)
-    out = damped_protocol(params, gamma) if gamma > 0.0 else run_protocol(params)
-    return {
-        "p_click": out.p_click, "p_noclick": out.p_noclick,
-        "p_residual": out.p_residual,
-        "q_click": out.q_click, "q_noclick": out.q_noclick, "q_diff": out.diff,
-        "dq_click": out.dq_click, "dq_noclick": out.dq_noclick,
-        "reason": out.degenerate_reason or "",
-    }
+def _exact_outcomes(cfg: SweepConfig, points: list[dict]) -> list:
+    """Each grid point's exact outcome (None for the analytic engine), from one
+    unitary or damped (gamma > 0) scan per drive (k, wm_t, |alpha|^2, gamma)."""
+    out, groups = {}, {}
+    for i, pt in enumerate(points if cfg.engine != "analytic" else ()):
+        groups.setdefault((pt["k"], pt["wm_t"], pt["alpha2"], pt["gamma"]), []).append(i)
+    for (k, wm_t, alpha2, gamma), idx in groups.items():
+        scan = [ProtocolParams(alpha=complex(math.sqrt(alpha2)), delta=points[i]["delta"],
+                               evolution=evolution_params(k, wm_t),
+                               optical_cutoff=cfg.optical_cutoff,
+                               mirror_cutoff=cfg.exact_mirror_cutoff) for i in idx]
+        out.update(zip(idx, _damped_scan(scan, gamma) if gamma > 0.0 else _scan(scan)))
+    return [out.get(i) for i in range(len(points))]
 
 
 SWEEP_HEADER = [
@@ -303,52 +305,48 @@ SWEEP_HEADER = [
 ]
 
 
-def _sweep_rows_for_point(cfg: SweepConfig, point: dict) -> list[list]:
+def _sweep_rows_for_point(cfg: SweepConfig, point: dict, out) -> list[list]:
+    """The rows of one grid point; ``out`` is its exact outcome, or None."""
     k, wm_t = point["k"], point["wm_t"]
     alpha2, delta, gamma = point["alpha2"], point["delta"], point["gamma"]
     base = [k, wm_t, alpha2, delta, gamma]
     ana = _analytic_point(k, wm_t, alpha2, delta)
     rows = []
-    exact = None
-    if cfg.engine in ("exact", "both"):
-        exact = _exact_point(cfg, k, wm_t, alpha2, delta, gamma)
     rel = math.nan
-    if exact is not None and not math.isnan(ana["q_diff"]) and ana["q_diff"] != 0:
-        rel = (exact["q_diff"] - ana["q_diff"]) / ana["q_diff"]
+    if out is not None and not math.isnan(ana["q_diff"]) and ana["q_diff"] != 0:
+        rel = (out.diff - ana["q_diff"]) / ana["q_diff"]
+    tail = [ana["q_wva"], ana["weak_value"], ana["weak_value_one_photon"],
+            ana["q_no_postselection"], rel]
     if cfg.engine in ("analytic", "both"):
-        note = ana["reason"] if exact is not None else \
+        note = ana["reason"] if out is not None else \
             "; ".join(filter(None, [ana["reason"], "analytic engine: no exact columns"]))
         rows.append(base + ["analytic", ana["regime"],
                             ana["p_click"], math.nan, math.nan,
                             ana["q_click"], ana["q_noclick"], ana["q_diff"],
-                            math.nan, math.nan,
-                            ana["q_wva"], ana["weak_value"],
-                            ana["weak_value_one_photon"], ana["q_no_postselection"],
-                            rel, note])
-    if exact is not None:
-        note = "; ".join(filter(None, [ana["reason"], exact["reason"]]))
+                            math.nan, math.nan, *tail, note])
+    if out is not None:
+        note = "; ".join(filter(None, [ana["reason"], out.degenerate_reason]))
         rows.append(base + ["exact", ana["regime"],
-                            exact["p_click"], exact["p_noclick"], exact["p_residual"],
-                            exact["q_click"], exact["q_noclick"], exact["q_diff"],
-                            exact["dq_click"], exact["dq_noclick"],
-                            ana["q_wva"], ana["weak_value"],
-                            ana["weak_value_one_photon"], ana["q_no_postselection"],
-                            rel, note])
+                            out.p_click, out.p_noclick, out.p_residual,
+                            out.q_click, out.q_noclick, out.diff,
+                            out.dq_click, out.dq_noclick, *tail, note])
     return rows
 
 
 def iter_sweep_rows(cfg: SweepConfig):
     """Yield sweep rows in grid order (the last axis in SWEEPABLE order
-    varies fastest) as grid points complete."""
+    varies fastest), SCAN_POINTS grid points at a time: each batch runs its
+    exact points as one scan per drive (:func:`_exact_outcomes`) first."""
     if not cfg.axes:
         raise ConfigError("sweep mode needs at least one axis")
     names = [n for n in SWEEPABLE if n in cfg.axes]
     grids = [cfg.axes[n] for n in names]
-    for combo in np.ndindex(*[len(g) for g in grids]):
-        point = {n: cfg.value(n) for n in DEFAULT_FIXED}
-        for name, grid, idx in zip(names, grids, combo):
-            point[name] = grid[idx]
-        yield from _sweep_rows_for_point(cfg, point)
+    points = ({**{n: cfg.value(n) for n in DEFAULT_FIXED},
+               **{name: grid[i] for name, grid, i in zip(names, grids, combo)}}
+              for combo in np.ndindex(*[len(g) for g in grids]))
+    while batch := list(itertools.islice(points, SCAN_POINTS)):
+        for point, out in zip(batch, _exact_outcomes(cfg, batch)):
+            yield from _sweep_rows_for_point(cfg, point, out)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +364,7 @@ def run_figure2(cfg: SweepConfig) -> tuple[list[str], list[list]]:
         header += ["exact_alpha2", "exact_q_noclick", "exact_q_click",
                    "exact_q_diff", "exact_p_click"]
 
-    def row(delta: float) -> list:
+    def row(delta: float, ex) -> list:
         ana = _analytic_point(k, wm_t, alpha2, delta)
         out = [delta,
                ana["q_no_postselection"],
@@ -375,13 +373,13 @@ def run_figure2(cfg: SweepConfig) -> tuple[list[str], list[list]]:
                ana["q_diff"],
                ana["q_wva"] - ana["q_noclick"],
                ana["p_click"]]
-        if overlay:
-            ex = _exact_point(cfg, k, wm_t, cfg.overlay_alpha2, delta, 0.0)
-            out += [cfg.overlay_alpha2, ex["q_noclick"], ex["q_click"],
-                    ex["q_diff"], ex["p_click"]]
+        if ex is not None:
+            out += [cfg.overlay_alpha2, ex.q_noclick, ex.q_click, ex.diff, ex.p_click]
         return out
 
-    return header, [row(d) for d in deltas]
+    exact = _exact_outcomes(cfg, [{"k": k, "wm_t": wm_t, "alpha2": cfg.overlay_alpha2,
+                                   "delta": d, "gamma": 0.0} for d in deltas])
+    return header, list(map(row, deltas, exact))
 
 
 def run_figure3(cfg: SweepConfig) -> tuple[list[str], list[list]]:

@@ -25,7 +25,7 @@ from .dynamics import (dense_propagator, evolution_params, factored_propagate,
 from .fock import (DensityMatrix, ModeLayout, StateVector, coherent_state,
                    fock_state, pointer_shift, position, project_fock,
                    reduced_density, tensor, vacuum_state)
-from .interferometer import ProtocolParams, run_protocol, weak_value_numeric
+from .interferometer import ProtocolParams, _scan, run_protocol, weak_value_numeric
 from .sweep import TABLE1_DELTAS, run_table1
 
 
@@ -146,31 +146,20 @@ DESK_DELTAS = (0.002, 0.005, 0.01, 0.02, 0.035, 0.05)
 def check_exact_vs_analytic(res: CheckResult, optical_cutoff: int = 14,
                             mirror_cutoff: int = 8) -> None:
     k, wm_t, alpha2 = 0.005, math.pi, 2.0
-    worst = {"q_diff": 0.0, "p_click": 0.0, "q_noclick": 0.0, "indep": 0.0}
-    for delta in DESK_DELTAS:
-        inp = analytics.AnalyticInputs.of(alpha2, delta, k, wm_t)
-        outs = {}
-        for a2 in (0.5, alpha2):
-            params = ProtocolParams(alpha=complex(math.sqrt(a2)), delta=delta,
-                                    evolution=evolution_params(k, wm_t),
-                                    optical_cutoff=optical_cutoff,
-                                    mirror_cutoff=mirror_cutoff)
-            outs[a2] = run_protocol(params)
-        ex = outs[alpha2]
-        worst["q_diff"] = max(worst["q_diff"],
-                              abs(ex.diff - analytics.q_diff(inp)) / analytics.q_diff(inp))
-        worst["p_click"] = max(worst["p_click"],
-                               abs(ex.p_click - analytics.p_success(inp))
-                               / analytics.p_success(inp))
-        worst["q_noclick"] = max(worst["q_noclick"],
-                                 abs(ex.q_noclick - analytics.q_noclick(inp))
-                                 / analytics.q_noclick(inp))
-        worst["indep"] = max(worst["indep"],
-                             abs(outs[0.5].diff - ex.diff) / abs(ex.diff))
-    res.add("max rel dev of q_diff vs closed form", worst["q_diff"], 0.05)
-    res.add("max rel dev of p_click vs closed form", worst["p_click"], 0.05)
-    res.add("max rel dev of q_noclick vs closed form", worst["q_noclick"], 0.02)
-    res.add("q_diff alpha2-independence 0.5 vs 2", worst["indep"], 0.02)
+    low, ex = (_scan([ProtocolParams(alpha=complex(math.sqrt(a2)), delta=delta,
+                                     evolution=evolution_params(k, wm_t),
+                                     optical_cutoff=optical_cutoff,
+                                     mirror_cutoff=mirror_cutoff) for delta in DESK_DELTAS])
+               for a2 in (0.5, alpha2))
+    inps = [analytics.AnalyticInputs.of(alpha2, delta, k, wm_t) for delta in DESK_DELTAS]
+    for name, attr, ref, tol in (("q_diff", "diff", analytics.q_diff, 0.05),
+                                 ("p_click", "p_click", analytics.p_success, 0.05),
+                                 ("q_noclick", "q_noclick", analytics.q_noclick, 0.02)):
+        res.add(f"max rel dev of {name} vs closed form",
+                max(abs(getattr(out, attr) - ref(inp)) / ref(inp) for out, inp in zip(ex, inps)),
+                tol)
+    res.add("q_diff alpha2-independence 0.5 vs 2",
+            max(abs(lo.diff - out.diff) / abs(out.diff) for lo, out in zip(low, ex)), 0.02)
 
 
 # --------------------------------------------------------------------------

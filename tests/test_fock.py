@@ -19,6 +19,7 @@ from optoweak import (DEFAULT_TOL, DegenerateBranchError, DensityMatrix,
                       expectation, fock_state, pointer_shift, position,
                       project_fock, poisson_tail, reduced_density, tensor,
                       vacuum_state)
+from optoweak.dynamics import dense_propagator
 from optoweak.fock import _displacement_powers
 
 
@@ -387,6 +388,19 @@ class TestDensityMatrix:
             tracemalloc.stop()
         assert peak < 0.25 * m.nbytes
 
+    def test_constructor_takes_ownership_of_a_complex_matrix(self):
+        # a complex array is kept uncopied and frozen, the caller's included;
+        # any other dtype is converted, so the caller keeps a writable array
+        lay = ModeLayout.of(("m", 2))
+        m = np.eye(3, dtype=complex)
+        rho = DensityMatrix(lay, m)
+        assert rho.matrix is m and not m.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 2.0
+        real = np.eye(3)
+        assert DensityMatrix(lay, real).matrix is not real
+        real[0, 0] = 2.0
+
     def test_validate_catches_bad_trace(self):
         lay = ModeLayout.of(("m", 3))
         rho = DensityMatrix(lay, 0.5 * np.eye(4, dtype=complex))
@@ -405,3 +419,27 @@ class TestOperatorFlags:
         raw = Operator(ModeLayout.of(("a", 3)), mat)
         assert not raw.hermitian
         assert Operator.of(ModeLayout.of(("a", 3)), mat).hermitian
+
+    def test_propagator_flag_is_exact(self):
+        # exp(-i H wm_t) is the identity, so Hermitian, only at wm_t = 0
+        assert dense_propagator(0.01, 0.0, 3, 3).hermitian
+        assert not dense_propagator(0.01, math.pi, 3, 3).hermitian
+
+    @pytest.mark.parametrize("row, col", [(-1, -1), (0, 3), (1023, 1020)])
+    def test_hermitian_flag_checks_row_blocks_not_matrices(self, row, col):
+        # dimension 1024 (16 MiB): the whole-matrix check held 2.0 matrices
+        # beside m; one broken pair, if any, in the first or the last block
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=(1024, 1024)) + 1j * rng.normal(size=(1024, 1024))
+        m = a + a.conj().T
+        del a
+        if row >= 0:
+            m[row, col] += 1e-9
+        tracemalloc.start()
+        try:
+            op = Operator.of(ModeLayout.of(("a", 31), ("m", 31)), m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.hermitian == (row < 0)
+        assert peak < 0.25 * m.nbytes

@@ -96,9 +96,9 @@ class TestBeamSplitter:
         d = cutoff + 1
         rng = np.random.default_rng(cutoff)
         beta = rng.normal(size=d) + 1j * rng.normal(size=d)
-        w = _bs_kernel(theta, beta)
-        assert w.shape == (2, d, d)
-        assert np.abs(w - dense_kernel(theta, beta)).max() < 1e-13
+        w = _bs_kernel(np.array([theta]), beta)
+        assert w.shape == (1, 2, d, d)
+        assert np.abs(w[0] - dense_kernel(theta, beta)).max() < 1e-13
 
     def test_interleaved_cutoffs_reuse_cached_eigenpairs(self):
         # cutoffs and angles alternate, so later calls take the eigenpairs
@@ -109,35 +109,43 @@ class TestBeamSplitter:
                               (3, math.pi / 2)]:
             d = cutoff + 1
             beta = rng.normal(size=d) + 1j * rng.normal(size=d)
-            assert np.abs(_bs_kernel(theta, beta) - dense_kernel(theta, beta)).max() < 1e-13
+            w = _bs_kernel(np.array([theta]), beta)[0]
+            assert np.abs(w - dense_kernel(theta, beta)).max() < 1e-13
 
     def test_tables_are_cached_per_cutoff_and_read_only(self):
         _bs_tables.cache_clear()
         for cutoff, theta in [(4, 0.3), (4, math.pi / 4 + 0.03), (6, 0.3)]:
-            _bs_kernel(theta, np.ones(cutoff + 1, dtype=complex))
+            _bs_kernel(np.array([theta]), np.ones(cutoff + 1, dtype=complex))
         # one entry per cutoff; the second angle at cutoff 4 is a hit
         info = _bs_tables.cache_info()
         assert (info.currsize, info.misses, info.hits) == (2, 2, 1)
-        ev, blocks, bidx, sign, flat = _bs_tables(5)
+        ev, blocks, vr, evidx, bidx, sign, flat = _bs_tables(5)
         # only blocks N <= d reach a dark-port occupation below 2
-        assert [len(vh) for _, vh, _, _ in blocks] == [1, 2, 3, 4, 5, 4]
-        # the block slices tile the eigenvalues and the row elements in order
-        for at, total in (([s for _, _, s, _ in blocks], len(ev)),
-                          ([o for _, _, _, o in blocks], len(flat))):
-            assert [s.start for s in at] == [0] + [s.stop for s in at[:-1]]
-            assert at[-1].stop == total
-        assert [vr.size for vr, _, _, _ in blocks] == [o.stop - o.start for *_, o in blocks]
-        assert len(bidx) == len(sign) == len(np.unique(flat)) == len(flat)
-        for arr in (ev, bidx, sign, flat, *(a for vr, vh, _, _ in blocks for a in (vr, vh))):
+        assert [len(vh) for vh, _ in blocks] == [1, 2, 3, 4, 5, 4]
+        # the block slices tile the row elements in order, each a whole
+        # number of eigenvector rows; every eigenvalue is some row's
+        at = [o for _, o in blocks]
+        assert [o.start for o in at] == [0] + [o.stop for o in at[:-1]]
+        assert at[-1].stop == len(flat)
+        assert all((o.stop - o.start) % len(vh) == 0 for vh, o in blocks)
+        assert (np.unique(evidx) == np.arange(len(ev))).all()
+        assert len(vr) == len(bidx) == len(sign) == len(np.unique(flat)) == len(flat)
+        for arr in (ev, vr, evidx, bidx, sign, flat, *(vh for vh, _ in blocks)):
             with pytest.raises(ValueError):
                 arr[...] = 0
 
+    @pytest.mark.parametrize("n_angles", [1, 3, 20])
     @pytest.mark.parametrize("d", [1, 2, 3, 13, 34, 64])
-    def test_tables_keep_the_loop_kernel_bits(self, d):
+    def test_tables_keep_the_loop_kernel_bits(self, d, n_angles):
+        # every angle of a batch gets the bits of its own per-angle loop
         rng = np.random.default_rng(d)
         beta = rng.normal(size=d) + 1j * rng.normal(size=d)
-        for theta in (0.3, math.pi / 4 + 0.005, math.pi / 2):
-            assert (_bs_kernel(theta, beta) == loop_kernel(theta, beta)).all()
+        thetas = np.concatenate([[0.3, math.pi / 2], math.pi / 4 + rng.uniform(0.001, 0.12, 18)])
+        thetas = thetas[:n_angles]
+        w = _bs_kernel(thetas, beta)
+        assert w.shape == (n_angles, 2, d, d)
+        for t, theta in enumerate(thetas):
+            assert (w[t] == loop_kernel(theta, beta)).all()
 
     def test_balanced_maps_coherent_pair(self):
         u, v = 0.6, -0.3
@@ -428,7 +436,8 @@ def density_route(params, rho_am):
     contracted one branch at a time with M_j = W_j^T W_j^*: the reference
     for the ket path of :func:`run_protocol` and the batched contraction of
     the damped engine."""
-    w = _bs_kernel(math.pi / 4 + params.delta, _arm(params, "b").normalize().amplitudes)
+    w = _bs_kernel(np.array([math.pi / 4 + params.delta]),
+                   _arm(params, "b").normalize().amplitudes)[0]
     m = w.transpose(0, 2, 1) @ w.conj()
     rho_a = np.trace(rho_am, axis1=1, axis2=3)
     probs = np.einsum("jnk,nk->j", m, rho_a).real

@@ -1,6 +1,7 @@
 """The delta-free stages both engines cache: reuse across a delta scan, the
 same bits as an uncached run, and every check still raised on a cache hit."""
 
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -9,10 +10,11 @@ import numpy as np
 import pytest
 
 from optoweak import (ProtocolParams, TruncationError, damped_protocol,
-                      evolution_params, run_protocol)
+                      evolution_params, run_protocol, sweep)
 from optoweak.dissipation import _evolved_rho
 from optoweak.fock import _moment_table
-from optoweak.interferometer import _drive, _evolved_ket
+from optoweak.interferometer import _drive, _evolved_ket, _scan
+from optoweak.sweep import SWEEP_HEADER, iter_sweep_rows, load_config
 
 FIELDS = ("p_click", "p_noclick", "p_residual", "q_click", "q_noclick",
           "dq_click", "dq_noclick", "diff")
@@ -154,3 +156,72 @@ def test_small_mirror_cutoff_raises_on_every_call(run, stage, key):
         with pytest.raises(TruncationError, match="mirror cutoff 1 too small"):
             run(params)
     assert stage.cache_info().currsize == 0
+
+
+
+def test_one_delta_scan_is_run_protocol_and_warns_at_the_caller():
+    # the point of the displacement-warning test above
+    params = make_params(2.0, 0.02, k=0.1, mirror_cutoff=12)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = inspect.currentframe().f_lineno + 1
+        out = run_protocol(params)
+        scanned = _scan([params])[0]
+    assert fingerprint(out) == fingerprint(scanned)
+    hits = [w for w in caught if "displacement" in str(w.message)]
+    assert len(hits) == 2
+    assert (hits[0].filename, hits[0].lineno) == (__file__, line)
+
+
+EXACT_COLUMNS = (("p_click", "p_click"), ("p_noclick", "p_noclick"),
+                 ("p_residual", "p_residual"), ("q_click", "q_click"),
+                 ("q_noclick", "q_noclick"), ("q_diff", "diff"),
+                 ("dq_click", "dq_click"), ("dq_noclick", "dq_noclick"))
+
+
+@pytest.mark.parametrize("batch", [sweep.SCAN_POINTS, 64])
+@pytest.mark.parametrize("engine", ["unitary", "damped"])
+def test_sweep_evaluates_each_stage_once_per_drive_and_batch(monkeypatch, engine, batch):
+    # delta varies slowest: point by point, 10 unitary drives (more than the
+    # ket stage keeps) or 2 damped gammas (the density-matrix stage keeps one)
+    # would miss at every point
+    monkeypatch.setattr(sweep, "SCAN_POINTS", batch)
+    deltas = list(np.linspace(0.001, 0.05, 20))
+    if engine == "unitary":
+        stage, drives = _evolved_ket, list(np.linspace(0.1, 1.0, 10))
+        axes, fixed = {"delta": deltas, "alpha2": drives}, {}
+        cutoffs = {"mirror": 4}
+    else:
+        stage, drives = _evolved_rho, [1e-3, 2e-3]
+        axes, fixed = {"delta": deltas, "gamma": drives}, {"alpha2": 2.0}
+        cutoffs = {"optical": 12, "mirror": 3}
+    cfg = load_config(None, overrides={"engine": "exact", "axes": axes, "fixed": fixed,
+                                       "cutoffs": cutoffs}, default_mode="sweep")
+    stage.cache_clear()
+    rows = [dict(zip(SWEEP_HEADER, row)) for row in iter_sweep_rows(cfg)]
+    info = stage.cache_info()
+    # one lookup per drive in each batch (the drive axis varies fastest); a
+    # later batch may hit what an earlier one left in the stage
+    grid = range(len(deltas) * len(drives))
+    lookups = sum(len({i % len(drives) for i in grid[lo:lo + batch]})
+                  for lo in range(0, len(grid), batch))
+    assert info.hits + info.misses == lookups
+    if batch >= len(grid):  # one batch: one miss per drive
+        assert info.misses == len(drives)
+    for row in rows:
+        params = ProtocolParams(alpha=complex(math.sqrt(row["alpha2"])), delta=row["delta"],
+                                evolution=evolution_params(row["k"], row["wm_t"]),
+                                optical_cutoff=cutoffs.get("optical"),
+                                mirror_cutoff=cutoffs["mirror"])
+        out = (run_protocol(params) if engine == "unitary"
+               else damped_protocol(params, row["gamma"]))
+        for col, name in EXACT_COLUMNS:
+            assert float(row[col]).hex() == float(getattr(out, name)).hex(), col
+
+
+def test_figure2_overlay_is_one_scan(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sweep, "_scan", lambda points: calls.append(len(points)) or _scan(points))
+    cfg = load_config(None, overrides={"engine": "both"}, default_mode="figure2")
+    header, rows = sweep.run_figure2(cfg)
+    assert calls == [len(rows)] == [200]

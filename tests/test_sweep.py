@@ -123,28 +123,27 @@ class TestExactFeasibility:
         # mirror cutoff 1: the density matrix is only (521 * 2)^2 entries, but
         # the recombiner tables for N <= 521 hold 47546461 entries of vec^H,
         # 136501 eigenvalues, and 272481 row elements in the eigenvector rows
-        # and in each of the arm-b, sign and scatter index arrays
-        with pytest.raises(ConfigError, match="recombiner-table cache has 48772886 entries"):
+        # and in each of the eigenvalue, arm-b, sign and scatter index arrays
+        with pytest.raises(ConfigError, match="recombiner-table cache has 49045367 entries"):
             load_config(None, overrides={
                 "engine": "exact", "fixed": {"alpha2": 400.0},
                 "axes": {"delta": [0.005]}, "cutoffs": {"mirror": 1}}, default_mode="sweep")
 
     def test_recombiner_tables_set_the_limit_from_mirror_cutoff_16(self):
-        # optical cutoff 362 (|alpha|^2 264) is the largest whose tables fit:
-        # 16737438 entries; cutoff 363 (|alpha|^2 264.5) needs 16873940 > 4096^2
-        for alpha2 in (263.5, 264.0):
+        # optical cutoff 361 (|alpha|^2 263.5) is the largest whose tables fit:
+        # 16733440 entries; cutoff 362 (|alpha|^2 264) needs 16869931 > 4096^2
+        for alpha2 in (263.0, 263.5):
             self.exact_cfg(alpha2, cutoffs={"mirror": 16})
-        with pytest.raises(ConfigError, match="recombiner-table cache has 16873940 entries"):
-            self.exact_cfg(264.5, cutoffs={"mirror": 16})
+        with pytest.raises(ConfigError, match="recombiner-table cache has 16869931 entries"):
+            self.exact_cfg(264.0, cutoffs={"mirror": 16})
 
     @pytest.mark.parametrize("alpha2", [0.5, 2.0, 12.0])
     def test_recombiner_term_counts_the_tables_the_kernel_keeps(self, monkeypatch, alpha2):
         # with the cap lowered to one entry the guard reports its count, which
         # must be every entry of the cached tables at that optical cutoff
         monkeypatch.setattr(sweep, "DEFAULT_TOL", replace(DEFAULT_TOL, dense_dim_cap=1))
-        ev, blocks, *index = _bs_tables(default_optical_cutoff(alpha2) + 1)
-        entries = (ev.size + sum(vr.size + vh.size for vr, vh, _, _ in blocks)
-                   + sum(a.size for a in index))
+        ev, blocks, *flat = _bs_tables(default_optical_cutoff(alpha2) + 1)
+        entries = ev.size + sum(vh.size for vh, _ in blocks) + sum(a.size for a in flat)
         with pytest.raises(ConfigError, match=f"recombiner-table cache has {entries} entries"):
             self.exact_cfg(alpha2)
 
