@@ -1,17 +1,19 @@
 """Command-line front end.
 
     optoweak figure2|figure3|table1|verify|sweep
-             [--config path] [--out path] [--svg path]
-             [--engine analytic|exact|both]
+             [--config path] [--out path] [--engine analytic|exact|both]
+             [--svg path]  (figure2 and figure3 only)
 
 Configuration comes from a single JSON file (documented in the README);
 command-line flags override config keys.  Exit codes: 0 success,
-1 verification failure, 2 config error, 3 numerical/truncation error.
+1 verification failure, 2 config error (an output path that cannot be
+written included), 3 numerical/truncation error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -25,6 +27,8 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+SVG_PLOTS = {"figure2": ("mirror displacement vs postselection parameter", "mean q / sigma"),
+             "figure3": ("required mean photon number", "|alpha|^2")}  # title, y label
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -41,9 +45,21 @@ def _parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name, help=blurb)
         q.add_argument("--config", help="JSON config file")
         q.add_argument("--out", help="output CSV path (default: stdout)")
-        q.add_argument("--svg", help="optional SVG plot path")
         q.add_argument("--engine", choices=("analytic", "exact", "both"))
+        if name in SVG_PLOTS:
+            q.add_argument("--svg", help="optional SVG plot path")
     return p
+
+
+@contextlib.contextmanager
+def _writing(path: str | None):
+    """Report an OSError from opening or writing ``path`` as a config error."""
+    try:
+        yield
+    except OSError as err:
+        if not path:  # stdout
+            raise
+        raise ConfigError(f"cannot write {path!r}: {err.strerror or err}") from err
 
 
 def _figure_svg(cfg: SweepConfig, header: list[str], rows: list[list],
@@ -55,33 +71,25 @@ def _figure_svg(cfg: SweepConfig, header: list[str], rows: list[list],
     series = {name: [row[i] for row in rows]
               for i, name in enumerate(header) if i > 0
               if not name.startswith("exact_") and name != "p_click"}
-    render_svg(cfg.svg, x, series, title, header[0], ylabel)
+    with _writing(cfg.svg):
+        render_svg(cfg.svg, x, series, title, header[0], ylabel)
 
 
 def _run(args: argparse.Namespace) -> int:
-    overrides = {"engine": args.engine, "out": args.out, "svg": args.svg}
+    overrides = {"engine": args.engine, "out": args.out, "svg": getattr(args, "svg", None)}
     cfg = load_config(args.config, overrides, default_mode=args.command)
     if cfg.mode != args.command:
         raise ConfigError(f"config mode {cfg.mode!r} conflicts with "
                           f"subcommand {args.command!r}")
 
-    if args.command == "table1":
-        header, rows = run_table1()
-        write_csv(cfg.out, header, rows)
-        return EXIT_OK
-    if args.command == "figure2":
-        header, rows = run_figure2(cfg)
-        write_csv(cfg.out, header, rows)
-        _figure_svg(cfg, header, rows, "mirror displacement vs postselection parameter",
-                    "mean q / sigma")
-        return EXIT_OK
-    if args.command == "figure3":
-        header, rows = run_figure3(cfg)
-        write_csv(cfg.out, header, rows)
-        _figure_svg(cfg, header, rows, "required mean photon number", "|alpha|^2")
-        return EXIT_OK
-    if args.command == "sweep":
-        write_csv(cfg.out, SWEEP_HEADER, iter_sweep_rows(cfg))
+    if args.command != "verify":
+        header, rows = {"table1": run_table1, "figure2": lambda: run_figure2(cfg),
+                        "figure3": lambda: run_figure3(cfg),
+                        "sweep": lambda: (SWEEP_HEADER, iter_sweep_rows(cfg))}[args.command]()
+        with _writing(cfg.out):
+            write_csv(cfg.out, header, rows)
+        if args.command in SVG_PLOTS:
+            _figure_svg(cfg, header, rows, *SVG_PLOTS[args.command])
         return EXIT_OK
 
     # verify
@@ -98,7 +106,7 @@ def _run(args: argparse.Namespace) -> int:
             "clauses": [{"name": c.name, "measured": c.measured,
                          "tolerance": c.tolerance, "ok": c.ok} for c in r.clauses],
         } for r in results]
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+        with _writing(cfg.out), open(cfg.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     return EXIT_OK if n_fail == 0 else EXIT_VERIFY

@@ -116,7 +116,8 @@ class StateVector:
 
     ``leakage`` is a best-effort estimate of probability weight lost to the
     Fock cutoffs while constructing the state (coherent tails, displacement
-    tails); it is diagnostic metadata, not part of the amplitudes.
+    tails); it is diagnostic metadata, not part of the amplitudes.  The
+    constructor keeps a read-only copy of ``amplitudes``, never the caller's array.
     """
 
     layout: ModeLayout
@@ -124,7 +125,7 @@ class StateVector:
     leakage: float = 0.0
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != self.layout.dim:
             raise LayoutError(
                 f"amplitude length {amps.size} != layout dimension {self.layout.dim}")
@@ -202,6 +203,19 @@ class DensityMatrix:
             raise LayoutError("density matrix is not Hermitian within tolerance")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _symmetrized(cls, layout: ModeLayout, m: np.ndarray, p: np.ndarray) -> tuple:
+        """(m + m^H) / (2 p) over a stack ``m`` of shape p.shape + (n, n), read-only,
+        and a density matrix on each of its matrices in C order, a view that keeps
+        the whole stack alive.  Element (i, j) and the conjugate of (j, i) are the
+        same sums over the same real 2p, so they skip the constructor's check."""
+        rho = (m + m.conj().swapaxes(-1, -2)) / (2 * p[..., None, None])
+        rho.setflags(write=False)
+        out = [object.__new__(cls) for _ in range(p.size)]
+        for dm, r in zip(out, rho.reshape(-1, *rho.shape[-2:])):
+            vars(dm).update(layout=layout, matrix=r)
+        return rho, out
 
     @classmethod
     def from_state(cls, state: StateVector) -> "DensityMatrix":
@@ -303,22 +317,21 @@ def annihilation(cutoff: int, label: str = "a") -> Operator:
 
 def position(cutoff: int, sigma: float = 1.0, label: str = "m") -> Operator:
     """q = sigma (c + c^dag); sigma is the zero-point spread (1 = sigma units)."""
-    return Operator.of(ModeLayout.of((label, cutoff)), sigma * _moment_table(cutoff)[1])
+    return Operator.of(ModeLayout.of((label, cutoff)), sigma * _moment_table(cutoff)[1][0])
 
 
 @functools.lru_cache(maxsize=8)
-def _moment_table(cutoff: int) -> tuple[ModeLayout, np.ndarray, np.ndarray]:
-    """The layout of mirror mode ``m`` and the real, symmetric matrices of
-    q = c + c^dag (:func:`position` in sigma units) and q^2, built once per
+def _moment_table(cutoff: int) -> tuple[ModeLayout, np.ndarray]:
+    """The layout of mirror mode ``m`` and the real, symmetric matrices of q =
+    c + c^dag (:func:`position` in sigma units) and q^2, stacked, built once per
     cutoff and kept read-only; Tr(rho q) is the elementwise sum of Re(rho) q."""
     c = annihilation(cutoff).matrix.real
     q = c + c.T
     # not q @ q: a process's first real BLAS product maps about 256 KB of
     # OpenBLAS buffers, and the engines otherwise multiply complex matrices
-    q2 = np.einsum("ij,jk->ik", q, q)
-    for arr in (q, q2):
-        arr.setflags(write=False)
-    return ModeLayout.of(("m", cutoff)), q, q2
+    qs = np.stack((q, np.einsum("ij,jk->ik", q, q)))
+    qs.setflags(write=False)
+    return ModeLayout.of(("m", cutoff)), qs
 
 
 def _warn_large_displacement(beta: complex, n_max: int, cutoff: int,

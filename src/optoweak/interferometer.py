@@ -190,47 +190,36 @@ def _bs_kernel(thetas: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 
 def _recombined(points: list[ProtocolParams], beta: np.ndarray):
-    """(chunk, W) over slices of ``points``, W from :func:`_bs_kernel` at their
-    angles pi/4 + delta: max(1, 2^16 // (2 d^2)) angles, about 1 MiB of W."""
+    """W from :func:`_bs_kernel` over slices of ``points``, at their angles
+    pi/4 + delta: max(1, 2^16 // (2 d^2)) angles, about 1 MiB of W."""
     step = max(1, 2 ** 16 // (2 * len(beta) ** 2))
     for lo in range(0, len(points), step):
-        chunk = points[lo:lo + step]
-        yield chunk, _bs_kernel(np.array([math.pi / 4 + p.delta for p in chunk]), beta)
+        yield _bs_kernel(np.array([math.pi / 4 + p.delta for p in points[lo:lo + step]]), beta)
 
 
-def _outcome(params: ProtocolParams, rho_m: np.ndarray, probs: np.ndarray,
-             trace: float) -> ProtocolOutcome:
-    """Mirror statistics from the unnormalized conditional mirror states
-    ``rho_m[j]`` of dark-port outcomes j = 0 (no click) and 1 (click), shape
-    (2, dm, dm), their traces ``probs`` and the trace of the (a, m) state
-    before postselection.  The recombiner is unitary on the truncated space,
-    so the trace the two outcomes leave is the probability of two or more
-    dark-port photons.
-    """
-    layout, q, q2 = _moment_table(params.mirror_cutoff)
-    stats, reasons = {}, []
-    for j, name in ((0, "noclick"), (1, "click")):
-        p = float(probs[j])
-        if p < DEFAULT_TOL.degenerate_prob:
-            err = DegenerateBranchError(
-                f"projection onto |{j}> of mode 'd' has no weight", p)
-            reasons.append(f"{name}:{err}")
-            stats[name] = (p, None, math.nan, math.nan)
-            continue
-        rho = (rho_m[j] + rho_m[j].conj().T) / (2 * p)
-        tq = float((rho.real * q).sum())
-        tq2 = float((rho.real * q2).sum())
-        stats[name] = (p, DensityMatrix(layout, rho), tq,
-                       math.sqrt(max(tq2 - tq * tq, 0.0)))
-
-    p_nc, rho_nc, q_nc, dq_nc = stats["noclick"]
-    p_c, rho_c, q_c, dq_c = stats["click"]
-    return ProtocolOutcome(
-        p_click=p_c, p_noclick=p_nc,
-        p_residual=max(trace - p_nc - p_c, 0.0),
-        q_click=q_c, q_noclick=q_nc, dq_click=dq_c, dq_noclick=dq_nc,
-        diff=q_c - q_nc, mirror_click=rho_c, mirror_noclick=rho_nc,
-        degenerate_reason="; ".join(reasons) or None)
+def _outcomes(rho_m: np.ndarray, probs: np.ndarray, trace: float) -> list[ProtocolOutcome]:
+    """Mirror statistics at each delta t of a slice from the unnormalized
+    mirror states ``rho_m[t, j]`` of dark-port outcome j = 0 (no click) or 1
+    (click), their traces ``probs`` and the (a, m) state's trace, in one array
+    pass; a degenerate branch gets NaN moments, no mirror state and a reason.
+    The recombiner is unitary, so trace - sum(probs) is P(2+ dark-port photons)."""
+    layout, qs = _moment_table(rho_m.shape[-1] - 1)
+    bad = probs < DEFAULT_TOL.degenerate_prob
+    rho, mats = DensityMatrix._symmetrized(layout, rho_m, np.where(bad, 1.0, probs))
+    mom = (rho.real[:, :, None] * qs).sum(axis=(3, 4))  # <q>, <q^2> of every branch
+    mom[bad] = math.nan
+    q, q2 = mom.transpose(2, 0, 1)
+    out, cols = [], (probs, q, np.sqrt(np.maximum(q2 - q * q, 0.0)), bad)
+    for t, (p, (q_nc, q_c), (dq_nc, dq_c), b) in enumerate(zip(*(c.tolist() for c in cols))):
+        out.append(ProtocolOutcome(
+            p_click=p[1], p_noclick=p[0], p_residual=max(trace - p[0] - p[1], 0.0),
+            q_click=q_c, q_noclick=q_nc, dq_click=dq_c, dq_noclick=dq_nc, diff=q_c - q_nc,
+            mirror_click=None if b[1] else mats[2 * t + 1],
+            mirror_noclick=None if b[0] else mats[2 * t],
+            degenerate_reason="; ".join(f"{name}:" + str(DegenerateBranchError(
+                f"projection onto |{j}> of mode 'd' has no weight", p[j]))
+                for j, name in enumerate(("noclick", "click")) if b[j]) if True in b else None))
+    return out
 
 
 def _postselect(points: list[ProtocolParams], rho: np.ndarray, rho_a: np.ndarray,
@@ -243,35 +232,32 @@ def _postselect(points: list[ProtocolParams], rho: np.ndarray, rho_a: np.ndarray
     (n n', m m') order, ``rho_a`` its partial trace over the mirror, ``trace``
     the trace of rho_a and ``beta`` arm b's amplitudes.  With W from
     :func:`_bs_kernel` the dark-port outcome j leaves the mirror in
-    sum_{n n'} M_j[n, n'] rho[n n', :] with
-    M_j[n, n'] = sum_c W[j, c, n] W*[j, c, n'], so both outcomes are one
-    matrix product per delta, and outcome j has probability Tr(M_j rho_a).
-    The bright port is never conditioned, which equals tracing it out.
-    """
+    sum_{n n'} M_j[n, n'] rho[n n', :], M_j[n, n'] = sum_c W[j, c, n] W*[j, c, n'],
+    one product per slice of deltas, with probability Tr(M_j rho_a).  The
+    bright port is never conditioned, which equals tracing it out."""
     dm, out = points[0].mirror_cutoff + 1, []
-    for chunk, w in _recombined(points, beta):
+    for w in _recombined(points, beta):
         m = w.transpose(0, 1, 3, 2) @ w.conj()  # M_j[n, n'], as a BLAS batch
-        rho_m = (m.reshape(len(chunk), 2, -1) @ rho).reshape(-1, 2, dm, dm)
+        rho_m = (m.reshape(len(w), 2, -1) @ rho).reshape(-1, 2, dm, dm)
         probs = np.einsum("tjnk,nk->tj", m, rho_a).real
-        out += [_outcome(*args, trace) for args in zip(chunk, rho_m, probs)]
+        out += _outcomes(rho_m, probs, trace)
     return out
 
 
 def _scan(points: list[ProtocolParams]) -> list[ProtocolOutcome]:
     """:func:`run_protocol` at each delta of ``points``, which share one
     :func:`_drive` key and were each built, so checked, by the caller: one
-    stage lookup, one displacement warning (at the caller's caller) and
-    the recombiner in angle batches (:func:`_recombined`)."""
+    stage lookup, one displacement warning (at the caller's caller), then
+    the recombiner (:func:`_recombined`) and :func:`_outcomes` per slice."""
     drive = _drive(points[0])
     grid, norm2, beta = _evolved_ket(drive)
     _warn_large_displacement(drive.evolution.disp_param, drive.optical_cutoff,
                              drive.mirror_cutoff, stacklevel=3)
     out = []
-    for chunk, w in _recombined(points, beta):
+    for w in _recombined(points, beta):
         x = w @ grid
         probs = (x.real ** 2 + x.imag ** 2).sum(axis=(2, 3))
-        out += [_outcome(*args, norm2) for args in
-                zip(chunk, x.transpose(0, 1, 3, 2) @ x.conj(), probs)]
+        out += _outcomes(x.transpose(0, 1, 3, 2) @ x.conj(), probs, norm2)
     return out
 
 

@@ -178,3 +178,23 @@ def test_verify_passes_mirror_cutoff_as_given(tmp_path, monkeypatch, cutoffs, ex
     cfg.write_text(json.dumps({"cutoffs": cutoffs}))
     assert main(["verify", "--config", str(cfg)]) == 0
     assert seen == {"mirror_cutoff": expected}
+
+
+@pytest.mark.parametrize("args", [["table1", "--out"], ["figure3", "--svg"],
+                                  ["verify", "--out"]])
+def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.setattr(verify, "run_all", lambda optical_cutoff=None, mirror_cutoff=None: [])
+    path = str(tmp_path / "missing" / "out.file")
+    assert main(args + [path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"optoweak: config-error: cannot write '{path}': ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["table1", "verify", "sweep"])
+def test_svg_is_offered_only_where_a_plot_is_drawn(tmp_path, command):
+    svg = tmp_path / "plot.svg"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--svg", str(svg)])
+    assert exc.value.code == 2
+    assert not svg.exists()

@@ -17,8 +17,8 @@ from optoweak import (DEFAULT_TOL, DegenerateBranchError, DensityMatrix,
                       InvariantError, LayoutError, ModeLayout, Operator,
                       TruncationError, annihilation, coherent_state,
                       expectation, fock_state, pointer_shift, position,
-                      project_fock, poisson_tail, reduced_density, tensor,
-                      vacuum_state)
+                      project_fock, poisson_tail, reduced_density,
+                      StateVector, tensor, vacuum_state)
 from optoweak.dynamics import dense_propagator
 from optoweak.fock import _displacement_powers
 
@@ -345,6 +345,18 @@ class TestExpectationAndPointerShift:
                              text=True, timeout=120,
                              env=dict(os.environ, PYTHONPATH=src))
         assert run.returncode == 0, run.stderr
+
+
+class TestStateVector:
+    @pytest.mark.parametrize("shape", [(6,), (2, 3)])
+    def test_state_vector_keeps_its_own_copy(self, shape):
+        # 1-D and 2-D (occupation grid) input: the state owns its amplitudes,
+        # and the caller's buffer stays its own and writable
+        a = np.ones(shape, dtype=complex)
+        s = StateVector(ModeLayout.of(("a", 1), ("m", 2)), a)
+        a[(0,) * a.ndim] = 5.0
+        assert a.flags.writeable and not np.shares_memory(a, s.amplitudes)
+        assert np.array_equal(s.amplitudes, np.ones(6)) and not s.amplitudes.flags.writeable
 
 
 class TestDensityMatrix:

@@ -9,9 +9,10 @@ import warnings
 import numpy as np
 import pytest
 
-from optoweak import (ProtocolParams, TruncationError, damped_protocol,
-                      evolution_params, run_protocol, sweep)
-from optoweak.dissipation import _evolved_rho
+from optoweak import (DensityMatrix, LayoutError, ModeLayout, ProtocolParams,
+                      TruncationError, damped_protocol, evolution_params, fock,
+                      run_protocol, sweep)
+from optoweak.dissipation import _damped_scan, _evolved_rho
 from optoweak.fock import _moment_table
 from optoweak.interferometer import _drive, _evolved_ket, _scan
 from optoweak.sweep import SWEEP_HEADER, iter_sweep_rows, load_config
@@ -39,9 +40,12 @@ ENGINES = [(unitary, _evolved_ket, lambda p: (_drive(p),)),
 
 
 def fingerprint(out):
-    """Every reported number as float.hex, plus the mirror-state bytes."""
+    """Every reported number as float.hex, the mirror-state bytes (None for a
+    degenerate branch) and the degenerate reason."""
     return ([float(getattr(out, name)).hex() for name in FIELDS]
-            + [rho.matrix.tobytes() for rho in (out.mirror_click, out.mirror_noclick)])
+            + [None if rho is None else rho.matrix.tobytes()
+               for rho in (out.mirror_click, out.mirror_noclick)]
+            + [out.degenerate_reason])
 
 
 @pytest.mark.parametrize("run, stage, key", ENGINES, ids=["unitary", "damped"])
@@ -225,3 +229,76 @@ def test_figure2_overlay_is_one_scan(monkeypatch):
     cfg = load_config(None, overrides={"engine": "both"}, default_mode="figure2")
     header, rows = sweep.run_figure2(cfg)
     assert calls == [len(rows)] == [200]
+
+
+# ---------------------------------------------------------------------------
+# the batched postselection pass: one array pass per recombiner slice
+
+def scan_of(engine):
+    if engine == "unitary":
+        return _scan, run_protocol
+    return (lambda points: _damped_scan(points, GAMMA)), damped
+
+
+@pytest.mark.parametrize("n_deltas", [1, 3, 20, 200])
+@pytest.mark.parametrize("engine", ["unitary", "damped"])
+def test_batched_scan_keeps_the_one_delta_bits(engine, n_deltas):
+    # d = 13 here: a slice holds 2^16 // (2 * 13^2) = 193 angles, so 200
+    # deltas cross a slice boundary
+    scan, one = scan_of(engine)
+    points = [make_params(2.0, float(delta), optical_cutoff=12, mirror_cutoff=3)
+              for delta in np.linspace(-0.12, 0.12, n_deltas)]
+    outs = scan(points)
+    assert [fingerprint(out) for out in outs] == [fingerprint(one(p)) for p in points]
+    for out in outs:
+        for rho in (out.mirror_click, out.mirror_noclick):
+            assert rho.matrix.shape == (4, 4) and not rho.matrix.flags.writeable
+            assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+
+
+@pytest.mark.parametrize("engine", ["unitary", "damped"])
+def test_zero_drive_batch_marks_every_click_branch_degenerate(engine):
+    scan, one = scan_of(engine)
+    points = [make_params(0.0, delta, optical_cutoff=12, mirror_cutoff=3)
+              for delta in (-0.03, 0.001, 0.01, 0.05)]
+    outs = scan(points)
+    for params, out in zip(points, outs):
+        assert fingerprint(out) == fingerprint(one(params))
+        assert out.mirror_click is None and out.mirror_noclick is not None
+        assert math.isnan(out.q_click) and math.isnan(out.dq_click) and math.isnan(out.diff)
+        assert out.degenerate_reason == (
+            "click:projection onto |1> of mode 'd' has no weight "
+            f"(probability={out.p_click:.3e})")
+
+
+def test_symmetrized_stacks_are_hermitian_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 4, 7, 11):
+        scale = 10.0 ** rng.uniform(-300, 3, size=(50, 2, 1, 1))
+        m = scale * (rng.normal(size=(50, 2, n, n)) + 1j * rng.normal(size=(50, 2, n, n)))
+        p = 10.0 ** rng.uniform(-14, 0, size=(50, 2))
+        rho, mats = DensityMatrix._symmetrized(ModeLayout.of(("m", n - 1)), m, p)
+        assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
+        assert not rho.flags.writeable and len(mats) == 100
+        assert all(np.shares_memory(dm.matrix, rho) for dm in mats)
+        assert np.array_equal(mats[5].matrix, rho[2, 1])
+    m = np.eye(3, dtype=complex)
+    m[0, 1] = 1e-6
+    with pytest.raises(LayoutError, match="not Hermitian"):
+        DensityMatrix(ModeLayout.of(("m", 2)), m)
+
+
+@pytest.mark.parametrize("engine", ["unitary", "damped"])
+def test_warm_exact_point_makes_no_hermiticity_check(monkeypatch, engine):
+    # the mirror states are Hermitian by construction, so a warm point checks
+    # neither; a DensityMatrix built by hand still is checked
+    params = make_params(2.0, 0.01, optical_cutoff=12, mirror_cutoff=3)
+    run = unitary if engine == "unitary" else damped
+    run(params)
+    calls = []
+    check = fock._hermitian
+    monkeypatch.setattr(fock, "_hermitian", lambda *a: calls.append(1) or check(*a))
+    run(make_params(2.0, 0.02, optical_cutoff=12, mirror_cutoff=3))
+    assert calls == []
+    DensityMatrix(ModeLayout.of(("m", 2)), np.eye(3, dtype=complex))
+    assert calls == [1]
