@@ -64,8 +64,6 @@ def _writing(path: str | None):
 
 def _figure_svg(cfg: SweepConfig, header: list[str], rows: list[list],
                 title: str, ylabel: str) -> None:
-    if not cfg.svg:
-        return
     from .svg import render_svg
     x = [row[0] for row in rows]
     series = {name: [row[i] for row in rows]
@@ -88,7 +86,7 @@ def _run(args: argparse.Namespace) -> int:
                         "sweep": lambda: (SWEEP_HEADER, iter_sweep_rows(cfg))}[args.command]()
         with _writing(cfg.out):
             write_csv(cfg.out, header, rows)
-        if args.command in SVG_PLOTS:
+        if cfg.svg:  # load_config accepts it only for figure2 and figure3
             _figure_svg(cfg, header, rows, *SVG_PLOTS[args.command])
         return EXIT_OK
 
@@ -101,8 +99,7 @@ def _run(args: argparse.Namespace) -> int:
     print(f"\n{len(results) - n_fail}/{len(results)} checks passed")
     if cfg.out:
         payload = [{
-            "name": r.name, "passed": r.passed, "seconds": r.seconds,
-            "error": r.error,
+            "name": r.name, "passed": r.passed, "seconds": r.seconds, "error": r.error,
             "clauses": [{"name": c.name, "measured": c.measured,
                          "tolerance": c.tolerance, "ok": c.ok} for c in r.clauses],
         } for r in results]

@@ -160,8 +160,7 @@ def weak_approx_propagate(state: StateVector, params: EvolutionParams,
     convergence check on the term norm.
     """
     layout = state.layout
-    for lab in ("c", "d", "m"):
-        layout.axis(lab)
+    axes = {lab: layout.axis(lab) for lab in ("c", "d", "m")}  # raises on a missing mode
     if layout.dim > DEFAULT_TOL.dense_dim_cap:
         raise LayoutError(f"joint dimension {layout.dim} exceeds the dense cap")
     if params.abs_disp > DEFAULT_TOL.weak_disp_warn:
@@ -172,7 +171,6 @@ def weak_approx_propagate(state: StateVector, params: EvolutionParams,
     b = (phi * cm.conj().T - np.conj(phi) * cm) / 2.0
     ac_dag = annihilation(layout.cutoff("c"), "c").matrix.conj().T
     ad_dag = annihilation(layout.cutoff("d"), "d").matrix.conj().T
-    axes = {lab: layout.axis(lab) for lab in ("c", "d", "m")}
 
     def on(op: np.ndarray, g: np.ndarray, lab: str) -> np.ndarray:  # op on mode lab
         return np.moveaxis(np.tensordot(op, g, axes=([1], [axes[lab]])), 0, axes[lab])
@@ -188,10 +186,8 @@ def weak_approx_propagate(state: StateVector, params: EvolutionParams,
     steps = max(1, 1 << max(0, math.ceil(math.log2(max(bound, 1e-12)))))
     g = np.array(state.grid)
     for _ in range(steps):
-        term = g.copy()
-        acc = g.copy()
-        scale = float(np.linalg.norm(g))
-        converged = False
+        term, acc = g.copy(), g.copy()
+        scale, converged = float(np.linalg.norm(g)), False
         for j in range(1, DEFAULT_TOL.series_max_terms + 1):
             term = apply_x(term) / (steps * j)
             acc += term

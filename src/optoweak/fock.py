@@ -12,6 +12,7 @@ construction.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
@@ -238,24 +239,17 @@ class DensityMatrix:
     def partial_trace(self, keep: tuple[str, ...]) -> "DensityMatrix":
         """Reduced density matrix over ``keep`` (in the order given)."""
         labels = self.layout.labels
-        for lab in keep:
-            self.layout.axis(lab)  # raises on unknown label
-        shape = self.layout.shape
-        n = len(labels)
-        t = self.matrix.reshape(shape + shape)
+        new_layout = ModeLayout(tuple((lab, self.layout.cutoff(lab)) for lab in keep))
+        t = self.matrix.reshape(self.layout.shape * 2)
         # trace out modes not kept, highest axis first so lower positions stay put
-        for ax in reversed(range(n)):
+        for ax in reversed(range(len(labels))):
             if labels[ax] not in keep:
                 t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
         # reorder the kept modes to the requested order
         kept_labels = [lab for lab in labels if lab in keep]
-        k = len(kept_labels)
         perm = [kept_labels.index(lab) for lab in keep]
-        t = t.transpose(perm + [k + p for p in perm])
-        dims = [self.layout.dim_of(lab) for lab in keep]
-        d = int(np.prod(dims))
-        new_layout = ModeLayout(tuple((lab, self.layout.cutoff(lab)) for lab in keep))
-        return DensityMatrix(new_layout, t.reshape(d, d))
+        t = t.transpose(perm + [len(perm) + p for p in perm])
+        return DensityMatrix(new_layout, t.reshape(new_layout.dim, new_layout.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -346,19 +340,52 @@ def _warn_large_displacement(beta: complex, n_max: int, cutoff: int,
             stacklevel=stacklevel + 1)
 
 
+def _tridiagonal_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvector columns of the zero-
+    diagonal symmetric tridiagonal matrix with off-diagonal ``off`` > 0, not
+    by LAPACK (its eigensolver maps about 0.8 MB of code): multisection on
+    Sturm counts, then twisted factorizations (Dhillon & Parlett, Linear
+    Algebra Appl. 387, 1 (2004))."""
+    n, e2 = len(off) + 1, off * off
+    m, k = max(1, 256 // n), np.arange(n)  # m points per bracket and sweep: vectors of ~256
+    hi = np.full(n, 2.0 * off.max(initial=0.0) + 1.0)  # Gershgorin
+    lo, frac, piv = -hi, np.arange(1.0, m + 1)[:, None] / (m + 1), np.empty((n, m, n))
+    with np.errstate(divide="ignore", over="ignore"):  # a pivot +-0 or +-inf counts by its sign
+        for _ in range(math.ceil(54 / math.log2(m + 1))):  # to an ulp of the bound
+            xs = np.vstack([lo, lo + (hi - lo) * frac, hi])
+            d = piv[0] = nx = -xs[1:-1]
+            for i, e in enumerate(e2.tolist(), 1):
+                d = piv[i] = nx - e / d
+            above = np.vstack([np.signbit(piv).sum(axis=0) > k, np.ones(n, bool)])
+            j = 1 + above.argmax(axis=0)  # the first point above eigenvalue k
+            lo, hi = xs[j - 1, k], xs[j, k]
+    piv, lam = np.empty((2, n, n)), 0.5 * (lo + hi)
+    piv[:, 0] = np.where(np.abs(lam) < 1e-150, 1e-150, -lam)
+    for i in range(n - 1):  # forward pivots, and backward ones from the last row
+        p = -lam - e2[[i, n - 2 - i], None] / piv[:, i]
+        piv[:, i + 1] = np.where(np.abs(p) < 1e-150, 1e-150, p)
+    fwd, bwd = piv[0], piv[1, ::-1]
+    twist, row = np.abs(fwd + bwd + lam).argmin(axis=0), np.arange(n)[:, None]
+    z = np.ones((n, n))
+    z[:-1] = np.cumprod(np.where(row[:-1] < twist, -off[:, None] / fwd[:-1], 1.0)[::-1], 0)[::-1]
+    z[1:] *= np.cumprod(np.where(row[1:] > twist, -off[:, None] / bwd[1:], 1.0), axis=0)
+    return lam, z / np.sqrt((z * z).sum(axis=0))
+
+
 def _displacement_powers(beta: complex, n_max: int, cutoff: int) -> np.ndarray:
     """D(n beta) for n = 0..n_max, stacked on the first axis.
 
-    The generator of D(n beta) is n times that of D(beta), so one
-    eigendecomposition i(beta c^dag - beta* c) = V diag(w) V^dag gives every
-    power: D(n beta) = V exp(-i n w) V^dag (Bose, Jacobs & Knight, PRA 56,
-    4175 (1997)).  Raises :class:`TruncationError` when any matrix of the
-    stack fails the unitarity check; the callers that build a stack for a
-    user warn through :func:`_warn_large_displacement`.
+    The generator of D(n beta) is n times that of D(beta), so one real
+    eigendecomposition gives every power (Bose, Jacobs & Knight, PRA 56, 4175
+    (1997)): i(beta c^dag - beta* c) = P |beta| q P^* with q = c + c^dag =
+    V diag(w) V^T and P = diag(u^k), u = i beta / |beta| from beta's phase (no
+    division: zero drive is safe), so D(n beta) = P V exp(-i n |beta| w) V^T P^*.
+    Raises :class:`TruncationError` when any matrix fails the unitarity check;
+    callers warn through :func:`_warn_large_displacement`.
     """
-    c = annihilation(cutoff).matrix
-    w, v = np.linalg.eigh(1j * (beta * c.conj().T - np.conj(beta) * c))
-    phases = np.exp(-1j * np.outer(np.arange(n_max + 1), w))
+    w, v = _tridiagonal_eigh(np.sqrt(np.arange(1.0, cutoff + 1)))
+    v = np.exp(1j * (cmath.phase(beta) + math.pi / 2) * np.arange(cutoff + 1))[:, None] * v
+    phases = np.exp(-1j * abs(beta) * np.outer(np.arange(n_max + 1), w))
     stack = (v * phases[:, None, :]) @ v.conj().T
     dev = float(np.abs(stack @ stack.conj().swapaxes(1, 2) - np.eye(cutoff + 1)).max())
     if not dev < DEFAULT_TOL.unitary_atol:
@@ -394,9 +421,8 @@ def project_fock(state: StateVector, label: str, n: int) -> tuple[StateVector, f
     if prob < DEFAULT_TOL.degenerate_prob:
         raise DegenerateBranchError(
             f"projection onto |{n}> of mode {label!r} has no weight", prob)
-    cond = StateVector(state.layout.without(label), sl.reshape(-1) / np.sqrt(prob),
-                       state.leakage)
-    return cond, prob
+    return StateVector(state.layout.without(label), sl.reshape(-1) / np.sqrt(prob),
+                       state.leakage), prob
 
 
 def reduced_density(obj: StateVector | DensityMatrix,

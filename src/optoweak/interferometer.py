@@ -22,12 +22,14 @@ import numpy as np
 
 from .dynamics import EvolutionParams, _factored_propagate
 from .errors import DegenerateBranchError, InvariantError, LayoutError
-from .fock import (DensityMatrix, StateVector, _moment_table,
+from .fock import (DensityMatrix, StateVector, _moment_table, _tridiagonal_eigh,
                    _warn_large_displacement, coherent_state, cutoff_for_leakage,
                    tensor, vacuum_state)
 from .tolerances import DEFAULT_TOL
 
 PRESELECT_LEAKAGE = 1e-9
+# sqrt(C(2053, 1026)) is 0.75 of the largest float; sqrt(C(2054, 1027)) overflows
+MAX_RECOMBINER_DIM = 2054
 
 
 def default_optical_cutoff(alpha2: float) -> int:
@@ -120,43 +122,35 @@ def _evolved_ket(drive: ProtocolParams) -> tuple[np.ndarray, float, np.ndarray]:
 
     A miss runs the preselection leakage and mirror-tail checks; the cache
     keeps no exception, so a failing key raises on every call.  Eight
-    entries, like :func:`_bs_tables`, each d dm + d complex numbers.  The arrays
-    are read-only (:class:`StateVector` freezes its amplitudes), because
-    every caller shares them.
+    entries of d dm + d complex numbers, read-only (:class:`StateVector`
+    freezes its amplitudes) because every caller shares them.
     """
     psi = _factored_propagate(_preselect_am(drive), drive.evolution)
     return psi.grid, psi.norm ** 2, _arm(drive, "b").normalize().amplitudes
 
 
 @functools.lru_cache(maxsize=8)
-def _bs_tables(d: int) -> tuple:
-    """Theta-free tables of :func:`_bs_kernel` for the blocks of total photon
-    number N = 0..min(d, 2d - 2) (larger N reach no dark-port occupation
-    below 2) on the states |i, N - i> that cutoff d keeps: all blocks'
-    eigenvalues of i G_N, concatenated; per block, vec^H and the slice of its
-    row elements, the eigenvector rows of the states c = N - j with j <= 1
-    dark-port photons; over every row element, its eigenvector entry and
-    eigenvalue index, arm b's occupation N - i, the pi-flip sign 1 - 2 j and
-    the index of (j, c, i) in the flattened output.  They depend on d alone;
-    eight entries cover a five-cutoff sweep, each about d^3 / 3 complex
-    numbers, read-only because every caller shares them.
-    """
-    evs, blocks, flats, n_ev, n_el = [], [], [], 0, 0
-    for n_tot in range(min(d + 1, 2 * d - 1)):
-        i = np.arange(max(0, n_tot - d + 1), min(n_tot, d - 1) + 1)
-        off = np.sqrt((i[:-1] + 1.0) * (n_tot - i[:-1]))
-        ev, vec = np.linalg.eigh(1j * (np.diag(off, -1) - np.diag(off, 1)))
-        c = np.arange(max(n_tot - 1, i[0]), min(n_tot, i[-1]) + 1)[:, None]  # j <= 1
-        j = n_tot - c
-        flats.append(np.broadcast_arrays(vec[c[:, 0] - i[0]], n_ev + i - i[0], n_tot - i,
-                                         1 - 2 * j, (j * d + c) * d + i))
-        blocks.append((vec.conj().T, slice(n_el, n_el + c.size * len(i))))
-        evs.append(ev)
-        n_ev, n_el = n_ev + len(i), n_el + c.size * len(i)
-    tables = [np.concatenate([a.ravel() for a in col]) for col in (evs, *zip(*flats))]
-    for arr in (*tables, *(vh for vh, _ in blocks)):
+def _bs_tables(d: int) -> tuple[np.ndarray, ...]:
+    """Theta-free, read-only tables of :func:`_bs_kernel`, 2 d^2 + 2 d + 2
+    entries: sqrt(C(c, n)) at column n + 1 of a (d, d + 1) array, sqrt(n),
+    the exponents max(k - 1, 0), k <= d + 1, and for the truncated block
+    N = d (states |i, d - i>, l = i - 1), with T = V diag(lam) V^T, i lam and
+    Q[q, l] = -V[d-2, q] V[l, q] i^(l-d+2), which takes their phases to its
+    row c = d - 1.  The binomials overflow past d = MAX_RECOMBINER_DIM."""
+    if d > MAX_RECOMBINER_DIM:
+        raise LayoutError(f"optical cutoff {d - 1} overflows the recombiner's binomial table")
+    c, n = np.arange(d)[:, None], np.arange(1, d)
+    binom = np.hstack([np.zeros((d, 1)), np.ones((d, 1)),
+                       np.cumprod(np.sqrt(np.maximum(c + 1 - n, 0) / n), axis=1)])
+    i = np.arange(d - 2.0)
+    lam, vec = (_tridiagonal_eigh(np.sqrt((i + 2.0) * (d - 1.0 - i))) if d > 1
+                else (np.zeros(0), np.zeros((0, 0))))
+    phase = np.array([1, 1j, -1, -1j])[(np.arange(d - 1) - d + 2) % 4]
+    tables = (binom, np.sqrt(np.arange(d)), np.maximum(np.arange(-1.0, d + 1), 0.0),
+              1j * lam, -vec[-1:].reshape(d - 1, 1) * vec.T * phase)
+    for arr in tables:
         arr.setflags(write=False)
-    return tables[0], tuple(blocks), *tables[1:]
+    return tables
 
 
 def _bs_kernel(thetas: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -166,26 +160,37 @@ def _bs_kernel(thetas: np.ndarray, beta: np.ndarray) -> np.ndarray:
     U is the mixer with outputs c = cos a + sin b, d = sin a - cos b:
     exp[theta(a^dag b - a b^dag)] followed by a pi phase flip on odd
     dark-port occupation (the target map has determinant -1).  The truncated
-    generator conserves N = n_a + n_b, so U is a direct sum of one rotation
-    per N on the states |i, N - i> (Campos, Saleh & Teich, PRA 40, 1371
-    (1989)).  Each block generator is real and tridiagonal with
-    G[i+1, i] = -G[i, i+1] = sqrt((i+1)(N-i)); blocks with N >= d lose the
-    states past the cutoff, exactly as the truncated generator does.  The
-    eigenpairs of i G_N and every index come from :func:`_bs_tables`; only
-    the block rows i = N - j, the ones with j dark-port photons, are formed,
-    for all angles at once: one exponential of all eigenvalues, one gather
-    into the eigenvector rows, one batched product per block into a flat
-    buffer, then one scale by arm b and the signs and one scatter.
+    generator conserves N = n_a + n_b, so U is one rotation per N on the
+    states |i, N - i> (Campos, Saleh & Teich, PRA 40, 1371 (1989)), with a
+    real tridiagonal generator G[i+1, i] = -G[i, i+1] = sqrt((i+1)(N-i)).
+    A complete block (N < d) has binomial elements; with m = N - n,
+    W[0, N, n] = sqrt(C(N, n)) cos^n sin^m beta_m and W[1, N-1, n] =
+    (sqrt(n C(N-1, n-1)) cos^(n-1) sin^(m+1) - sqrt(m C(N-1, n)) cos^(n+1) sin^(m-1)) beta_m
+    (a term is zero where its power would be -1).  The block N = d, cut by the
+    cutoff, keeps eigenpairs: i G = -D^-1 T D, D = diag(i^k), so exp(theta G) =
+    D^-1 V exp(i theta lam) V^T D.  The m-dependent factors are diagonals of one
+    strided view and the truncated row is a (t, 1, k) @ (k, k) product, so each
+    angle gets the bits it gets alone.
     """
-    ev, blocks, vr, evidx, bidx, sign, flat = _bs_tables(len(beta))
-    t = len(thetas)
-    rows = vr * np.exp(-1j * thetas[:, None] * ev)[:, evidx]
-    buf = np.empty_like(rows)
-    for vh, o in blocks:
-        np.matmul(rows[:, o].reshape(t, -1, len(vh)), vh, out=buf[:, o].reshape(t, -1, len(vh)))
-    buf *= beta[bidx] * sign  # pi flip on j = 1
-    w = np.zeros((t, 2, len(beta), len(beta)), dtype=complex)
-    w.reshape(t, -1)[:, flat] = buf
+    d, t = len(beta), len(thetas)
+    binom, root, power, ilam, q = _bs_tables(d)
+    cos, sin = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
+    cp, sp = cos ** power, sin ** power  # x^(k-1) at k, 1 at k = 0
+    r = binom * cp[:, None, :d + 1]  # sqrt(C(c, n)) cos^n at column n + 1
+    # g[0, m] = sin^m beta_m and g[1, m] = sqrt(m) cos sin^(m-1) beta_m at
+    # d - m, zero elsewhere, so diag[k, t, c, n] = g[k, t, c - n] for c <= d
+    g = np.zeros((2, t, 2 * d), dtype=complex)
+    np.multiply(sp[:, 1:d + 1], beta, out=g[0, :, d:0:-1])
+    np.multiply(cos * root * sp[:, :d], beta, out=g[1, :, d:0:-1])
+    step = g.itemsize
+    diag = np.ndarray((2, t, d + 1, d), complex, g, d * step, g.strides[:2] + (-step, step))
+    w = np.empty((t, 2, d, d), dtype=complex)
+    np.multiply(r[..., 1:], diag[0, :, :d], out=w[:, 0])
+    w1 = w[:, 1, :d - 1]
+    np.multiply(r[:, :d - 1, :-1] * (sin * root)[:, None], diag[0, :, 1:d], out=w1)
+    w1 -= r[:, :d - 1, 1:] * diag[1, :, 1:d]
+    w[:, 1, d - 1, 0] = 0.0
+    w[:, 1, d - 1, 1:] = (np.exp(thetas[:, None, None] * ilam) @ q)[:, 0] * beta[:0:-1]
     return w
 
 
@@ -226,12 +231,11 @@ def _postselect(points: list[ProtocolParams], rho: np.ndarray, rho_a: np.ndarray
                 trace: float, beta: np.ndarray) -> list[ProtocolOutcome]:
     """Recombine, postselect on the dark port and collect mirror statistics
     of a mixed (a, m) state at each delta of ``points`` (one drive): the
-    damped engine's route.
-
-    ``rho`` is the evolved (a, m) density matrix as a (d^2, dm^2) array in
-    (n n', m m') order, ``rho_a`` its partial trace over the mirror, ``trace``
-    the trace of rho_a and ``beta`` arm b's amplitudes.  With W from
-    :func:`_bs_kernel` the dark-port outcome j leaves the mirror in
+    damped engine's route.  ``rho`` is the evolved (a, m) density matrix as
+    a (d^2, dm^2) array in (n n', m m') order, ``rho_a`` its partial trace
+    over the mirror, ``trace`` the trace of rho_a and ``beta`` arm b's
+    amplitudes.  With W from :func:`_bs_kernel` (closed-form rows, one
+    eigendecomposed row) the dark-port outcome j leaves the mirror in
     sum_{n n'} M_j[n, n'] rho[n n', :], M_j[n, n'] = sum_c W[j, c, n] W*[j, c, n'],
     one product per slice of deltas, with probability Tr(M_j rho_a).  The
     bright port is never conditioned, which equals tracing it out."""
@@ -265,12 +269,12 @@ def run_protocol(params: ProtocolParams) -> ProtocolOutcome:
     """Run the unitary pipeline and collect both dark-port branches (a
     one-delta :func:`_scan`).
 
-    The (a, m) ket evolves under the factored propagator and stays a ket up
-    to the dark port: x_j = W_j psi, with W from :func:`_bs_kernel`, is the
-    (bright port c) x mirror ket left by dark-port outcome j, and tracing
-    out c gives the unnormalized mirror state x_j^T x_j^*.  No (a, m)
-    density matrix is formed; :func:`_postselect` is the mixed-state route.
-    Everything before the recombiner is independent of delta: the stage
+    The (a, m) ket evolves under the factored propagator (real
+    eigendecompositions only) and stays a ket up to the dark port:
+    x_j = W_j psi, with W from :func:`_bs_kernel`, is the (bright port c) x
+    mirror ket left by dark-port outcome j, and tracing out c gives the
+    unnormalized mirror state x_j^T x_j^*.  No (a, m) density matrix is
+    formed; :func:`_postselect` is the mixed-state route.  The stage
     :func:`_evolved_ket` evolves the ket once per drive and cutoffs.  The
     warning that the largest mirror displacement is not small against the
     cutoff fires on every call.

@@ -21,7 +21,8 @@ from .dissipation import _EXPM_WORKSPACE, _damped_scan
 from .dynamics import _mirror_tail, evolution_params
 from .errors import ConfigError, DegenerateBranchError, TruncationError
 from .fock import coherent_state
-from .interferometer import ProtocolParams, _scan, default_optical_cutoff
+from .interferometer import (MAX_RECOMBINER_DIM, ProtocolParams, _scan,
+                             default_optical_cutoff)
 from .tolerances import DEFAULT_TOL
 
 MODES = ("figure2", "figure3", "table1", "verify", "sweep")
@@ -140,6 +141,8 @@ def load_config(path: str | None, overrides: dict | None = None,
     mode = raw.get("mode")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    if raw.get("svg") is not None and mode not in ("figure2", "figure3"):
+        raise ConfigError(f"svg: only figure2 and figure3 draw a plot, not mode {mode!r}")
     engine = raw.get("engine", "analytic")
     if engine not in ENGINES:
         raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -189,35 +192,34 @@ def _exact_values(cfg: SweepConfig, name: str) -> list[float]:
 def _check_exact_feasible(cfg: SweepConfig) -> None:
     """Refuse exact points whose largest arrays exceed the dense cap squared
     (a 4096 x 4096 complex matrix, 256 MiB): the recombiner-table cache of
-    one optical cutoff, about d^3 / 3 entries (vec^H of each block N <= d,
-    the eigenvalues, and of every element of the block rows with j <= 1
-    dark-port photons its entry and eigenvalue, arm-b, sign and scatter
-    indices), and, when a point
-    is damped (gamma > 0), the (a, m) density matrix, (da dm)^2 entries, and
-    the working set of one block's exponential, _EXPM_WORKSPACE generators
-    of dm^4 entries.  Unitary points keep a ket.
-    Then, for the modes that run exact points at the config's values (sweep,
-    and figure2's overlay), refuse a mirror cutoff that the engines'
-    mirror-tail check would reject at the worst point: the largest |alpha|^2
-    and the largest |phi| = k |1 - e^{-i wm_t}| on the config's grid."""
+    one optical cutoff (:func:`_bs_tables`), a unitary point's stack of
+    mirror displacements D(n phi), n < d, and, when a point is damped
+    (gamma > 0), the (a, m) density matrix and the working set of one
+    block's exponential, _EXPM_WORKSPACE generators of dm^4 entries; and an
+    optical cutoff whose recombiner binomials overflow.  Then, where exact
+    points run at the config's values (sweep, figure2's overlay), refuse a
+    mirror cutoff that the engines' mirror-tail check would reject at the
+    worst point: the largest |alpha|^2 and |phi| = k |1 - e^{-i wm_t}|."""
     if cfg.engine == "analytic":
         return
     alpha2 = max(_exact_values(cfg, "alpha2"))
     n_opt = cfg.optical_cutoff if cfg.optical_cutoff is not None else default_optical_cutoff(alpha2)
     d = n_opt + 1
     cap = DEFAULT_TOL.dense_dim_cap ** 2
-    # vec^H d(d+1)(2d+1)/6 + (d-1)^2, eigenvalues d(d+1)/2 + d - 1, rows + indices 5(d^2+2d-2)
-    cache = d * (d + 1) * (2 * d + 1) // 6 + d * (d + 1) // 2 + 6 * d * d + 9 * d - 10
-    sizes = [("recombiner-table cache", cache)]
-    # only damped points build the density matrix; figure2 overlays are unitary
+    dm = cfg.exact_mirror_cutoff + 1
+    # only damped points build the density matrix (larger than the stack they skip)
+    sizes = [("recombiner-table cache", 2 * d * d + 2 * d + 2),
+             ("mirror displacement stack", d * dm * dm)]
     if cfg.mode == "sweep" and max(_exact_values(cfg, "gamma")) > 0.0:
-        dm = cfg.exact_mirror_cutoff + 1
         sizes = [("(a, m) density matrix", (d * dm) ** 2),
                  ("block exponential's working set", _EXPM_WORKSPACE * dm ** 4)] + sizes
     for name, size in sizes:
         if size > cap:
             raise ConfigError(f"exact engine infeasible at |alpha|^2={alpha2:.3g}: "
                               f"the {name} has {size} entries (cap {cap})")
+    if d > MAX_RECOMBINER_DIM:
+        raise ConfigError(f"exact engine infeasible at |alpha|^2={alpha2:.3g}: optical cutoff "
+                          f"{n_opt} overflows the recombiner's binomial table (largest 2053)")
     if cfg.mode not in ("sweep", "figure2"):
         return
     wm_t = max(_exact_values(cfg, "wm_t"), key=lambda w: evolution_params(1.0, w).abs_disp)
@@ -366,13 +368,8 @@ def run_figure2(cfg: SweepConfig) -> tuple[list[str], list[list]]:
 
     def row(delta: float, ex) -> list:
         ana = _analytic_point(k, wm_t, alpha2, delta)
-        out = [delta,
-               ana["q_no_postselection"],
-               ana["q_noclick"],
-               ana["q_click"],
-               ana["q_diff"],
-               ana["q_wva"] - ana["q_noclick"],
-               ana["p_click"]]
+        out = [delta, ana["q_no_postselection"], ana["q_noclick"], ana["q_click"],
+               ana["q_diff"], ana["q_wva"] - ana["q_noclick"], ana["p_click"]]
         if ex is not None:
             out += [cfg.overlay_alpha2, ex.q_noclick, ex.q_click, ex.diff, ex.p_click]
         return out
@@ -387,13 +384,8 @@ def run_figure3(cfg: SweepConfig) -> tuple[list[str], list[list]]:
     wm_t = cfg.value("wm_t")
     deltas = cfg.axes.get("delta") or _expand_axis("delta", DELTA_GRID)
     header = ["delta"] + [f"alpha2_p{p:g}_k{k:g}" for p, k in cfg.pairs]
-    rows = []
-    for d in deltas:
-        row = [d]
-        for p_target, k in cfg.pairs:
-            row.append(analytics.alpha2_for_probability(p_target, k, wm_t, d))
-        rows.append(row)
-    return header, rows
+    return header, [[d] + [analytics.alpha2_for_probability(p_target, k, wm_t, d)
+                           for p_target, k in cfg.pairs] for d in deltas]
 
 
 TABLE1_DELTAS = (0.1, 0.08, 0.06, 0.04, 0.02, 0.01)
@@ -403,8 +395,5 @@ def run_table1(alpha2: float = 30.0) -> tuple[list[str], list[list]]:
     """Weak value of one photon and success probability over the reference
     postselection parameters."""
     header = ["delta", "weak_value_one_photon", "alpha2", "p_success_pct"]
-    rows = []
-    for d in TABLE1_DELTAS:
-        rows.append([d, analytics.weak_value_one_photon(d), alpha2,
-                     100.0 * analytics.p_success_wva(alpha2, d)])
-    return header, rows
+    return header, [[d, analytics.weak_value_one_photon(d), alpha2,
+                     100.0 * analytics.p_success_wva(alpha2, d)] for d in TABLE1_DELTAS]

@@ -29,6 +29,11 @@ from .interferometer import ProtocolParams, _scan, run_protocol, weak_value_nume
 from .sweep import TABLE1_DELTAS, run_table1
 
 
+def _params(alpha2: float, delta: float, k: float, wm_t: float, **cutoffs) -> ProtocolParams:
+    return ProtocolParams(alpha=complex(math.sqrt(alpha2)), delta=delta,
+                          evolution=evolution_params(k, wm_t), **cutoffs)
+
+
 @dataclass
 class Clause:
     name: str
@@ -54,13 +59,11 @@ class CheckResult:
 
     def add(self, name: str, measured: float, tolerance: float,
             ok: bool | None = None) -> None:
-        if ok is None:
-            ok = bool(measured <= tolerance)
+        ok = measured <= tolerance if ok is None else ok
         self.clauses.append(Clause(name, float(measured), float(tolerance), bool(ok)))
 
     def report(self) -> str:
-        head = f"[{'PASS' if self.passed else 'FAIL'}] {self.name} ({self.seconds:.2f}s)"
-        lines = [head]
+        lines = [f"[{'PASS' if self.passed else 'FAIL'}] {self.name} ({self.seconds:.2f}s)"]
         if self.error:
             lines.append(f"    [FAIL] raised: {self.error}")
         lines.extend(c.line() for c in self.clauses)
@@ -107,8 +110,7 @@ def _sigfig_err(value: float, reference: float, figures: int = 3) -> float:
 @_timed(1.0)
 def check_table1(res: CheckResult) -> None:
     _, rows = run_table1()
-    for row in rows:
-        delta, wv1, alpha2, pf = row
+    for delta, wv1, alpha2, pf in rows:
         exp_wv, exp_pf = TABLE1_EXPECT[delta]
         res.add(f"weak value (delta={delta:g}) to 3 sig figs",
                 _sigfig_err(wv1, exp_wv), 0.5)
@@ -146,10 +148,8 @@ DESK_DELTAS = (0.002, 0.005, 0.01, 0.02, 0.035, 0.05)
 def check_exact_vs_analytic(res: CheckResult, optical_cutoff: int = 14,
                             mirror_cutoff: int = 8) -> None:
     k, wm_t, alpha2 = 0.005, math.pi, 2.0
-    low, ex = (_scan([ProtocolParams(alpha=complex(math.sqrt(a2)), delta=delta,
-                                     evolution=evolution_params(k, wm_t),
-                                     optical_cutoff=optical_cutoff,
-                                     mirror_cutoff=mirror_cutoff) for delta in DESK_DELTAS])
+    low, ex = (_scan([_params(a2, delta, k, wm_t, optical_cutoff=optical_cutoff,
+                              mirror_cutoff=mirror_cutoff) for delta in DESK_DELTAS])
                for a2 in (0.5, alpha2))
     inps = [analytics.AnalyticInputs.of(alpha2, delta, k, wm_t) for delta in DESK_DELTAS]
     for name, attr, ref, tol in (("q_diff", "diff", analytics.q_diff, 0.05),
@@ -219,11 +219,8 @@ def check_no_postselection_bound(res: CheckResult, mirror_cutoff: int = 12) -> N
 def check_snr_exact(res: CheckResult, optical_cutoff: int = 16,
                     mirror_cutoff: int = 8) -> None:
     k, alpha2 = 0.01, 4.0
-    params = ProtocolParams(alpha=complex(math.sqrt(alpha2)), delta=k,
-                            evolution=evolution_params(k, math.pi),
-                            optical_cutoff=optical_cutoff,
-                            mirror_cutoff=mirror_cutoff)
-    out = run_protocol(params)
+    out = run_protocol(_params(alpha2, k, k, math.pi, optical_cutoff=optical_cutoff,
+                               mirror_cutoff=mirror_cutoff))
     target = analytics.snr_click(alpha2, k)  # 1.08
     res.add("snr = q_click/dq rel dev vs 1+2k|alpha|^2",
             abs(out.q_click / out.dq_click - target) / target, 0.05)
@@ -238,9 +235,7 @@ def check_weak_value_wva(res: CheckResult) -> None:
     worst = 0.0
     for alpha2 in (0.5, 1.0, 2.0, 4.0):
         for delta in (0.02, 0.05, 0.1):
-            params = ProtocolParams(alpha=complex(math.sqrt(alpha2)), delta=delta,
-                                    evolution=evolution_params(0.0, math.pi))
-            wv = weak_value_numeric(params)
+            wv = weak_value_numeric(_params(alpha2, delta, 0.0, math.pi))
             formula = analytics.weak_value(alpha2, delta)
             worst = max(worst, abs(wv - formula) / formula)
     res.add("max rel dev numeric weak value vs |alpha|^2/2 + 1/(2 delta)",
@@ -258,10 +253,8 @@ def check_weak_value_wva(res: CheckResult) -> None:
 def check_dissipation_robustness(res: CheckResult, optical_cutoff: int = 12,
                                  mirror_cutoff: int = 6) -> None:
     k, wm_t, alpha2, gamma = 0.005, math.pi, 2.0, 5e-7
-    params = ProtocolParams(alpha=complex(math.sqrt(alpha2)), delta=k,
-                            evolution=evolution_params(k, wm_t),
-                            optical_cutoff=optical_cutoff,
-                            mirror_cutoff=mirror_cutoff)
+    params = _params(alpha2, k, k, wm_t, optical_cutoff=optical_cutoff,
+                     mirror_cutoff=mirror_cutoff)
     undamped = damped_protocol(params, 0.0)
     damped = damped_protocol(params, gamma)
     res.add("q_diff rel change at gamma=5e-7",
@@ -302,10 +295,8 @@ def check_approximation_chain(res: CheckResult, optical_cutoff: int = 12,
     q = position(mirror_cutoff, 1.0, "m")
     q_apx = float(np.trace(rho_m.matrix @ q.matrix).real)
 
-    params = ProtocolParams(alpha=complex(alpha), delta=delta, evolution=ev,
-                            optical_cutoff=optical_cutoff,
-                            mirror_cutoff=mirror_cutoff)
-    exact = run_protocol(params)
+    exact = run_protocol(_params(alpha2, delta, k, wm_t, optical_cutoff=optical_cutoff,
+                                 mirror_cutoff=mirror_cutoff))
     res.add("click-branch <q> rel dev, approx vs exact",
             abs(q_apx - exact.q_click) / abs(exact.q_click), 0.01)
     res.add("click probability rel dev, approx vs exact",
@@ -330,11 +321,8 @@ def run_all(optical_cutoff: int | None = None,
     """Run every check; cutoff overrides apply where a check takes them."""
     import inspect
 
-    over = {}
-    if optical_cutoff is not None:
-        over["optical_cutoff"] = optical_cutoff
-    if mirror_cutoff is not None:
-        over["mirror_cutoff"] = mirror_cutoff
+    over = {key: val for key, val in (("optical_cutoff", optical_cutoff),
+                                      ("mirror_cutoff", mirror_cutoff)) if val is not None}
     results = []
     for check in ALL_CHECKS:
         accepted = inspect.signature(check.__wrapped__).parameters

@@ -198,3 +198,20 @@ def test_svg_is_offered_only_where_a_plot_is_drawn(tmp_path, command):
         main([command, "--svg", str(svg)])
     assert exc.value.code == 2
     assert not svg.exists()
+
+
+@pytest.mark.parametrize("mode", ["table1", "verify", "sweep", "figure3"])
+def test_svg_config_key_only_where_a_plot_is_drawn(tmp_path, capsys, monkeypatch, mode):
+    # the config key, unlike the flag, reaches every mode: a mode that draws
+    # nothing refuses it (exit 2, naming svg) before writing anything
+    monkeypatch.setattr(verify, "run_all", lambda optical_cutoff=None, mirror_cutoff=None: [])
+    svg, out = tmp_path / "plot.svg", tmp_path / "out.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": mode, "svg": str(svg), "out": str(out)}))
+    code = main([mode, "--config", str(cfg)])
+    if mode == "figure3":
+        assert code == 0 and svg.read_text().startswith("<svg")
+        return
+    assert code == 2
+    assert capsys.readouterr().err.startswith("optoweak: config-error: svg: ")
+    assert not svg.exists() and not out.exists()

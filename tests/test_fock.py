@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import optoweak
 from optoweak import (DEFAULT_TOL, DegenerateBranchError, DensityMatrix,
@@ -20,7 +21,8 @@ from optoweak import (DEFAULT_TOL, DegenerateBranchError, DensityMatrix,
                       project_fock, poisson_tail, reduced_density,
                       StateVector, tensor, vacuum_state)
 from optoweak.dynamics import dense_propagator
-from optoweak.fock import _displacement_powers
+from optoweak import fock as fock_mod
+from optoweak.fock import _displacement_powers, _tridiagonal_eigh
 
 
 def number(cutoff, label="a"):
@@ -231,15 +233,61 @@ class TestDisplacement:
         for n in range(n_max + 1):
             assert np.abs(stack[n] - displacement(n * phi, cutoff)).max() < 1e-13
 
-    def test_powers_fail_unitarity_check_as_one_stack(self, monkeypatch):
-        real_eigh = np.linalg.eigh
+    @pytest.mark.parametrize("beta", [0.0, 5e-324, -5e-324j, 1e-310 + 1e-310j,
+                                      0.03 - 0.02j, -0.2j, -0.5])
+    def test_powers_match_expm_of_the_generator(self, beta):
+        # the real eigendecomposition of q against scipy's expm of
+        # n (beta c^dag - beta* c); a zero or subnormal drive takes its phase
+        # from cmath.phase, never from beta / |beta|, so nothing overflows
+        c = annihilation(10).matrix
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            stack = _displacement_powers(beta, 8, 10)
+        for n in range(9):
+            ref = expm(n * (beta * c.conj().T - np.conj(beta) * c))
+            assert np.abs(stack[n] - ref).max() < 1e-13
 
-        def skewed_eigh(m):
-            w, v = real_eigh(m)
+    def test_powers_fail_unitarity_check_as_one_stack(self, monkeypatch):
+        real_eigh = fock_mod._tridiagonal_eigh
+
+        def skewed_eigh(off):
+            w, v = real_eigh(off)
             return w, 1.5 * v  # eigenvectors no longer orthonormal
-        monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
+        monkeypatch.setattr(fock_mod, "_tridiagonal_eigh", skewed_eigh)
         with pytest.raises(TruncationError, match="unitarity"):
             _displacement_powers(0.1, 5, 6)
+
+
+def tridiagonal(off):
+    return np.diag(off, 1) + np.diag(off, -1) if len(off) else np.zeros((1, 1))
+
+
+class TestTridiagonalEigh:
+    @pytest.mark.parametrize("off", [
+        np.zeros(0), np.ones(1), np.sqrt(np.arange(1.0, 11)), np.sqrt(np.arange(1.0, 31)),
+        np.sqrt((np.arange(32.0) + 2) * (33 - np.arange(32.0))),  # the block N = d = 34
+        np.sqrt((np.arange(158.0) + 2) * (159 - np.arange(158.0))),
+        np.random.default_rng(0).uniform(0.01, 3.0, 40)], ids=lambda off: f"n{len(off) + 1}")
+    def test_matches_lapack(self, off):
+        # eigenvalues ascending and within an ulp-scale of LAPACK's, the
+        # eigenvectors orthonormal, equal to LAPACK's up to sign, and exact
+        # to the same residual
+        m = tridiagonal(off)
+        with np.errstate(all="raise", under="ignore"):
+            w, v = _tridiagonal_eigh(off)
+        w0, v0 = np.linalg.eigh(m)
+        scale = max(1.0, np.abs(w0).max())
+        assert (np.diff(w) > 0).all() and np.abs(w - w0).max() < 2e-15 * scale * len(m)
+        assert np.abs(v.T @ v - np.eye(len(m))).max() < 1e-13
+        assert np.abs(m @ v - v * w).max() < 4e-16 * scale * len(m)
+        assert np.abs(np.abs(v) - np.abs(v0)).max() < 1e-13
+
+    def test_odd_size_has_an_exact_zero_eigenvector(self):
+        # a zero-diagonal tridiagonal of odd size has eigenvalue 0 with
+        # components 0 on every other row: the pivots at 0 pass through +-inf
+        off = np.sqrt(np.arange(1.0, 7))
+        w, v = _tridiagonal_eigh(off)
+        assert abs(w[3]) < 1e-14 and np.abs(v[1::2, 3]).max() < 1e-15
+        assert np.isfinite(v).all()
 
 
 class TestProjectFock:

@@ -1,14 +1,18 @@
 """Protocol pipeline: preselection, recombination, postselection, weak values."""
 
+import functools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse import diags
+from scipy.sparse.linalg import expm_multiply
 
 from optoweak import (DEFAULT_TOL, DegenerateBranchError, DensityMatrix,
-                      LindbladParams, ModeLayout, Operator, ProtocolParams,
+                      LayoutError, LindbladParams, ModeLayout, Operator, ProtocolParams,
                       StateVector, annihilation, coherent_state, damped_protocol,
                       evolution_params, evolve_master, expectation, fock_state,
                       position, run_protocol, tensor, weak_value_numeric)
@@ -16,7 +20,9 @@ from optoweak import analytics as an
 from optoweak.dissipation import _evolved_rho
 from optoweak.dynamics import factored_propagate
 from optoweak.fock import cutoff_for_leakage
-from optoweak.interferometer import _arm, _bs_kernel, _bs_tables, _preselect_am
+from optoweak.interferometer import (MAX_RECOMBINER_DIM, _arm, _bs_kernel, _bs_tables,
+                                     _evolved_ket, _preselect_am)
+from optoweak.sweep import iter_sweep_rows, load_config
 
 
 def make_params(alpha2, delta, k=0.005, wm_t=math.pi, **kw):
@@ -69,22 +75,56 @@ def dense_kernel(theta, beta):
     return out
 
 
+def eigh_rows(theta, off, rows):
+    """Rows ``rows`` of exp(theta G) for the block generator G with
+    off-diagonal ``off``, from the complex Hermitian eigenpairs of i G."""
+    ev, vec = np.linalg.eigh(1j * (np.diag(off, -1) - np.diag(off, 1)))
+    return (vec[rows] * np.exp(-1j * theta * ev)) @ vec.conj().T
+
+
+def expm_rows(theta, off, rows):
+    """:func:`eigh_rows` by scipy's expm_multiply on the sparse generator, no
+    eigensolver: row c of exp(theta G) is column c of exp(-theta G)."""
+    unit = np.zeros((len(off) + 1, len(rows)))
+    unit[rows, range(len(rows))] = 1.0
+    return expm_multiply(-theta * diags([off, -off], [-1, 1], format="csr"), unit).T
+
+
+def block_rows(theta, beta, n_tot, rows_of=eigh_rows):
+    """The rows of block N = ``n_tot`` that reach dark-port occupation j <= 1,
+    on the states |i, N - i> that cutoff d = len(beta) keeps:
+    (j, c, i, rows) with rows[k] = W[j[k], c[k], i]."""
+    d = len(beta)
+    i = np.arange(max(0, n_tot - d + 1), min(n_tot, d - 1) + 1)
+    off = np.sqrt((i[:-1] + 1.0) * (n_tot - i[:-1]))
+    c = np.arange(max(n_tot - 1, i[0]), min(n_tot, i[-1]) + 1)  # rows with j <= 1
+    j = n_tot - c
+    # pi flip on j = 1
+    return j, c, i, rows_of(theta, off, c - i[0]) * beta[n_tot - i] * (1 - 2 * j)[:, None]
+
+
 def loop_kernel(theta, beta):
-    """:func:`_bs_kernel` with its tables formed per call: the eigenpairs,
-    row indices, arm-b indices and signs of each block, in the same
-    arithmetic order."""
+    """W[j, c, n] block by block, each from a complex Hermitian eigensolver
+    (:func:`block_rows`): the oracle of the closed-form kernel."""
     d = len(beta)
     w = np.zeros((2, d, d), dtype=complex)
     for n_tot in range(min(d + 1, 2 * d - 1)):
-        i = np.arange(max(0, n_tot - d + 1), min(n_tot, d - 1) + 1)
-        off = np.sqrt((i[:-1] + 1.0) * (n_tot - i[:-1]))
-        ev, vec = np.linalg.eigh(1j * (np.diag(off, -1) - np.diag(off, 1)))
-        c = np.arange(max(n_tot - 1, i[0]), min(n_tot, i[-1]) + 1)  # rows with j <= 1
-        j = n_tot - c
-        rows = (vec[c - i[0]] * np.exp(-1j * theta * ev)) @ vec.conj().T
-        rows *= beta[n_tot - i] * (1 - 2 * j)[:, None]  # pi flip on j = 1
+        j, c, i, rows = block_rows(theta, beta, n_tot)
         w[j, c, i[0]:i[-1] + 1] = rows
     return w
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_case(d, theta):
+    """A fixed random arm-b vector for cutoff dimension d and its
+    :func:`loop_kernel` at ``theta``, computed once per test session."""
+    rng = np.random.default_rng(d)
+    beta = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return beta, loop_kernel(theta, beta)
+
+
+ORACLE_ANGLES = (0.3, math.pi / 4 - 0.12, math.pi / 4 + 0.12, math.pi / 4 - 0.78,
+                 math.pi / 4 + 0.78, math.pi / 2)
 
 
 class TestBeamSplitter:
@@ -119,33 +159,73 @@ class TestBeamSplitter:
         # one entry per cutoff; the second angle at cutoff 4 is a hit
         info = _bs_tables.cache_info()
         assert (info.currsize, info.misses, info.hits) == (2, 2, 1)
-        ev, blocks, vr, evidx, bidx, sign, flat = _bs_tables(5)
-        # only blocks N <= d reach a dark-port occupation below 2
-        assert [len(vh) for vh, _ in blocks] == [1, 2, 3, 4, 5, 4]
-        # the block slices tile the row elements in order, each a whole
-        # number of eigenvector rows; every eigenvalue is some row's
-        at = [o for _, o in blocks]
-        assert [o.start for o in at] == [0] + [o.stop for o in at[:-1]]
-        assert at[-1].stop == len(flat)
-        assert all((o.stop - o.start) % len(vh) == 0 for vh, o in blocks)
-        assert (np.unique(evidx) == np.arange(len(ev))).all()
-        assert len(vr) == len(bidx) == len(sign) == len(np.unique(flat)) == len(flat)
-        for arr in (ev, vr, evidx, bidx, sign, flat, *(vh for vh, _ in blocks)):
+        d = 5
+        tables = _bs_tables(d)
+        binom, root, power, ilam, q = tables
+        assert [a.shape for a in tables] == [(d, d + 1), (d,), (d + 2,), (d - 1,), (d - 1, d - 1)]
+        assert sum(a.size for a in tables) == 2 * d * d + 2 * d + 2
+        exact = [[0.0] + [math.sqrt(math.comb(c, n)) for n in range(d)] for c in range(d)]
+        assert np.abs(binom - exact).max() < 1e-15
+        assert (root == np.sqrt(np.arange(d))).all() and (power == [0, 0, 1, 2, 3, 4, 5]).all()
+        # the truncated block's spectrum is real, and at theta = 0 its row is
+        # the identity's, pi-flipped: -1 at c = d - 1, 0 elsewhere
+        assert (ilam.real == 0).all()
+        assert np.abs(q.sum(axis=0) - [0, 0, 0, -1]).max() < 1e-15
+        for arr in tables:
             with pytest.raises(ValueError):
                 arr[...] = 0
 
-    @pytest.mark.parametrize("n_angles", [1, 3, 20])
-    @pytest.mark.parametrize("d", [1, 2, 3, 13, 34, 64])
-    def test_tables_keep_the_loop_kernel_bits(self, d, n_angles):
-        # every angle of a batch gets the bits of its own per-angle loop
+    @pytest.mark.parametrize("n_angles", [1, 3, 6])
+    @pytest.mark.parametrize("d", [1, 2, 3, 13, 34, 64, 160])
+    def test_kernel_within_bound_of_the_loop_kernel(self, d, n_angles):
+        # the closed form against per-block complex eigenpairs, at angles that
+        # put cos or sin near 0 (pi/2: cos^(n-1) at n = 0 must not be 0^-1);
+        # every angle of a batch gets the bits of its own one-angle call
+        thetas = np.array(ORACLE_ANGLES[:n_angles])
+        beta = oracle_case(d, thetas[0])[0]
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            w = _bs_kernel(thetas, beta)
+            assert w.shape == (n_angles, 2, d, d)
+            for t, theta in enumerate(thetas):
+                ref = oracle_case(d, theta)[1]
+                assert np.abs(w[t] - ref).max() <= 1e-13 * np.abs(ref).max()
+                assert (w[t] == _bs_kernel(thetas[t:t + 1], beta)[0]).all()
+
+    def test_largest_accepted_cutoff_is_finite_and_within_bound(self):
+        # d = MAX_RECOMBINER_DIM is the largest the feasibility guard accepts
+        # (test_sweep); its largest complete block N = d - 1 and the truncated
+        # block N = d against expm_multiply (:func:`expm_rows`), no eigensolver
+        d, theta = MAX_RECOMBINER_DIM, 0.3
+        assert math.comb(d, d // 2) > int(sys.float_info.max) ** 2  # d + 1 overflows
         rng = np.random.default_rng(d)
         beta = rng.normal(size=d) + 1j * rng.normal(size=d)
-        thetas = np.concatenate([[0.3, math.pi / 2], math.pi / 4 + rng.uniform(0.001, 0.12, 18)])
-        thetas = thetas[:n_angles]
-        w = _bs_kernel(thetas, beta)
-        assert w.shape == (n_angles, 2, d, d)
-        for t, theta in enumerate(thetas):
-            assert (w[t] == loop_kernel(theta, beta)).all()
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                w = _bs_kernel(np.array([theta]), beta)[0]
+            assert np.isfinite(w).all()
+            for n_tot in (d - 1, d):
+                j, c, i, rows = block_rows(theta, beta, n_tot, expm_rows)
+                assert np.abs(w[j, c][:, i] - rows).max() <= 1e-13 * np.abs(w).max()
+            with pytest.raises(LayoutError, match="overflows the recombiner's binomial table"):
+                _bs_kernel(np.array([theta]), np.ones(d + 1, dtype=complex))
+        finally:
+            _bs_tables.cache_clear()  # about 100 MB
+
+    def test_no_production_path_runs_a_lapack_eigensolver(self, monkeypatch):
+        # the recombiner tables and the displacement stack use the LAPACK-free
+        # fock._tridiagonal_eigh; complex or real, eigh raises here
+        def no_eigh(m, *args, **kwargs):
+            raise AssertionError(f"eigh of a {np.asarray(m).dtype} matrix on a production path")
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        for cache in (_bs_tables, _evolved_ket, _evolved_rho):
+            cache.cache_clear()
+        run_protocol(make_params(2.0, 0.005))
+        damped_protocol(make_params(2.0, 0.005, optical_cutoff=12, mirror_cutoff=3), 5e-7)
+        cfg = load_config(None, overrides={"engine": "both", "fixed": {"alpha2": 1.0},
+                                           "axes": {"delta": [0.005, 0.01]}},
+                          default_mode="sweep")
+        assert len(list(iter_sweep_rows(cfg))) == 4
+        assert _bs_tables.cache_info().currsize == 2  # d = 13 and 10 were built
 
     def test_balanced_maps_coherent_pair(self):
         u, v = 0.6, -0.3

@@ -11,7 +11,8 @@ import pytest
 from optoweak import (DEFAULT_TOL, ConfigError, ProtocolParams, TruncationError,
                       evolution_params, run_protocol, sweep)
 from optoweak.cli import main
-from optoweak.interferometer import _bs_tables, default_optical_cutoff
+from optoweak.interferometer import (MAX_RECOMBINER_DIM, _bs_tables,
+                                     default_optical_cutoff)
 from optoweak.sweep import (SWEEP_HEADER, SweepConfig, format_float, iter_sweep_rows,
                             load_config, run_figure2, run_figure3, run_table1,
                             write_csv)
@@ -119,31 +120,50 @@ class TestExactFeasibility:
         self.exact_cfg(2.0, gamma=1e-3, cutoffs={"mirror": 32})
         self.exact_cfg(2.0, cutoffs={"mirror": 64})  # unitary: no generator
 
-    def test_alpha2_400_small_mirror_rejected_by_recombiner_tables(self):
-        # mirror cutoff 1: the density matrix is only (521 * 2)^2 entries, but
-        # the recombiner tables for N <= 521 hold 47546461 entries of vec^H,
-        # 136501 eigenvalues, and 272481 row elements in the eigenvector rows
-        # and in each of the eigenvalue, arm-b, sign and scatter index arrays
-        with pytest.raises(ConfigError, match="recombiner-table cache has 49045367 entries"):
+    def test_alpha2_400_small_mirror_rejected_by_mirror_tail(self):
+        # mirror cutoff 1: the recombiner tables for optical cutoff 520 hold
+        # only 2 * 521^2 + 2 * 521 + 2 entries (the old ones 49045367), so the
+        # mirror-tail check refuses it: 520 photons displace the mirror by 5.2
+        with pytest.raises(ConfigError, match="mirror cutoff 1 too small for displacement 5.2 "):
             load_config(None, overrides={
                 "engine": "exact", "fixed": {"alpha2": 400.0},
                 "axes": {"delta": [0.005]}, "cutoffs": {"mirror": 1}}, default_mode="sweep")
 
-    def test_recombiner_tables_set_the_limit_from_mirror_cutoff_16(self):
-        # optical cutoff 361 (|alpha|^2 263.5) is the largest whose tables fit:
-        # 16733440 entries; cutoff 362 (|alpha|^2 264) needs 16869931 > 4096^2
-        for alpha2 in (263.0, 263.5):
+    def test_mirror_tail_sets_the_limit_at_mirror_cutoff_16(self):
+        # the tables no longer bind here (the old limit was 263.5): the
+        # mirror-tail check accepts |alpha|^2 285.5 and refuses 286
+        for alpha2 in (263.5, 264.0, 285.5):
             self.exact_cfg(alpha2, cutoffs={"mirror": 16})
-        with pytest.raises(ConfigError, match="recombiner-table cache has 16869931 entries"):
-            self.exact_cfg(264.0, cutoffs={"mirror": 16})
+        with pytest.raises(ConfigError, match="mirror cutoff 16 too small for displacement"):
+            self.exact_cfg(286.0, cutoffs={"mirror": 16})
+
+    def test_displacement_stack_sets_the_limit_from_large_mirror_cutoffs(self):
+        # at mirror cutoff 150 the unitary point's D(n phi) stack, d * 151^2
+        # entries, binds first: optical cutoff 734 (|alpha|^2 588) fits, 735 does not
+        self.exact_cfg(588.0, cutoffs={"mirror": 150})
+        with pytest.raises(ConfigError,
+                           match="mirror displacement stack has 16781536 entries"):
+            self.exact_cfg(589.0, cutoffs={"mirror": 150})
+
+    def test_binomial_overflow_sets_the_largest_optical_cutoff(self):
+        # at a coupling small enough for every other check, the recombiner's
+        # binomial table decides: the largest dimension it holds finite is
+        # MAX_RECOMBINER_DIM (tested finite in test_interferometer)
+        for optical, ok in ((MAX_RECOMBINER_DIM - 1, True), (MAX_RECOMBINER_DIM, False)):
+            overrides = {"engine": "exact", "fixed": {"alpha2": 1.0, "k": 1e-6},
+                         "axes": {"delta": [0.005]}, "cutoffs": {"optical": optical}}
+            if ok:
+                load_config(None, overrides=overrides, default_mode="sweep")
+                continue
+            with pytest.raises(ConfigError, match="optical cutoff 2054 overflows"):
+                load_config(None, overrides=overrides, default_mode="sweep")
 
     @pytest.mark.parametrize("alpha2", [0.5, 2.0, 12.0])
     def test_recombiner_term_counts_the_tables_the_kernel_keeps(self, monkeypatch, alpha2):
         # with the cap lowered to one entry the guard reports its count, which
         # must be every entry of the cached tables at that optical cutoff
         monkeypatch.setattr(sweep, "DEFAULT_TOL", replace(DEFAULT_TOL, dense_dim_cap=1))
-        ev, blocks, *flat = _bs_tables(default_optical_cutoff(alpha2) + 1)
-        entries = ev.size + sum(vh.size for vh, _ in blocks) + sum(a.size for a in flat)
+        entries = sum(a.size for a in _bs_tables(default_optical_cutoff(alpha2) + 1))
         with pytest.raises(ConfigError, match=f"recombiner-table cache has {entries} entries"):
             self.exact_cfg(alpha2)
 
