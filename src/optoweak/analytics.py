@@ -125,14 +125,6 @@ def alpha2_for_probability(p_target: float, k: float, wm_t: float,
     return p_target / denom
 
 
-def amplification_factor_q(k: float, wm_t: float) -> float:
-    """1/(phi + phi*): the per-photon displacement amplification scale."""
-    s = evolution_params(k, wm_t).disp_sum
-    if s == 0.0:
-        raise DegenerateBranchError("amplification factor with no kick", 0.0)
-    return 1.0 / s
-
-
 def q_click_smallk(alpha2: float, k: float, delta: float) -> float:
     """Small-coupling expansion at half a mechanical period:
     (2 k delta + 4 k^3 |alpha|^2) / (delta^2 + k^2); maximum 1 + 2k|alpha|^2
@@ -143,25 +135,6 @@ def q_click_smallk(alpha2: float, k: float, delta: float) -> float:
 def snr_click(alpha2: float, k: float) -> float:
     """Quantum-limited <q>_click / dq at the optimum: 1 + 2 k |alpha|^2."""
     return 1.0 + 2.0 * k * alpha2
-
-
-def snr_diff() -> float:
-    """Quantum-limited SNR of the click/no-click difference: exactly 1."""
-    return 1.0
-
-
-def mirror_states_closed_form(inputs: AnalyticInputs) -> tuple[complex, complex]:
-    """(click, no-click) conditional mirror coherent amplitudes.
-
-    No-click: |alpha|^2 phi / 2.  Click adds phi/(2 delta); valid in the
-    backaction-free regime (check ``inputs.regime``).
-    """
-    phi = inputs.evolution.disp_param
-    noclick = inputs.alpha2 * phi / 2.0
-    if inputs.delta == 0.0:
-        raise DegenerateBranchError("click mirror amplitude at delta = 0", 0.0)
-    click = noclick + phi / (2.0 * inputs.delta)
-    return click, noclick
 
 
 def q_no_postselection(k: float, wm_t: float) -> float:

@@ -81,7 +81,8 @@ def _run(args: argparse.Namespace) -> int:
                           f"subcommand {args.command!r}")
 
     if args.command != "verify":
-        header, rows = {"table1": run_table1, "figure2": lambda: run_figure2(cfg),
+        header, rows = {"table1": lambda: run_table1(cfg.value("alpha2")),
+                        "figure2": lambda: run_figure2(cfg),
                         "figure3": lambda: run_figure3(cfg),
                         "sweep": lambda: (SWEEP_HEADER, iter_sweep_rows(cfg))}[args.command]()
         with _writing(cfg.out):

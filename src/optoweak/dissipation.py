@@ -19,7 +19,7 @@ from .dynamics import EvolutionParams, _hamiltonian, _mirror_tail, _require_am
 from .errors import LayoutError
 from .fock import DensityMatrix, annihilation
 from .interferometer import (ProtocolOutcome, ProtocolParams, _arm, _drive,
-                             _postselect, _preselect_am)
+                             _outcomes, _preselect_am, _recombined)
 from .tolerances import DEFAULT_TOL
 
 
@@ -166,7 +166,7 @@ def _evolved_rho(drive: ProtocolParams, gamma: float
     """The delta-free front half of :func:`damped_protocol`, for a
     :func:`optoweak.interferometer._drive` key and gamma: the evolved (a, m)
     density matrix as one (d^2, dm^2) array in (n n', m m') order, the
-    contraction order of :func:`optoweak.interferometer._postselect`, its
+    contraction order of :func:`_postselect`, its
     partial trace rho_a over the mirror, rho_a's trace and arm b's amplitudes.
 
     A miss runs the preselection leakage and mirror-tail checks; the cache
@@ -189,9 +189,30 @@ def _evolved_rho(drive: ProtocolParams, gamma: float
     return pairs, rho_a, float(np.trace(rho_a).real), _arm(drive, "b").normalize().amplitudes
 
 
+def _postselect(points: list[ProtocolParams], rho: np.ndarray, rho_a: np.ndarray,
+                trace: float, beta: np.ndarray) -> list[ProtocolOutcome]:
+    """Recombine, postselect on the dark port and collect mirror statistics
+    of a mixed (a, m) state at each delta of ``points`` (one drive): the
+    damped engine's route.  ``rho`` is the evolved (a, m) density matrix as
+    a (d^2, dm^2) array in (n n', m m') order, ``rho_a`` its partial trace
+    over the mirror, ``trace`` the trace of rho_a and ``beta`` arm b's
+    amplitudes.  With W from :func:`optoweak.interferometer._bs_kernel` the
+    dark-port outcome j leaves the mirror in sum_{n n'} M_j[n, n'] rho[n n', :],
+    M_j[n, n'] = sum_c W[j, c, n] W*[j, c, n'], one product per slice of
+    deltas, with probability Tr(M_j rho_a).  The bright port is never
+    conditioned, which equals tracing it out."""
+    dm, out = points[0].mirror_cutoff + 1, []
+    for w in _recombined(points, beta):
+        m = w.transpose(0, 1, 3, 2) @ w.conj()  # M_j[n, n'], as a BLAS batch
+        rho_m = (m.reshape(len(w), 2, -1) @ rho).reshape(-1, 2, dm, dm)
+        probs = np.einsum("tjnk,nk->tj", m, rho_a).real
+        out += _outcomes(rho_m, probs, trace)
+    return out
+
+
 def _damped_scan(points: list[ProtocolParams], gamma: float) -> list[ProtocolOutcome]:
     """:func:`damped_protocol` at each delta of ``points`` (one drive): one
-    stage lookup, then :func:`optoweak.interferometer._postselect`."""
+    stage lookup, then :func:`_postselect`."""
     return _postselect(points, *_evolved_rho(_drive(points[0]), gamma))
 
 

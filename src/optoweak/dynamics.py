@@ -9,6 +9,7 @@ that factorization.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, LayoutError, TruncationError
-from .fock import (ModeLayout, Operator, StateVector, _displacement_powers,
+from .fock import (ModeLayout, Operator, StateVector, _moment_table,
                    _warn_large_displacement, annihilation, poisson_tail)
 from .tolerances import DEFAULT_TOL
 
@@ -95,8 +96,8 @@ def factored_propagate(state: StateVector, params: EvolutionParams) -> StateVect
     Right-to-left: mirror rotation e^{-i wm_t c^dag c}; per photon-number
     block n of arm a, mirror displacement D(n phi); Kerr phase
     e^{i kerr n^2}.
-    Every D(n phi) comes from one eigendecomposition and all blocks are
-    displaced in one stacked contraction, never a joint matrix build.
+    Every D(n phi) comes from one cached eigendecomposition of the mirror
+    position and is applied in factored form, never built as a matrix.
     Raises :class:`TruncationError` past the mirror-tail budget, then warns
     when the largest displacement is not small against the mirror cutoff.
     """
@@ -115,9 +116,17 @@ def _factored_propagate(state: StateVector, params: EvolutionParams) -> StateVec
     g = np.array(state.grid)  # writable copy
     # mirror free rotation (acts first)
     g *= np.exp(-1j * params.wm_t * np.arange(m_cut + 1))
-    # per-block displacement on the mirror axis, then Kerr phase
-    dn = _displacement_powers(params.disp_param, n_max, m_cut)
-    g[1:] = np.einsum("nj,nij->ni", g[1:], dn[1:])
+    # per-block displacement on the mirror axis (Bose, Jacobs & Knight, PRA 56,
+    # 4175 (1997)): i(beta c^dag - beta* c) = P |beta| q P^*, q = V diag(w) V^T,
+    # P = diag(u^k), u = i beta / |beta| from beta's phase (no division: zero
+    # drive is safe), so D(n beta) g = P V (exp(-i n |beta| w) * (V^T P^* g))
+    _, _, w, v = _moment_table(m_cut)
+    beta = params.disp_param
+    pv = np.exp(1j * (cmath.phase(beta) + math.pi / 2) * np.arange(m_cut + 1))[:, None] * v
+    y = g[1:] @ pv.conj()
+    y *= np.exp(-1j * abs(beta) * np.outer(np.arange(1, n_max + 1), w))
+    g[1:] = y @ pv.T
+    # then the Kerr phase
     g *= np.exp(1j * params.kerr_phase * np.arange(n_max + 1) ** 2)[:, None]
     return StateVector(state.layout, g.reshape(-1), leakage=state.leakage + tail)
 

@@ -12,7 +12,6 @@ construction.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import warnings
@@ -315,23 +314,38 @@ def position(cutoff: int, sigma: float = 1.0, label: str = "m") -> Operator:
 
 
 @functools.lru_cache(maxsize=8)
-def _moment_table(cutoff: int) -> tuple[ModeLayout, np.ndarray]:
-    """The layout of mirror mode ``m`` and the real, symmetric matrices of q =
-    c + c^dag (:func:`position` in sigma units) and q^2, stacked, built once per
-    cutoff and kept read-only; Tr(rho q) is the elementwise sum of Re(rho) q."""
+def _moment_table(cutoff: int) -> tuple[ModeLayout, np.ndarray, np.ndarray, np.ndarray]:
+    """The layout of mirror mode ``m``, the real, symmetric matrices of q =
+    c + c^dag (:func:`position` in sigma units) and q^2, stacked, and q's
+    eigenpairs q = V diag(w) V^T, built once per cutoff and kept read-only;
+    Tr(rho q) is the elementwise sum of Re(rho) q.
+
+    Every mirror displacement is D(beta) = P V exp(-i |beta| w) V^T P^* with
+    P diagonal and unimodular (:func:`optoweak.dynamics._factored_propagate`),
+    so it is unitary to rounding exactly when V is orthogonal and w is real:
+    raises :class:`TruncationError` unless max |V^T V - I| < ``unitary_atol``
+    and w is finite.
+    """
     c = annihilation(cutoff).matrix.real
     q = c + c.T
     # not q @ q: a process's first real BLAS product maps about 256 KB of
     # OpenBLAS buffers, and the engines otherwise multiply complex matrices
     qs = np.stack((q, np.einsum("ij,jk->ik", q, q)))
-    qs.setflags(write=False)
-    return ModeLayout.of(("m", cutoff)), qs
+    w, v = _tridiagonal_eigh(np.sqrt(np.arange(1.0, cutoff + 1)))
+    gram = np.einsum("ji,jk->ik", v, v)  # V^T V, again without a real BLAS product
+    gram[np.diag_indices(cutoff + 1)] -= 1.0
+    dev = float(np.abs(gram, out=gram).max())
+    if not (dev < DEFAULT_TOL.unitary_atol and np.isfinite(w).all()):
+        raise TruncationError("displacement operator failed the unitarity check", dev)
+    for arr in (qs, w, v):
+        arr.setflags(write=False)
+    return ModeLayout.of(("m", cutoff)), qs, w, v
 
 
 def _warn_large_displacement(beta: complex, n_max: int, cutoff: int,
                              stacklevel: int) -> None:
-    """Warn when the largest displacement |n_max beta|^2 of a stack is not
-    small against the cutoff.  ``stacklevel`` counts from the caller, so 2
+    """Warn when the largest displacement |n_max beta|^2 of a propagation is
+    not small against the cutoff.  ``stacklevel`` counts from the caller, so 2
     reports the line that called the caller."""
     big = abs(n_max * beta) ** 2
     if big > DEFAULT_TOL.displacement_warn_ratio * max(cutoff, 1):
@@ -370,27 +384,6 @@ def _tridiagonal_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z[:-1] = np.cumprod(np.where(row[:-1] < twist, -off[:, None] / fwd[:-1], 1.0)[::-1], 0)[::-1]
     z[1:] *= np.cumprod(np.where(row[1:] > twist, -off[:, None] / bwd[1:], 1.0), axis=0)
     return lam, z / np.sqrt((z * z).sum(axis=0))
-
-
-def _displacement_powers(beta: complex, n_max: int, cutoff: int) -> np.ndarray:
-    """D(n beta) for n = 0..n_max, stacked on the first axis.
-
-    The generator of D(n beta) is n times that of D(beta), so one real
-    eigendecomposition gives every power (Bose, Jacobs & Knight, PRA 56, 4175
-    (1997)): i(beta c^dag - beta* c) = P |beta| q P^* with q = c + c^dag =
-    V diag(w) V^T and P = diag(u^k), u = i beta / |beta| from beta's phase (no
-    division: zero drive is safe), so D(n beta) = P V exp(-i n |beta| w) V^T P^*.
-    Raises :class:`TruncationError` when any matrix fails the unitarity check;
-    callers warn through :func:`_warn_large_displacement`.
-    """
-    w, v = _tridiagonal_eigh(np.sqrt(np.arange(1.0, cutoff + 1)))
-    v = np.exp(1j * (cmath.phase(beta) + math.pi / 2) * np.arange(cutoff + 1))[:, None] * v
-    phases = np.exp(-1j * abs(beta) * np.outer(np.arange(n_max + 1), w))
-    stack = (v * phases[:, None, :]) @ v.conj().T
-    dev = float(np.abs(stack @ stack.conj().swapaxes(1, 2) - np.eye(cutoff + 1)).max())
-    if not dev < DEFAULT_TOL.unitary_atol:
-        raise TruncationError("displacement operator failed the unitarity check", dev)
-    return stack
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,11 @@ from .tolerances import DEFAULT_TOL
 PRESELECT_LEAKAGE = 1e-9
 # sqrt(C(2053, 1026)) is 0.75 of the largest float; sqrt(C(2054, 1027)) overflows
 MAX_RECOMBINER_DIM = 2054
+# complex dm^2-sized arrays that a cold exact point holds at once at large
+# mirror cutoffs (the moment and eigenvector tables, their eigensolver's
+# workspace, the mirror states and moments): 7.5-7.8 measured by tracemalloc
+# at mirror cutoffs 250-1000 and |alpha|^2 2
+_MIRROR_WORKSPACE = 8
 
 
 def default_optical_cutoff(alpha2: float) -> int:
@@ -196,8 +201,11 @@ def _bs_kernel(thetas: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 def _recombined(points: list[ProtocolParams], beta: np.ndarray):
     """W from :func:`_bs_kernel` over slices of ``points``, at their angles
-    pi/4 + delta: max(1, 2^16 // (2 d^2)) angles, about 1 MiB of W."""
-    step = max(1, 2 ** 16 // (2 * len(beta) ** 2))
+    pi/4 + delta: max(1, 2^16 // (2 s^2)) angles, s = max(d, dm), so that W
+    and each slice's mirror states (t, 2, dm, dm) stay near 1 MiB (one
+    angle's from s = 129 on)."""
+    size = max(len(beta), points[0].mirror_cutoff + 1)
+    step = max(1, 2 ** 16 // (2 * size ** 2))
     for lo in range(0, len(points), step):
         yield _bs_kernel(np.array([math.pi / 4 + p.delta for p in points[lo:lo + step]]), beta)
 
@@ -208,7 +216,7 @@ def _outcomes(rho_m: np.ndarray, probs: np.ndarray, trace: float) -> list[Protoc
     (click), their traces ``probs`` and the (a, m) state's trace, in one array
     pass; a degenerate branch gets NaN moments, no mirror state and a reason.
     The recombiner is unitary, so trace - sum(probs) is P(2+ dark-port photons)."""
-    layout, qs = _moment_table(rho_m.shape[-1] - 1)
+    layout, qs, _, _ = _moment_table(rho_m.shape[-1] - 1)
     bad = probs < DEFAULT_TOL.degenerate_prob
     rho, mats = DensityMatrix._symmetrized(layout, rho_m, np.where(bad, 1.0, probs))
     mom = (rho.real[:, :, None] * qs).sum(axis=(3, 4))  # <q>, <q^2> of every branch
@@ -224,27 +232,6 @@ def _outcomes(rho_m: np.ndarray, probs: np.ndarray, trace: float) -> list[Protoc
             degenerate_reason="; ".join(f"{name}:" + str(DegenerateBranchError(
                 f"projection onto |{j}> of mode 'd' has no weight", p[j]))
                 for j, name in enumerate(("noclick", "click")) if b[j]) if True in b else None))
-    return out
-
-
-def _postselect(points: list[ProtocolParams], rho: np.ndarray, rho_a: np.ndarray,
-                trace: float, beta: np.ndarray) -> list[ProtocolOutcome]:
-    """Recombine, postselect on the dark port and collect mirror statistics
-    of a mixed (a, m) state at each delta of ``points`` (one drive): the
-    damped engine's route.  ``rho`` is the evolved (a, m) density matrix as
-    a (d^2, dm^2) array in (n n', m m') order, ``rho_a`` its partial trace
-    over the mirror, ``trace`` the trace of rho_a and ``beta`` arm b's
-    amplitudes.  With W from :func:`_bs_kernel` (closed-form rows, one
-    eigendecomposed row) the dark-port outcome j leaves the mirror in
-    sum_{n n'} M_j[n, n'] rho[n n', :], M_j[n, n'] = sum_c W[j, c, n] W*[j, c, n'],
-    one product per slice of deltas, with probability Tr(M_j rho_a).  The
-    bright port is never conditioned, which equals tracing it out."""
-    dm, out = points[0].mirror_cutoff + 1, []
-    for w in _recombined(points, beta):
-        m = w.transpose(0, 1, 3, 2) @ w.conj()  # M_j[n, n'], as a BLAS batch
-        rho_m = (m.reshape(len(w), 2, -1) @ rho).reshape(-1, 2, dm, dm)
-        probs = np.einsum("tjnk,nk->tj", m, rho_a).real
-        out += _outcomes(rho_m, probs, trace)
     return out
 
 
@@ -269,15 +256,15 @@ def run_protocol(params: ProtocolParams) -> ProtocolOutcome:
     """Run the unitary pipeline and collect both dark-port branches (a
     one-delta :func:`_scan`).
 
-    The (a, m) ket evolves under the factored propagator (real
-    eigendecompositions only) and stays a ket up to the dark port:
-    x_j = W_j psi, with W from :func:`_bs_kernel`, is the (bright port c) x
-    mirror ket left by dark-port outcome j, and tracing out c gives the
+    The (a, m) ket evolves under the factored propagator (one cached real
+    eigendecomposition per mirror cutoff) and stays a ket up to the dark
+    port: x_j = W_j psi, with W from :func:`_bs_kernel`, is the (bright port
+    c) x mirror ket left by dark-port outcome j, and tracing out c gives the
     unnormalized mirror state x_j^T x_j^*.  No (a, m) density matrix is
-    formed; :func:`_postselect` is the mixed-state route.  The stage
-    :func:`_evolved_ket` evolves the ket once per drive and cutoffs.  The
-    warning that the largest mirror displacement is not small against the
-    cutoff fires on every call.
+    formed; :func:`optoweak.dissipation._postselect` is the mixed-state
+    route.  The stage :func:`_evolved_ket` evolves the ket once per drive
+    and cutoffs.  The warning that the largest mirror displacement is not
+    small against the cutoff fires on every call.
     """
     return _scan([params])[0]
 

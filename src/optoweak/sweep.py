@@ -21,8 +21,8 @@ from .dissipation import _EXPM_WORKSPACE, _damped_scan
 from .dynamics import _mirror_tail, evolution_params
 from .errors import ConfigError, DegenerateBranchError, TruncationError
 from .fock import coherent_state
-from .interferometer import (MAX_RECOMBINER_DIM, ProtocolParams, _scan,
-                             default_optical_cutoff)
+from .interferometer import (_MIRROR_WORKSPACE, MAX_RECOMBINER_DIM, ProtocolParams,
+                             _scan, default_optical_cutoff)
 from .tolerances import DEFAULT_TOL
 
 MODES = ("figure2", "figure3", "table1", "verify", "sweep")
@@ -152,6 +152,9 @@ def load_config(path: str | None, overrides: dict | None = None,
         if key not in DEFAULT_FIXED:
             raise ConfigError(f"unknown fixed parameter {key!r} (known: {sorted(DEFAULT_FIXED)})")
         fixed[key] = _parameter(f"fixed.{key}", key, val)
+    if mode == "figure2" and engine != "analytic" and fixed.get("gamma", 0.0) != 0.0:
+        raise ConfigError("fixed.gamma: figure2's exact overlay is unitary (gamma 0), "
+                          f"got {fixed['gamma']!r}")
     axes = {}
     for name, spec in _section(raw, "axes").items():
         if name not in SWEEPABLE:
@@ -191,10 +194,9 @@ def _exact_values(cfg: SweepConfig, name: str) -> list[float]:
 
 def _check_exact_feasible(cfg: SweepConfig) -> None:
     """Refuse exact points whose largest arrays exceed the dense cap squared
-    (a 4096 x 4096 complex matrix, 256 MiB): the recombiner-table cache of
-    one optical cutoff (:func:`_bs_tables`), a unitary point's stack of
-    mirror displacements D(n phi), n < d, and, when a point is damped
-    (gamma > 0), the (a, m) density matrix and the working set of one
+    (a 4096 x 4096 complex matrix, 256 MiB): the mirror working set of every
+    point, _MIRROR_WORKSPACE arrays of dm^2 entries, and, when a point is
+    damped (gamma > 0), the (a, m) density matrix and the working set of one
     block's exponential, _EXPM_WORKSPACE generators of dm^4 entries; and an
     optical cutoff whose recombiner binomials overflow.  Then, where exact
     points run at the config's values (sweep, figure2's overlay), refuse a
@@ -207,9 +209,7 @@ def _check_exact_feasible(cfg: SweepConfig) -> None:
     d = n_opt + 1
     cap = DEFAULT_TOL.dense_dim_cap ** 2
     dm = cfg.exact_mirror_cutoff + 1
-    # only damped points build the density matrix (larger than the stack they skip)
-    sizes = [("recombiner-table cache", 2 * d * d + 2 * d + 2),
-             ("mirror displacement stack", d * dm * dm)]
+    sizes = [("mirror working set", _MIRROR_WORKSPACE * dm * dm)]
     if cfg.mode == "sweep" and max(_exact_values(cfg, "gamma")) > 0.0:
         sizes = [("(a, m) density matrix", (d * dm) ** 2),
                  ("block exponential's working set", _EXPM_WORKSPACE * dm ** 4)] + sizes

@@ -215,3 +215,28 @@ def test_svg_config_key_only_where_a_plot_is_drawn(tmp_path, capsys, monkeypatch
     assert code == 2
     assert capsys.readouterr().err.startswith("optoweak: config-error: svg: ")
     assert not svg.exists() and not out.exists()
+
+
+def test_table1_reads_the_configured_alpha2(tmp_path, capsys):
+    # the alpha2 column and p_success = |alpha|^2 delta^2 follow fixed.alpha2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "table1", "fixed": {"alpha2": 5}}))
+    assert main(["table1", "--config", str(cfg)]) == 0
+    first = capsys.readouterr().out.splitlines()[1].split(",")
+    assert float(first[2]) == 5.0 and float(first[3]) == pytest.approx(5.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("engine,gamma,code", [
+    ("both", 0.1, 2), ("exact", 1e-3, 2), ("both", 0.0, 0), ("analytic", 0.1, 0)])
+def test_figure2_refuses_a_gamma_its_overlay_would_ignore(tmp_path, capsys, engine, gamma, code):
+    # the exact overlay is unitary, so a nonzero fixed.gamma is a config error
+    # (exit 2, naming fixed.gamma, nothing written) wherever the overlay runs
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps({"mode": "figure2", "engine": engine, "out": str(out),
+                               "fixed": {"gamma": gamma}, "axes": {"delta": [0.005]}}))
+    assert main(["figure2", "--config", str(cfg)]) == code
+    if code:
+        assert capsys.readouterr().err.startswith("optoweak: config-error: fixed.gamma: ")
+        assert not out.exists()
+    else:
+        assert out.read_text().startswith("delta,")

@@ -1,20 +1,21 @@
 """Evolution parameters, factored/dense propagators, weak approximation."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from optoweak import (DEFAULT_TOL, DensityMatrix, LayoutError, LindbladParams,
-                      TruncationError, coherent_state, dense_propagator,
+                      TruncationError, annihilation, coherent_state, dense_propagator,
                       evolution_params, evolve_master, factored_propagate,
                       fock_state, lindblad_rhs, pointer_shift, position,
                       reduced_density, tensor, vacuum_state,
                       weak_approx_propagate)
-from optoweak.fock import _displacement_powers
 from optoweak.verify import _factored_block
 
 
@@ -83,6 +84,22 @@ class TestFactoredPropagate:
         out = factored_propagate(s, evolution_params(k, wt))
         assert out.norm == pytest.approx(1.0, abs=1e-10)
 
+    def test_warm_call_builds_no_per_photon_number_operator(self):
+        # D(n phi) is applied in q's cached eigenbasis, two (d, dm) @ (dm, dm)
+        # products; a stack of every D(n phi), 300 * 40^2 complex entries
+        # (7.7 MB), and its unitarity check peaked at 23.6 MB
+        s = tensor([coherent_state(math.sqrt(150.0), 299, "a", leakage_tol=1.0),
+                    vacuum_state(39, "m")])
+        params = evolution_params(1e-3, math.pi)
+        factored_propagate(s, params)  # the eigenpairs of mirror cutoff 39
+        tracemalloc.start()
+        try:
+            factored_propagate(s, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
     def test_mirror_cutoff_too_small_raises(self):
         s = tensor([fock_state(1, 1, "a"), vacuum_state(1, "m")])
         with pytest.raises(TruncationError):
@@ -137,7 +154,8 @@ class TestDensePropagator:
         params = evolution_params(k, wt)
         wrong_phi = params.disp_param * np.exp(-1j * wt)
         ud = dense_propagator(k, wt, 1, 7, mirror_pad=24)
-        disp = _displacement_powers(params.disp_param, 1, 31)[1]
+        c = annihilation(31).matrix
+        disp = expm(params.disp_param * c.conj().T - np.conj(params.disp_param) * c)
         rot = np.diag(np.exp(-1j * wt * np.arange(32)))
         block = (rot @ disp)[:8, :8]  # wrong order
         dev = np.abs(ud.matrix[8:, 8:] - np.exp(1j * params.kerr_phase) * block).max()

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,15 +15,17 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import optoweak
-from optoweak import (DEFAULT_TOL, DegenerateBranchError, DensityMatrix,
+from optoweak import (DegenerateBranchError, DensityMatrix, EvolutionParams,
                       InvariantError, LayoutError, ModeLayout, Operator,
-                      TruncationError, annihilation, coherent_state,
-                      expectation, fock_state, pointer_shift, position,
-                      project_fock, poisson_tail, reduced_density,
+                      ProtocolParams, TruncationError, annihilation,
+                      coherent_state, evolution_params, expectation,
+                      factored_propagate, fock_state, pointer_shift, position,
+                      project_fock, poisson_tail, reduced_density, run_protocol,
                       StateVector, tensor, vacuum_state)
 from optoweak.dynamics import dense_propagator
 from optoweak import fock as fock_mod
-from optoweak.fock import _displacement_powers, _tridiagonal_eigh
+from optoweak import interferometer
+from optoweak.fock import _tridiagonal_eigh
 
 
 def number(cutoff, label="a"):
@@ -30,7 +33,33 @@ def number(cutoff, label="a"):
 
 
 def displacement(beta, cutoff):
-    return _displacement_powers(beta, 1, cutoff)[1]
+    """Oracle: scipy's expm of the truncated generator beta c^dag - beta* c."""
+    c = annihilation(cutoff).matrix
+    return expm(beta * c.conj().T - np.conj(beta) * c)
+
+
+@dataclass(frozen=True)
+class Kick(EvolutionParams):
+    """No mirror rotation and no Kerr phase (wm_t = 0) but a chosen per-photon
+    displacement ``phi``, so factored_propagate applies D(n phi) to block n."""
+
+    phi: complex = 0j
+
+    @property
+    def disp_param(self) -> complex:
+        return self.phi
+
+
+def kicked(grid, phi):
+    """factored_propagate's D(n phi) on row n of an (a, m) amplitude grid."""
+    layout = ModeLayout.of(("a", grid.shape[0] - 1), ("m", grid.shape[1] - 1))
+    return factored_propagate(StateVector(layout, grid), Kick(0.0, 0.0, phi)).grid
+
+
+def random_grid(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return g / np.linalg.norm(g)
 
 
 def poisson_tail_direct(lam: float, cutoff: int) -> float:
@@ -211,50 +240,53 @@ class TestOperators:
 
 
 class TestDisplacement:
+    # D(n beta) as the production propagator applies it, row by row in the
+    # eigenbasis of q that fock._moment_table keeps once per mirror cutoff
     def test_zero_is_identity(self):
-        d = displacement(0.0, 5)
-        assert np.allclose(d, np.eye(6), atol=1e-14)
-        assert np.abs(d @ d.conj().T - np.eye(6)).max() < DEFAULT_TOL.unitary_atol
+        g = random_grid((4, 6))
+        assert np.abs(kicked(g, 0.0) - g).max() < 1e-14
 
     def test_small_displacement_matches_series(self):
-        out = displacement(0.01, 12) @ vacuum_state(12, "m").amplitudes
+        g = np.zeros((2, 13), dtype=complex)
+        g[1, 0] = 1.0  # |1>_a |0>_m
         ref = coherent_state(0.01, 12, "m", leakage_tol=1.0)
-        assert np.abs(out - ref.amplitudes).max() < 1e-10
+        assert np.abs(kicked(g, 0.01)[1] - ref.amplitudes).max() < 1e-10
 
     def test_inverse_pair(self):
-        d = displacement(0.3 + 0.1j, 10)
-        dm = displacement(-0.3 - 0.1j, 10)
-        assert np.abs(d @ dm - np.eye(11)).max() < 1e-9
-
-    def test_powers_match_one_displacement_per_n(self):
-        phi, cutoff, n_max = 0.03 - 0.02j, 10, 40
-        stack = _displacement_powers(phi, n_max, cutoff)
-        assert stack.shape == (n_max + 1, cutoff + 1, cutoff + 1)
-        for n in range(n_max + 1):
-            assert np.abs(stack[n] - displacement(n * phi, cutoff)).max() < 1e-13
+        g = random_grid((3, 11))
+        assert np.abs(kicked(kicked(g, 0.3 + 0.1j), -0.3 - 0.1j) - g).max() < 1e-12
 
     @pytest.mark.parametrize("beta", [0.0, 5e-324, -5e-324j, 1e-310 + 1e-310j,
                                       0.03 - 0.02j, -0.2j, -0.5])
-    def test_powers_match_expm_of_the_generator(self, beta):
-        # the real eigendecomposition of q against scipy's expm of
-        # n (beta c^dag - beta* c); a zero or subnormal drive takes its phase
-        # from cmath.phase, never from beta / |beta|, so nothing overflows
-        c = annihilation(10).matrix
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            stack = _displacement_powers(beta, 8, 10)
-        for n in range(9):
-            ref = expm(n * (beta * c.conj().T - np.conj(beta) * c))
-            assert np.abs(stack[n] - ref).max() < 1e-13
+    def test_every_block_matches_expm_of_the_generator(self, beta):
+        # against scipy's expm of n (beta c^dag - beta* c); a zero or
+        # subnormal drive takes its phase from cmath.phase, never from
+        # beta / |beta|, so nothing overflows, divides by zero or turns NaN
+        # (its phases n |beta| w may underflow, gradually, to 0)
+        g = random_grid((5, 41))
+        with np.errstate(all="raise", under="ignore"):
+            out = kicked(g, beta)
+        for n in range(5):
+            assert np.abs(out[n] - displacement(n * beta, 40) @ g[n]).max() < 1e-13
 
-    def test_powers_fail_unitarity_check_as_one_stack(self, monkeypatch):
+    @pytest.mark.parametrize("skew", ["vectors", "values"])
+    def test_eigenpairs_fail_the_unitarity_check(self, monkeypatch, skew):
+        # every D(n beta) = P V e^{-i n |beta| w} V^T P^* inherits its
+        # deviation from V, so skewed eigenvectors or non-finite eigenvalues
+        # fail the one check on the cached eigenpairs, wherever they are used
         real_eigh = fock_mod._tridiagonal_eigh
 
         def skewed_eigh(off):
             w, v = real_eigh(off)
-            return w, 1.5 * v  # eigenvectors no longer orthonormal
+            return (w, 1.5 * v) if skew == "vectors" else (w * np.nan, v)
         monkeypatch.setattr(fock_mod, "_tridiagonal_eigh", skewed_eigh)
+        fock_mod._moment_table.cache_clear()
+        interferometer._evolved_ket.cache_clear()
         with pytest.raises(TruncationError, match="unitarity"):
-            _displacement_powers(0.1, 5, 6)
+            kicked(random_grid((3, 7)), 0.1)
+        with pytest.raises(TruncationError, match="unitarity"):
+            run_protocol(ProtocolParams(alpha=complex(math.sqrt(2.0)), delta=0.005,
+                                        evolution=evolution_params(0.005, math.pi)))
 
 
 def tridiagonal(off):

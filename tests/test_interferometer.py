@@ -19,7 +19,7 @@ from optoweak import (DEFAULT_TOL, DegenerateBranchError, DensityMatrix,
 from optoweak import analytics as an
 from optoweak.dissipation import _evolved_rho
 from optoweak.dynamics import factored_propagate
-from optoweak.fock import cutoff_for_leakage
+from optoweak.fock import _moment_table, cutoff_for_leakage
 from optoweak.interferometer import (MAX_RECOMBINER_DIM, _arm, _bs_kernel, _bs_tables,
                                      _evolved_ket, _preselect_am)
 from optoweak.sweep import iter_sweep_rows, load_config
@@ -212,12 +212,12 @@ class TestBeamSplitter:
             _bs_tables.cache_clear()  # about 100 MB
 
     def test_no_production_path_runs_a_lapack_eigensolver(self, monkeypatch):
-        # the recombiner tables and the displacement stack use the LAPACK-free
-        # fock._tridiagonal_eigh; complex or real, eigh raises here
+        # the recombiner tables and q's eigenpairs, which displace the mirror,
+        # use the LAPACK-free fock._tridiagonal_eigh; complex or real, eigh raises here
         def no_eigh(m, *args, **kwargs):
             raise AssertionError(f"eigh of a {np.asarray(m).dtype} matrix on a production path")
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        for cache in (_bs_tables, _evolved_ket, _evolved_rho):
+        for cache in (_bs_tables, _moment_table, _evolved_ket, _evolved_rho):
             cache.cache_clear()
         run_protocol(make_params(2.0, 0.005))
         damped_protocol(make_params(2.0, 0.005, optical_cutoff=12, mirror_cutoff=3), 5e-7)

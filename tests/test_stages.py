@@ -14,7 +14,7 @@ from optoweak import (DensityMatrix, LayoutError, ModeLayout, ProtocolParams,
                       run_protocol, sweep)
 from optoweak.dissipation import _damped_scan, _evolved_rho
 from optoweak.fock import _moment_table
-from optoweak.interferometer import _drive, _evolved_ket, _scan
+from optoweak.interferometer import _MIRROR_WORKSPACE, _drive, _evolved_ket, _scan
 from optoweak.sweep import SWEEP_HEADER, iter_sweep_rows, load_config
 
 FIELDS = ("p_click", "p_noclick", "p_residual", "q_click", "q_noclick",
@@ -175,6 +175,50 @@ def test_one_delta_scan_is_run_protocol_and_warns_at_the_caller():
     hits = [w for w in caught if "displacement" in str(w.message)]
     assert len(hits) == 2
     assert (hits[0].filename, hits[0].lineno) == (__file__, line)
+
+
+def test_cold_point_holds_the_mirror_working_set_the_guard_counts():
+    # |alpha|^2 2 (d = 13) at mirror cutoff 250 with q's eigenpairs and the
+    # ket stage cold: 7.8 dm^2 complex entries at once, 7.5 MiB (a stack of
+    # every D(n phi) and its unitarity check took 39.2 MiB), within the
+    # _MIRROR_WORKSPACE dm^2 entries sweep's feasibility guard counts
+    params = make_params(2.0, 0.005, mirror_cutoff=250)
+    _moment_table.cache_clear()
+    _evolved_ket.cache_clear()
+    peak = _traced_peak(run_protocol, params)
+    assert _evolved_ket.cache_info().misses == 1
+    assert peak < 12 * 2 ** 20 and peak <= _MIRROR_WORKSPACE * 16 * 251 ** 2
+
+
+def test_scan_slices_count_the_mirror_dimension():
+    # d = 13, mirror cutoff 80: slices of 2^16 // (2 * 81^2) = 4 angles, so
+    # beyond the 200 outcomes' own mirror states (2 dm^2 complex entries each,
+    # 40 MiB) a warm scan holds about one slice's arrays; slices of
+    # 2^16 // (2 * 13^2) = 193 angles, sized by d alone, peaked at 123 MiB
+    points = [make_params(2.0, float(delta), mirror_cutoff=80)
+              for delta in np.linspace(0.001, 0.12, 200)]
+    _scan(points[:1])  # warm the stages
+    assert _traced_peak(_scan, points) < 200 * 2 * 16 * 81 ** 2 + 4 * 2 ** 20
+
+
+def test_one_eigendecomposition_per_mirror_cutoff(monkeypatch):
+    # q's eigenpairs depend on the mirror cutoff alone: a sweep over five
+    # drives misses the ket stage five times and decomposes q once per mirror
+    # cutoff (the recombiner's eigensolver is fock's too, but bound at import)
+    calls = []
+    real_eigh = fock._tridiagonal_eigh
+    monkeypatch.setattr(fock, "_tridiagonal_eigh",
+                        lambda off: calls.append(len(off) + 1) or real_eigh(off))
+    _moment_table.cache_clear()
+    for mirror in (6, 7):
+        _evolved_ket.cache_clear()
+        cfg = load_config(None, overrides={
+            "engine": "exact", "cutoffs": {"mirror": mirror},
+            "axes": {"delta": [0.005, 0.01], "alpha2": [0.5, 1.0, 2.0, 3.0, 4.0]}},
+            default_mode="sweep")
+        assert len(list(iter_sweep_rows(cfg))) == 10
+        assert _evolved_ket.cache_info().misses == 5
+    assert calls == [7, 8]
 
 
 EXACT_COLUMNS = (("p_click", "p_click"), ("p_noclick", "p_noclick"),

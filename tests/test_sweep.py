@@ -3,16 +3,14 @@
 import json
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from optoweak import (DEFAULT_TOL, ConfigError, ProtocolParams, TruncationError,
-                      evolution_params, run_protocol, sweep)
+from optoweak import (ConfigError, ProtocolParams, TruncationError,
+                      evolution_params, run_protocol)
 from optoweak.cli import main
-from optoweak.interferometer import (MAX_RECOMBINER_DIM, _bs_tables,
-                                     default_optical_cutoff)
+from optoweak.interferometer import _MIRROR_WORKSPACE, MAX_RECOMBINER_DIM
 from optoweak.sweep import (SWEEP_HEADER, SweepConfig, format_float, iter_sweep_rows,
                             load_config, run_figure2, run_figure3, run_table1,
                             write_csv)
@@ -121,29 +119,42 @@ class TestExactFeasibility:
         self.exact_cfg(2.0, cutoffs={"mirror": 64})  # unitary: no generator
 
     def test_alpha2_400_small_mirror_rejected_by_mirror_tail(self):
-        # mirror cutoff 1: the recombiner tables for optical cutoff 520 hold
-        # only 2 * 521^2 + 2 * 521 + 2 entries (the old ones 49045367), so the
-        # mirror-tail check refuses it: 520 photons displace the mirror by 5.2
+        # mirror cutoff 1 leaves every array small, so the mirror-tail check
+        # refuses it: 520 photons displace the mirror by 5.2
         with pytest.raises(ConfigError, match="mirror cutoff 1 too small for displacement 5.2 "):
             load_config(None, overrides={
                 "engine": "exact", "fixed": {"alpha2": 400.0},
                 "axes": {"delta": [0.005]}, "cutoffs": {"mirror": 1}}, default_mode="sweep")
 
     def test_mirror_tail_sets_the_limit_at_mirror_cutoff_16(self):
-        # the tables no longer bind here (the old limit was 263.5): the
-        # mirror-tail check accepts |alpha|^2 285.5 and refuses 286
+        # the mirror-tail check accepts |alpha|^2 285.5 and refuses 286
         for alpha2 in (263.5, 264.0, 285.5):
             self.exact_cfg(alpha2, cutoffs={"mirror": 16})
         with pytest.raises(ConfigError, match="mirror cutoff 16 too small for displacement"):
             self.exact_cfg(286.0, cutoffs={"mirror": 16})
 
-    def test_displacement_stack_sets_the_limit_from_large_mirror_cutoffs(self):
-        # at mirror cutoff 150 the unitary point's D(n phi) stack, d * 151^2
-        # entries, binds first: optical cutoff 734 (|alpha|^2 588) fits, 735 does not
-        self.exact_cfg(588.0, cutoffs={"mirror": 150})
-        with pytest.raises(ConfigError,
-                           match="mirror displacement stack has 16781536 entries"):
-            self.exact_cfg(589.0, cutoffs={"mirror": 150})
+    def test_mirror_tail_then_binomials_set_the_limit_at_large_mirror_cutoffs(self):
+        # no array of d dm^2 entries is built, so at mirror cutoff 150 the
+        # mirror-tail check still decides (|alpha|^2 1772.5 accepted, 1773
+        # refused); from mirror cutoff 154 the binomial overflow at optical
+        # cutoff 2054 (|alpha|^2 1799) does
+        self.exact_cfg(1772.5, cutoffs={"mirror": 150})
+        with pytest.raises(ConfigError, match="mirror cutoff 150 too small for displacement"):
+            self.exact_cfg(1773.0, cutoffs={"mirror": 150})
+        with pytest.raises(ConfigError, match="mirror cutoff 153 too small for displacement"):
+            self.exact_cfg(1798.5, cutoffs={"mirror": 153})
+        self.exact_cfg(1798.5, cutoffs={"mirror": 154})
+        with pytest.raises(ConfigError, match="optical cutoff 2054 overflows"):
+            self.exact_cfg(1799.0, cutoffs={"mirror": 154})
+
+    def test_mirror_working_set_sets_the_largest_mirror_cutoff(self):
+        # _MIRROR_WORKSPACE arrays of dm^2 entries: 8 * 1448^2 fits in 4096^2,
+        # 8 * 1449^2 = 16796808 does not, at any |alpha|^2 (a damped point's
+        # dm^4 terms refuse far smaller mirror cutoffs)
+        assert _MIRROR_WORKSPACE == 8
+        self.exact_cfg(0.5, cutoffs={"mirror": 1447})
+        with pytest.raises(ConfigError, match="mirror working set has 16796808 entries"):
+            self.exact_cfg(0.5, cutoffs={"mirror": 1448})
 
     def test_binomial_overflow_sets_the_largest_optical_cutoff(self):
         # at a coupling small enough for every other check, the recombiner's
@@ -157,15 +168,6 @@ class TestExactFeasibility:
                 continue
             with pytest.raises(ConfigError, match="optical cutoff 2054 overflows"):
                 load_config(None, overrides=overrides, default_mode="sweep")
-
-    @pytest.mark.parametrize("alpha2", [0.5, 2.0, 12.0])
-    def test_recombiner_term_counts_the_tables_the_kernel_keeps(self, monkeypatch, alpha2):
-        # with the cap lowered to one entry the guard reports its count, which
-        # must be every entry of the cached tables at that optical cutoff
-        monkeypatch.setattr(sweep, "DEFAULT_TOL", replace(DEFAULT_TOL, dense_dim_cap=1))
-        entries = sum(a.size for a in _bs_tables(default_optical_cutoff(alpha2) + 1))
-        with pytest.raises(ConfigError, match=f"recombiner-table cache has {entries} entries"):
-            self.exact_cfg(alpha2)
 
     def test_mirror_tail_refused_up_front(self):
         # n_opt 285 photons displace the mirror by 285 |phi| = 2.85, past what
