@@ -12,10 +12,9 @@ from .dynamics import (EvolutionParams, dense_propagator, evolution_params,
 from .errors import (ConfigError, ConvergenceError, DegenerateBranchError,
                      InvariantError, LayoutError, OptoweakError,
                      TruncationError)
-from .fock import (DensityMatrix, ModeLayout, Operator, StateVector,
-                   annihilation, coherent_state, expectation, fock_state,
-                   pointer_shift, poisson_tail, position, project_fock,
-                   reduced_density, tensor, vacuum_state)
+from .fock import (DensityMatrix, ModeLayout, StateVector, annihilation,
+                   coherent_state, fock_state, poisson_tail, position, tensor,
+                   vacuum_state)
 from .interferometer import (ProtocolOutcome, ProtocolParams,
                              default_optical_cutoff, run_protocol,
                              weak_value_numeric)

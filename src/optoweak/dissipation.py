@@ -48,7 +48,7 @@ def lindblad_rhs(rho: DensityMatrix, params: LindbladParams) -> np.ndarray:
     _require_am(rho.layout)
     (da, dm), r = rho.layout.shape, rho.matrix
     h = _hamiltonian(da, dm - 1, params.base.k)
-    c = np.kron(np.eye(da), annihilation(dm - 1).matrix)
+    c = np.kron(np.eye(da), annihilation(dm - 1))
     out = -1j * (h @ r - r @ h)
     if params.gamma != 0.0:
         cd = c.conj().T
@@ -130,7 +130,7 @@ def _evolve_blocks(upper: np.ndarray, da: int, params: LindbladParams,
     Hermitian, after a check against the density matrix's tolerance.
     """
     dm = upper.shape[-1]
-    c = annihilation(dm - 1).matrix
+    c = annihilation(dm - 1)
     num, eye = c.T @ c, np.eye(dm)
     # row-major vectorization: vec(A R B) = (A kron B^T) vec(R); c and drive
     # are real, drive symmetric.  H_n = num + n drive, so the generator is

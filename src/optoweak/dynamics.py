@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, LayoutError, TruncationError
-from .fock import (ModeLayout, Operator, StateVector, _moment_table,
+from .fock import (ModeLayout, StateVector, _moment_table,
                    _warn_large_displacement, annihilation, poisson_tail)
 from .tolerances import DEFAULT_TOL
 
@@ -133,15 +133,16 @@ def _factored_propagate(state: StateVector, params: EvolutionParams) -> StateVec
 
 def _hamiltonian(da: int, mirror_cutoff: int, k: float) -> np.ndarray:
     """H = c^dag c - k n_a (c + c^dag) on (a, m), for the dense oracles."""
-    c = annihilation(mirror_cutoff).matrix
+    c = annihilation(mirror_cutoff)
     na = np.diag(np.arange(da, dtype=float)).astype(complex)
     return np.kron(np.eye(da), c.conj().T @ c) - k * np.kron(na, c + c.conj().T)
 
 
 def dense_propagator(k: float, wm_t: float, optical_cutoff: int, mirror_cutoff: int,
                      mirror_pad: int = 0,
-                     dim_cap: int = DEFAULT_TOL.dense_dim_cap) -> Operator:
-    """exp(-i H wm_t) with H = c^dag c - k n_a (c + c^dag).
+                     dim_cap: int = DEFAULT_TOL.dense_dim_cap) -> np.ndarray:
+    """exp(-i H wm_t) with H = c^dag c - k n_a (c + c^dag), on (a, m) with
+    the mirror index varying fastest.
 
     Built by Hermitian eigendecomposition, as the oracle of
     :func:`factored_propagate` (an operator-ordering mistake there shows up
@@ -155,8 +156,7 @@ def dense_propagator(k: float, wm_t: float, optical_cutoff: int, mirror_cutoff: 
     u = (v * np.exp(-1j * w * wm_t)) @ v.conj().T
     if mirror_pad:
         u = u.reshape(da, dmp, da, dmp)[:, :dm, :, :dm].reshape(da * dm, da * dm)
-    layout = ModeLayout.of(("a", optical_cutoff), ("m", mirror_cutoff))
-    return Operator.of(layout, u)
+    return u
 
 
 def weak_approx_propagate(state: StateVector, params: EvolutionParams,
@@ -176,10 +176,10 @@ def weak_approx_propagate(state: StateVector, params: EvolutionParams,
         warnings.warn(f"|phi|={params.abs_disp:.3g} is not small; the weak "
                       "approximation is unreliable", stacklevel=2)
     phi = params.disp_param
-    cm = annihilation(layout.cutoff("m"), "m").matrix
+    cm = annihilation(layout.cutoff("m"))
     b = (phi * cm.conj().T - np.conj(phi) * cm) / 2.0
-    ac_dag = annihilation(layout.cutoff("c"), "c").matrix.conj().T
-    ad_dag = annihilation(layout.cutoff("d"), "d").matrix.conj().T
+    ac_dag = annihilation(layout.cutoff("c")).conj().T
+    ad_dag = annihilation(layout.cutoff("d")).conj().T
 
     def on(op: np.ndarray, g: np.ndarray, lab: str) -> np.ndarray:  # op on mode lab
         return np.moveaxis(np.tensordot(op, g, axes=([1], [axes[lab]])), 0, axes[lab])

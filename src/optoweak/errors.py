@@ -38,8 +38,8 @@ class ConvergenceError(OptoweakError):
 
 
 class InvariantError(OptoweakError):
-    """A physics invariant failed numerically (e.g. a Hermitian expectation
-    with an imaginary part)."""
+    """A physics invariant failed numerically (e.g. the weak value of a real
+    drive with an imaginary part)."""
 
     def __init__(self, message: str, deviation: float):
         super().__init__(f"{message} (deviation={deviation:.3e})")

@@ -6,8 +6,7 @@ flat C-ordered array over the occupation grid, i.e. the *last listed mode
 varies fastest*.  All index arithmetic goes through :class:`ModeLayout` so the
 convention exists in exactly one place.
 
-Everything here is pure: states and operators are immutable after
-construction.
+Everything here is pure: states are immutable after construction.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateBranchError, InvariantError, LayoutError,
-                     TruncationError)
+from .errors import DegenerateBranchError, LayoutError, TruncationError
 from .tolerances import DEFAULT_TOL
 
 MODE_LABELS = frozenset("abcdm")
@@ -105,10 +103,6 @@ class ModeLayout:
     def dim_of(self, label: str) -> int:
         return self.cutoff(label) + 1
 
-    def without(self, label: str) -> "ModeLayout":
-        ax = self.axis(label)
-        return ModeLayout(self.modes[:ax] + self.modes[ax + 1:])
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -146,31 +140,6 @@ class StateVector:
         if n < DEFAULT_TOL.degenerate_prob:
             raise DegenerateBranchError("cannot normalize a zero state", n)
         return StateVector(self.layout, self.amplitudes / n, self.leakage)
-
-
-@dataclass(frozen=True)
-class Operator:
-    """Dense operator on the modes named by its layout.
-
-    The ``hermitian`` flag is only set by :meth:`of`, after a numerical
-    check; constructing directly leaves it False.
-    """
-
-    layout: ModeLayout
-    matrix: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != self.layout.dim:
-            raise LayoutError(f"matrix shape {m.shape} != layout dimension {self.layout.dim}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def of(cls, layout: ModeLayout, matrix: np.ndarray) -> "Operator":
-        m = cls(layout, matrix).matrix  # the shape check first
-        return cls(layout, m, hermitian=_hermitian(m, DEFAULT_TOL.hermitian_atol))
 
 
 def _hermitian(m: np.ndarray, atol: float) -> bool:
@@ -235,21 +204,6 @@ class DensityMatrix:
         if lo < tol.positivity_floor:
             raise TruncationError("density matrix has a negative eigenvalue", -lo)
 
-    def partial_trace(self, keep: tuple[str, ...]) -> "DensityMatrix":
-        """Reduced density matrix over ``keep`` (in the order given)."""
-        labels = self.layout.labels
-        new_layout = ModeLayout(tuple((lab, self.layout.cutoff(lab)) for lab in keep))
-        t = self.matrix.reshape(self.layout.shape * 2)
-        # trace out modes not kept, highest axis first so lower positions stay put
-        for ax in reversed(range(len(labels))):
-            if labels[ax] not in keep:
-                t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
-        # reorder the kept modes to the requested order
-        kept_labels = [lab for lab in labels if lab in keep]
-        perm = [kept_labels.index(lab) for lab in keep]
-        t = t.transpose(perm + [len(perm) + p for p in perm])
-        return DensityMatrix(new_layout, t.reshape(new_layout.dim, new_layout.dim))
-
 
 # ---------------------------------------------------------------------------
 # state and operator constructors
@@ -302,15 +256,14 @@ def tensor(states: list[StateVector] | tuple[StateVector, ...]) -> StateVector:
     return StateVector(layout, amps, leakage=1.0 - math.prod(1.0 - s.leakage for s in states))
 
 
-def annihilation(cutoff: int, label: str = "a") -> Operator:
-    """a |n> = sqrt(n) |n-1> on a single truncated mode."""
-    m = np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=float)), k=1).astype(complex)
-    return Operator.of(ModeLayout.of((label, cutoff)), m)
+def annihilation(cutoff: int) -> np.ndarray:
+    """a |n> = sqrt(n) |n-1> on a single truncated mode, as a complex matrix."""
+    return np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=float)), k=1).astype(complex)
 
 
-def position(cutoff: int, sigma: float = 1.0, label: str = "m") -> Operator:
+def position(cutoff: int, sigma: float = 1.0) -> np.ndarray:
     """q = sigma (c + c^dag); sigma is the zero-point spread (1 = sigma units)."""
-    return Operator.of(ModeLayout.of((label, cutoff)), sigma * _moment_table(cutoff)[1][0])
+    return sigma * _moment_table(cutoff)[1][0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -326,13 +279,18 @@ def _moment_table(cutoff: int) -> tuple[ModeLayout, np.ndarray, np.ndarray, np.n
     raises :class:`TruncationError` unless max |V^T V - I| < ``unitary_atol``
     and w is finite.
     """
-    c = annihilation(cutoff).matrix.real
-    q = c + c.T
-    # not q @ q: a process's first real BLAS product maps about 256 KB of
-    # OpenBLAS buffers, and the engines otherwise multiply complex matrices
-    qs = np.stack((q, np.einsum("ij,jk->ik", q, q)))
+    c = annihilation(cutoff).real
+    # the truncated q^2 in closed form, pentadiagonal: 2n + 1 on the diagonal
+    # but N at the top level n = N, and sqrt((n + 1)(n + 2)) two off it
+    q2 = np.diag(2.0 * np.arange(cutoff + 1) + 1.0)
+    q2[-1, -1] = cutoff
+    i = np.arange(cutoff - 1)
+    q2[i, i + 2] = q2[i + 2, i] = np.sqrt((i + 1.0) * (i + 2.0))
+    qs = np.stack((c + c.T, q2))
     w, v = _tridiagonal_eigh(np.sqrt(np.arange(1.0, cutoff + 1)))
-    gram = np.einsum("ji,jk->ik", v, v)  # V^T V, again without a real BLAS product
+    # V^T V without a real BLAS product: a process's first one maps about 256 KB
+    # of OpenBLAS buffers, and the engines otherwise multiply complex matrices
+    gram = np.einsum("ji,jk->ik", v, v)
     gram[np.diag_indices(cutoff + 1)] -= 1.0
     dev = float(np.abs(gram, out=gram).max())
     if not (dev < DEFAULT_TOL.unitary_atol and np.isfinite(w).all()):
@@ -384,76 +342,3 @@ def _tridiagonal_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z[:-1] = np.cumprod(np.where(row[:-1] < twist, -off[:, None] / fwd[:-1], 1.0)[::-1], 0)[::-1]
     z[1:] *= np.cumprod(np.where(row[1:] > twist, -off[:, None] / bwd[1:], 1.0), axis=0)
     return lam, z / np.sqrt((z * z).sum(axis=0))
-
-
-# ---------------------------------------------------------------------------
-# projecting, expecting
-
-def _check_targets(op: Operator, layout: ModeLayout, targets: tuple[str, ...]) -> None:
-    if len(targets) != len(op.layout.modes):
-        raise LayoutError("target list does not match operator arity")
-    for t, (lab, cut) in zip(targets, op.layout.modes):
-        if layout.cutoff(t) != cut:
-            raise LayoutError(
-                f"cutoff mismatch on mode {t!r}: state {layout.cutoff(t)}, operator {cut}")
-
-
-def project_fock(state: StateVector, label: str, n: int) -> tuple[StateVector, float]:
-    """Project mode ``label`` onto Fock level ``n``.
-
-    Returns the renormalized conditional state over the remaining modes and
-    the branch probability.  Raises :class:`DegenerateBranchError` instead of
-    producing a NaN state when the branch has no weight.
-    """
-    cut = state.layout.cutoff(label)
-    if not 0 <= n <= cut:
-        raise LayoutError(f"Fock level {n} outside mode {label!r} cutoff {cut}")
-    ax = state.layout.axis(label)
-    sl = np.take(state.grid, n, axis=ax)
-    prob = float(np.sum(np.abs(sl) ** 2))
-    if prob < DEFAULT_TOL.degenerate_prob:
-        raise DegenerateBranchError(
-            f"projection onto |{n}> of mode {label!r} has no weight", prob)
-    return StateVector(state.layout.without(label), sl.reshape(-1) / np.sqrt(prob),
-                       state.leakage), prob
-
-
-def reduced_density(obj: StateVector | DensityMatrix,
-                    keep: tuple[str, ...]) -> DensityMatrix:
-    if isinstance(obj, StateVector):
-        obj = DensityMatrix.from_state(obj)
-    return obj.partial_trace(keep)
-
-
-def expectation(obj: StateVector | DensityMatrix, op: Operator,
-                targets: tuple[str, ...] | None = None) -> complex:
-    """<op> on a state or density matrix, through its reduced density matrix
-    on ``targets`` (default: the operator's own labels, in its order)."""
-    targets = tuple(targets) if targets is not None else op.layout.labels
-    _check_targets(op, obj.layout, targets)
-    val = complex(np.trace(reduced_density(obj, targets).matrix @ op.matrix))
-    if op.hermitian and not abs(val.imag) < 1e-10:
-        raise InvariantError("Hermitian expectation has an imaginary part", abs(val.imag))
-    return val
-
-
-def pointer_shift(rho_f: StateVector | DensityMatrix,
-                  rho_i: StateVector | DensityMatrix,
-                  op: Operator,
-                  targets: tuple[str, ...] | None = None) -> float:
-    """Tr(rho_f M)/Tr(rho_f) - Tr(rho_i M) for a Hermitian pointer observable.
-
-    ``rho_f`` may be sub-normalized (a postselected branch); ``rho_i`` is
-    expected to be a normalized reference state.
-    """
-    if not op.hermitian:
-        raise LayoutError("pointer_shift needs a Hermitian observable")
-    if isinstance(rho_f, StateVector):  # rho_i goes through expectation as given
-        rho_f = DensityMatrix.from_state(rho_f)
-    tf = rho_f.trace
-    if abs(tf) < DEFAULT_TOL.degenerate_prob:
-        raise DegenerateBranchError("pointer_shift on a zero-weight branch", tf)
-    val = expectation(rho_f, op, targets) / tf - expectation(rho_i, op, targets)
-    if not abs(val.imag) < 1e-10:
-        raise InvariantError("pointer shift has an imaginary part", abs(val.imag))
-    return float(val.real)

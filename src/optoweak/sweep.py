@@ -156,9 +156,13 @@ def load_config(path: str | None, overrides: dict | None = None,
         raise ConfigError("fixed.gamma: figure2's exact overlay is unitary (gamma 0), "
                           f"got {fixed['gamma']!r}")
     axes = {}
+    read = {"sweep": SWEEPABLE, "figure2": ("delta",), "figure3": ("delta",)}.get(mode, ())
     for name, spec in _section(raw, "axes").items():
         if name not in SWEEPABLE:
             raise ConfigError(f"unknown sweep axis {name!r} (known: {SWEEPABLE})")
+        if name not in read:
+            raise ConfigError(f"axes.{name}: mode {mode!r} would ignore it "
+                              f"(axes it reads: {', '.join(read) or 'none'})")
         axes[name] = _expand_axis(name, spec)
 
     cut = _section(raw, "cutoffs")

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     # state / operator algebra
-    hermitian_atol: float = 1e-10     # max |M - M^dag| to set the hermitian flag
     unitary_atol: float = 1e-9        # max |V^T V - I| of the eigenvectors behind every D(beta)
     coherent_leakage: float = 1e-10   # default allowed coherent-state leakage
     degenerate_prob: float = 1e-300   # below this a branch is degenerate

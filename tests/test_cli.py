@@ -217,6 +217,23 @@ def test_svg_config_key_only_where_a_plot_is_drawn(tmp_path, capsys, monkeypatch
     assert not svg.exists() and not out.exists()
 
 
+@pytest.mark.parametrize("mode, axes, ignored", [
+    ("figure2", {"delta": [0.005], "alpha2": [5.0, 9.0]}, "alpha2"),
+    ("figure3", {"k": [0.1]}, "k"),
+    ("table1", {"delta": [0.005]}, "delta"),
+    ("verify", {"delta": [0.005]}, "delta"),
+])
+def test_axes_a_mode_never_reads_exit_2(tmp_path, capsys, monkeypatch, mode, axes, ignored):
+    # figure2 and figure3 read only the delta axis and table1 and verify none;
+    # an axis they would ignore is a config error naming it, before any output
+    monkeypatch.setattr(verify, "run_all", lambda optical_cutoff=None, mirror_cutoff=None: [])
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps({"mode": mode, "axes": axes, "out": str(out)}))
+    assert main([mode, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"optoweak: config-error: axes.{ignored}: ")
+    assert not out.exists()
+
+
 def test_table1_reads_the_configured_alpha2(tmp_path, capsys):
     # the alpha2 column and p_success = |alpha|^2 delta^2 follow fixed.alpha2
     cfg = tmp_path / "cfg.json"

@@ -13,9 +13,9 @@ from scipy.linalg import expm
 from optoweak import (DEFAULT_TOL, DensityMatrix, LayoutError, LindbladParams,
                       TruncationError, annihilation, coherent_state, dense_propagator,
                       evolution_params, evolve_master, factored_propagate,
-                      fock_state, lindblad_rhs, pointer_shift, position,
-                      reduced_density, tensor, vacuum_state,
+                      fock_state, lindblad_rhs, position, tensor, vacuum_state,
                       weak_approx_propagate)
+from optoweak.analytics import q_no_postselection
 from optoweak.verify import _factored_block
 
 
@@ -68,13 +68,24 @@ class TestFactoredPropagate:
         # one photon, half period: mirror ends in |phi> with phi = 0.2
         s = tensor([fock_state(1, 1, "a"), vacuum_state(10, "m")])
         out = factored_propagate(s, evolution_params(0.1, math.pi))
-        cond = reduced_density(out, ("m",))
+        m = out.grid[1]  # the a = 0 row is empty
+        assert np.abs(out.grid[0]).max() == 0.0
         ref = coherent_state(0.2, 10, "m", leakage_tol=1.0).normalize()
-        fidelity = float(np.real(ref.amplitudes.conj() @ cond.matrix @ ref.amplitudes))
-        assert fidelity == pytest.approx(1.0, abs=1e-10)
-        q = pointer_shift(cond, DensityMatrix.from_state(vacuum_state(10, "m")),
-                          position(10, 1.0, "m"))
+        assert abs(ref.amplitudes.conj() @ m) ** 2 == pytest.approx(1.0, abs=1e-10)
+        q = (m.conj() @ position(10) @ m).real / (m.conj() @ m).real
         assert q == pytest.approx(0.4, abs=1e-10)
+
+    @pytest.mark.parametrize("wt", [math.pi / 2, 1.5 * math.pi, 2 * math.pi])
+    def test_one_photon_mirror_mean_matches_closed_form(self, wt):
+        # <q> of the one-photon row, as verify's check 5 reads it, against
+        # 2k(1 - cos wm_t) and against the dense propagator's mirror row
+        k, s = 0.05, tensor([fock_state(1, 1, "a"), vacuum_state(12, "m")])
+        q = position(12)
+        m = factored_propagate(s, evolution_params(k, wt)).grid[1]
+        md = (dense_propagator(k, wt, 1, 12) @ s.amplitudes).reshape(2, 13)[1]
+        means = [(x.conj() @ q @ x).real / (x.conj() @ x).real for x in (m, md)]
+        assert means[0] == pytest.approx(q_no_postselection(k, wt), abs=1e-12)
+        assert means[1] == pytest.approx(means[0], abs=1e-10)
 
     @given(st.floats(0.0, 0.08), st.floats(0.0, 2 * math.pi))
     @settings(max_examples=25, deadline=None)
@@ -121,7 +132,7 @@ class TestFactoredPropagate:
 class TestDensePropagator:
     def test_zero_time_identity(self):
         u = dense_propagator(0.1, 0.0, 3, 5)
-        assert np.abs(u.matrix - np.eye(u.layout.dim)).max() < 1e-12
+        assert np.abs(u - np.eye(4 * 6)).max() < 1e-12
 
     def test_uncoupled_is_diagonal_phases(self):
         wt = 0.9
@@ -131,10 +142,10 @@ class TestDensePropagator:
             for nm in range(4):
                 idx = na * 4 + nm
                 ref[idx, idx] = np.exp(-1j * nm * wt)
-        assert np.abs(u.matrix - ref).max() < 1e-12
+        assert np.abs(u - ref).max() < 1e-12
 
     def test_unitary_without_padding(self):
-        u = dense_propagator(0.1, math.pi, 3, 7).matrix
+        u = dense_propagator(0.1, math.pi, 3, 7)
         assert np.abs(u @ u.conj().T - np.eye(len(u))).max() < DEFAULT_TOL.unitary_atol
 
     def test_dim_cap(self):
@@ -144,7 +155,7 @@ class TestDensePropagator:
     def test_matches_factored_on_padded_block(self):
         uf = _factored_block(0.1, math.pi, 3, 7, 24)
         ud = dense_propagator(0.1, math.pi, 3, 7, mirror_pad=24)
-        assert np.abs(uf - ud.matrix).max() < 1e-8
+        assert np.abs(uf - ud).max() < 1e-8
 
     def test_wrong_ordering_would_be_caught(self):
         # rotation-after-displacement equals displacement by phi*e^{-i wt};
@@ -154,14 +165,14 @@ class TestDensePropagator:
         params = evolution_params(k, wt)
         wrong_phi = params.disp_param * np.exp(-1j * wt)
         ud = dense_propagator(k, wt, 1, 7, mirror_pad=24)
-        c = annihilation(31).matrix
+        c = annihilation(31)
         disp = expm(params.disp_param * c.conj().T - np.conj(params.disp_param) * c)
         rot = np.diag(np.exp(-1j * wt * np.arange(32)))
         block = (rot @ disp)[:8, :8]  # wrong order
-        dev = np.abs(ud.matrix[8:, 8:] - np.exp(1j * params.kerr_phase) * block).max()
+        dev = np.abs(ud[8:, 8:] - np.exp(1j * params.kerr_phase) * block).max()
         assert dev > 1e-3
         good = (disp @ rot)[:8, :8]
-        dev_good = np.abs(ud.matrix[8:, 8:] - np.exp(1j * params.kerr_phase) * good).max()
+        dev_good = np.abs(ud[8:, 8:] - np.exp(1j * params.kerr_phase) * good).max()
         assert dev_good < 1e-9
         assert abs(wrong_phi - params.disp_param) > 0.01  # orders genuinely differ
 
@@ -196,8 +207,8 @@ class TestWeakApproxPropagate:
         params = evolution_params(0.01, math.pi)
         s = self._base_state(alpha, delta)
         dc, dd, dm = 11, 11, 9
-        ac = annihilation(10, "c").matrix
-        cm = annihilation(8, "m").matrix
+        ac = annihilation(10)
+        cm = annihilation(8)
         phi = params.disp_param
         b = (phi * cm.conj().T - np.conj(phi) * cm) / 2
         x = alpha * (np.kron(ac.conj().T, np.kron(np.eye(dd), b))

@@ -1,4 +1,4 @@
-"""Fock-space algebra: constructor oracles, projections, expectations."""
+"""Fock-space algebra: constructor oracles, operator matrices, density matrices."""
 
 import math
 import os
@@ -15,26 +15,29 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import optoweak
-from optoweak import (DegenerateBranchError, DensityMatrix, EvolutionParams,
-                      InvariantError, LayoutError, ModeLayout, Operator,
+from optoweak import (DensityMatrix, EvolutionParams, LayoutError, ModeLayout,
                       ProtocolParams, TruncationError, annihilation,
-                      coherent_state, evolution_params, expectation,
-                      factored_propagate, fock_state, pointer_shift, position,
-                      project_fock, poisson_tail, reduced_density, run_protocol,
+                      coherent_state, evolution_params, factored_propagate,
+                      fock_state, position, poisson_tail, run_protocol,
                       StateVector, tensor, vacuum_state)
-from optoweak.dynamics import dense_propagator
 from optoweak import fock as fock_mod
 from optoweak import interferometer
 from optoweak.fock import _tridiagonal_eigh
 
 
-def number(cutoff, label="a"):
-    return Operator.of(ModeLayout.of((label, cutoff)), np.diag(np.arange(cutoff + 1.0)))
+def number(cutoff):
+    return np.diag(np.arange(cutoff + 1.0))
+
+
+def mean(op, state):
+    """<psi| op |psi> of a single-mode state."""
+    a = state.amplitudes
+    return complex(a.conj() @ op @ a)
 
 
 def displacement(beta, cutoff):
     """Oracle: scipy's expm of the truncated generator beta c^dag - beta* c."""
-    c = annihilation(cutoff).matrix
+    c = annihilation(cutoff)
     return expm(beta * c.conj().T - np.conj(beta) * c)
 
 
@@ -185,58 +188,68 @@ class TestTensor:
 
 class TestOperators:
     def test_annihilation_matrix_elements(self):
-        a = annihilation(4).matrix
+        a = annihilation(4)
+        assert a.dtype == complex
         for n in range(1, 5):
             assert a[n - 1, n] == pytest.approx(math.sqrt(n))
         assert np.count_nonzero(a) == 4
 
     def test_number_position_hermitian_tight(self):
         for op in (number(8), position(8, 0.7)):
-            assert op.hermitian
-            assert np.abs(op.matrix - op.matrix.conj().T).max() < 1e-12
+            assert np.abs(op - op.conj().T).max() < 1e-12
 
     def test_position_vacuum_expectation_zero(self):
-        assert expectation(vacuum_state(6, "m"), position(6, 1.0, "m")) == 0
+        assert mean(position(6), vacuum_state(6, "m")) == 0
 
     def test_position_on_coherent_closed_form(self):
         # <beta| c + c^dag |beta> = 2 Re beta
         beta, sigma = 0.6, 1.3
-        s = coherent_state(beta, 20, "m")
-        val = expectation(s, position(20, sigma, "m"))
+        val = mean(position(20, sigma), coherent_state(beta, 20, "m"))
         assert val.real == pytest.approx(2 * sigma * beta, abs=1e-9)
         assert abs(val.imag) < 1e-12
 
+    @pytest.mark.parametrize("beta", [0.6, -0.4 + 0.3j, 0.5j])
+    def test_position_moments_on_coherent(self, beta):
+        # <beta|q|beta> = 2 sigma Re beta, and a coherent state keeps the
+        # vacuum's variance sigma^2 whatever its complex amplitude
+        sigma, s = 1.3, coherent_state(beta, 30, "m")
+        q = position(30, sigma)
+        m1, m2 = mean(q, s), mean(q @ q, s)
+        assert m1.real == pytest.approx(2 * sigma * beta.real, abs=1e-9)
+        assert abs(m1.imag) < 1e-12
+        assert (m2 - m1 ** 2).real == pytest.approx(sigma ** 2, abs=1e-9)
+
+    def test_annihilation_lowers_fock_states(self):
+        a = annihilation(4)
+        assert np.abs(a @ fock_state(0, 4).amplitudes).max() == 0.0
+        for n in range(1, 5):
+            ref = math.sqrt(n) * fock_state(n - 1, 4).amplitudes
+            assert np.abs(a @ fock_state(n, 4).amplitudes - ref).max() < 1e-15
+
+    def test_coherent_state_is_annihilation_eigenstate(self):
+        # a|beta> = beta|beta> on every level below the cutoff; the top level
+        # has no level above it to lower from
+        beta = 0.7 - 0.2j
+        amps = coherent_state(beta, 12, leakage_tol=1.0).amplitudes
+        lowered = annihilation(12) @ amps
+        assert np.abs(lowered[:-1] - beta * amps[:-1]).max() < 1e-15
+        assert lowered[-1] == 0.0
+
     def test_number_on_coherent_poisson_mean(self):
         alpha = 1.2
-        s = coherent_state(alpha, 20)
-        val = expectation(s, number(20))
+        val = mean(number(20), coherent_state(alpha, 20))
         assert val.real == pytest.approx(alpha ** 2, abs=1e-9)
 
-    def test_cutoff_mismatch_rejected(self):
-        s = tensor([fock_state(0, 4, "a"), vacuum_state(3, "m")])
-        with pytest.raises(LayoutError):
-            expectation(s, number(5, "a"))
-
-    def test_target_arity_mismatch_rejected(self):
-        s = tensor([fock_state(0, 4, "a"), vacuum_state(3, "m")])
-        with pytest.raises(LayoutError, match="arity"):
-            expectation(s, number(4, "a"), targets=("a", "m"))
-
-    def test_two_mode_op_on_reordered_nonadjacent_targets(self):
-        # <op> on (m, a) of an (a, b, m) state equals Tr(rho_ma op) built by hand
-        import optoweak as ow
-        rng = np.random.default_rng(3)
-        da, db, dm = 3, 2, 4
-        lay = ModeLayout.of(("a", da - 1), ("b", db - 1), ("m", dm - 1))
-        amps = rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)
-        state = ow.StateVector(lay, amps)
-        gen = rng.normal(size=(dm * da, dm * da)) + 1j * rng.normal(size=(dm * da, dm * da))
-        op = Operator(ModeLayout.of(("m", dm - 1), ("a", da - 1)), gen)
-        got = expectation(state, op, targets=("m", "a"))
-        # reference: permute (a,b,m) -> (m,a,b) and trace out b
-        psi = state.grid.transpose(2, 0, 1).reshape(dm * da, db)
-        ref = np.trace(psi @ psi.conj().T @ gen)
-        assert abs(got - ref) < 1e-12
+    @pytest.mark.parametrize("cutoff", [0, 1, 2, 10, 1000])
+    def test_moment_table_is_q_and_q_squared(self, cutoff):
+        # q^2 is written in closed form, the truncated level N included; the
+        # oracle squares q = c + c^dag by a matrix product
+        c = annihilation(cutoff).real
+        q = c + c.T
+        qs = fock_mod._moment_table(cutoff)[1]
+        assert np.array_equal(qs[0], q)
+        ref = q @ q
+        assert np.abs(qs[1] - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
 
 
 class TestDisplacement:
@@ -322,109 +335,33 @@ class TestTridiagonalEigh:
         assert np.isfinite(v).all()
 
 
-class TestProjectFock:
+class TestFockSlices:
+    # the engines and verify postselect a dark-port count by slicing the
+    # occupation grid along that mode's axis
     def test_certain_branch(self):
-        s = tensor([fock_state(0, 3, "c"), fock_state(0, 3, "d")])
-        cond, p = project_fock(s, "d", 0)
-        assert p == pytest.approx(1.0, abs=1e-12)
-        assert cond.layout.labels == ("c",)
-
-    def test_empty_branch_raises(self):
-        s = tensor([fock_state(0, 3, "c"), vacuum_state(3, "d")])
-        with pytest.raises(DegenerateBranchError):
-            project_fock(s, "d", 1)
+        g = tensor([fock_state(0, 3, "c"), fock_state(0, 3, "d")]).grid
+        assert np.sum(np.abs(g[:, 0]) ** 2) == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(g[:, 1:]).max() == 0.0
 
     def test_single_photon_of_weak_coherent(self):
         # P(1) = |da|^2 e^{-|da|^2} for da = 0.1
-        s = coherent_state(0.1, 10, "d")
-        _, p = project_fock(s, "d", 1)
+        p = abs(coherent_state(0.1, 10, "d").grid[1]) ** 2
         assert p == pytest.approx(0.01 * math.exp(-0.01), rel=1e-10)
         assert p == pytest.approx(9.900498337e-3, rel=1e-8)
 
     @given(st.integers(0, 30))
     @settings(max_examples=20, deadline=None)
     def test_completeness(self, seed):
-        rng = np.random.default_rng(seed)
         lay = ModeLayout.of(("a", 3), ("d", 4), ("m", 2))
-        amps = rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)
-        from optoweak import StateVector
-        s = StateVector(lay, amps)
-        total = sum(project_fock(s, "d", n)[1] for n in range(5))
+        s = StateVector(lay, random_grid(lay.shape, seed))
+        total = sum(np.sum(np.abs(s.grid[:, n]) ** 2) for n in range(5))
         assert total == pytest.approx(s.norm ** 2, rel=1e-10)
 
     def test_product_state_factorization(self):
         a = coherent_state(0.7, 8, "a", leakage_tol=1.0).normalize()
         m = coherent_state(0.2, 5, "m", leakage_tol=1.0).normalize()
-        joint = tensor([a, m])
-        cond, _ = project_fock(joint, "m", 0)
-        assert np.abs(cond.amplitudes - a.amplitudes / a.norm).max() < 1e-12
-
-
-class TestExpectationAndPointerShift:
-    def test_equal_states_shift_zero(self):
-        rho = DensityMatrix.from_state(coherent_state(0.4, 10, "m"))
-        assert pointer_shift(rho, rho, position(10, 1.0, "m")) == pytest.approx(0.0, abs=1e-12)
-
-    def test_coherent_vs_vacuum_closed_form(self):
-        beta, sigma = 0.35, 2.0
-        rho_f = DensityMatrix.from_state(coherent_state(beta, 15, "m"))
-        rho_i = DensityMatrix.from_state(vacuum_state(15, "m"))
-        val = pointer_shift(rho_f, rho_i, position(15, sigma, "m"))
-        assert val == pytest.approx(2 * sigma * beta, abs=1e-9)
-
-    def test_zero_trace_branch_raises(self):
-        lay = ModeLayout.of(("m", 4))
-        zero = DensityMatrix(lay, np.zeros((5, 5), dtype=complex))
-        rho_i = DensityMatrix.from_state(vacuum_state(4, "m"))
-        with pytest.raises(DegenerateBranchError):
-            pointer_shift(zero, rho_i, position(4, 1.0, "m"))
-
-    def test_non_hermitian_observable_rejected(self):
-        with pytest.raises(LayoutError):
-            pointer_shift(DensityMatrix.from_state(vacuum_state(4, "m")),
-                          DensityMatrix.from_state(vacuum_state(4, "m")),
-                          annihilation(4, "m"))
-
-    def test_subnormalized_branch_normalizes_first_term(self):
-        beta = 0.5
-        s = coherent_state(beta, 15, "m")
-        scaled = DensityMatrix(s.layout, 0.25 * np.outer(s.amplitudes, s.amplitudes.conj()))
-        rho_i = DensityMatrix.from_state(vacuum_state(15, "m"))
-        val = pointer_shift(scaled, rho_i, position(15, 1.0, "m"))
-        assert val == pytest.approx(2 * beta, abs=1e-9)
-
-
-    def test_imaginary_expectation_of_hermitian_flag_raises(self):
-        # the flag is set by hand, skipping the check that would clear it
-        op = Operator(ModeLayout.of(("m", 2)), 1j * np.eye(3), hermitian=True)
-        psi = vacuum_state(2, "m")
-        rho = DensityMatrix.from_state(psi)
-        with pytest.raises(InvariantError):
-            expectation(psi, op)
-        with pytest.raises(InvariantError):
-            pointer_shift(rho, rho, op)
-
-    def test_invariant_errors_survive_optimize_flag(self):
-        # `python -O` strips assert statements; the typed error must remain
-        snippet = (
-            "import sys, numpy as np\n"
-            "from optoweak import (DensityMatrix, InvariantError, ModeLayout, Operator,\n"
-            "                      expectation, pointer_shift, vacuum_state)\n"
-            "assert False, 'unreachable under -O'\n"
-            "op = Operator(ModeLayout.of(('m', 2)), 1j * np.eye(3), hermitian=True)\n"
-            "psi = vacuum_state(2, 'm')\n"
-            "rho = DensityMatrix.from_state(psi)\n"
-            "for call in (lambda: expectation(psi, op), lambda: pointer_shift(rho, rho, op)):\n"
-            "    try:\n"
-            "        call()\n"
-            "    except InvariantError:\n"
-            "        continue\n"
-            "    sys.exit('no InvariantError')\n")
-        src = str(Path(optoweak.__file__).resolve().parents[1])
-        run = subprocess.run([sys.executable, "-O", "-c", snippet], capture_output=True,
-                             text=True, timeout=120,
-                             env=dict(os.environ, PYTHONPATH=src))
-        assert run.returncode == 0, run.stderr
+        x = tensor([a, m]).grid[:, 0]
+        assert np.abs(x / np.linalg.norm(x) - a.amplitudes).max() < 1e-12
 
 
 class TestStateVector:
@@ -438,25 +375,30 @@ class TestStateVector:
         assert a.flags.writeable and not np.shares_memory(a, s.amplitudes)
         assert np.array_equal(s.amplitudes, np.ones(6)) and not s.amplitudes.flags.writeable
 
+    def test_typed_errors_survive_optimize_flag(self):
+        # `python -O` strips assert statements; the typed errors must remain
+        snippet = (
+            "import sys, numpy as np\n"
+            "from optoweak import (DegenerateBranchError, DensityMatrix, ModeLayout,\n"
+            "                      StateVector, TruncationError)\n"
+            "assert False, 'unreachable under -O'\n"
+            "lay = ModeLayout.of(('m', 2))\n"
+            "calls = ((lambda: StateVector(lay, np.zeros(3)).normalize(), DegenerateBranchError),\n"
+            "         (lambda: DensityMatrix(lay, 0.5 * np.eye(3)).validate(), TruncationError))\n"
+            "for call, err in calls:\n"
+            "    try:\n"
+            "        call()\n"
+            "    except err:\n"
+            "        continue\n"
+            "    sys.exit(f'no {err.__name__}')\n")
+        src = str(Path(optoweak.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-O", "-c", snippet], capture_output=True,
+                             text=True, timeout=120,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert run.returncode == 0, run.stderr
+
 
 class TestDensityMatrix:
-    def test_partial_trace_of_product(self):
-        a = coherent_state(0.6, 7, "a", leakage_tol=1.0).normalize()
-        m = coherent_state(0.3, 5, "m", leakage_tol=1.0).normalize()
-        joint = DensityMatrix.from_state(tensor([a, m]))
-        red = joint.partial_trace(("m",))
-        ref = np.outer(m.amplitudes, m.amplitudes.conj()) / m.norm ** 2
-        assert np.abs(red.matrix - ref).max() < 1e-12
-
-    def test_partial_trace_reorders(self):
-        a = fock_state(1, 2, "a")
-        m = fock_state(0, 1, "m")
-        joint = DensityMatrix.from_state(tensor([a, m]))
-        red = joint.partial_trace(("m", "a"))
-        assert red.layout.labels == ("m", "a")
-        idx = np.ravel_multi_index((0, 1), red.layout.shape)
-        assert red.matrix[idx, idx] == pytest.approx(1.0)
-
     @pytest.mark.parametrize("row, col", [(0, 3), (700, 703), (1023, 1020)])
     def test_hermitian_check_covers_every_row_block(self, row, col):
         # one broken pair inside the first, a middle or the last row block
@@ -493,45 +435,17 @@ class TestDensityMatrix:
         assert DensityMatrix(lay, real).matrix is not real
         real[0, 0] = 2.0
 
+    def test_from_state_of_product_traces_to_its_factor(self):
+        # (a, m) with m fastest: tracing arm a out of the outer product
+        # leaves the mirror's own density matrix
+        a = coherent_state(0.6, 7, "a", leakage_tol=1.0).normalize()
+        m = coherent_state(0.3, 5, "m", leakage_tol=1.0).normalize()
+        rho = DensityMatrix.from_state(tensor([a, m]))
+        red = np.trace(rho.matrix.reshape(8, 6, 8, 6), axis1=0, axis2=2)
+        assert np.abs(red - np.outer(m.amplitudes, m.amplitudes.conj())).max() < 1e-12
+
     def test_validate_catches_bad_trace(self):
         lay = ModeLayout.of(("m", 3))
         rho = DensityMatrix(lay, 0.5 * np.eye(4, dtype=complex))
         with pytest.raises(TruncationError):
             rho.validate()
-
-    def test_reduced_density_from_state(self):
-        s = tensor([fock_state(1, 3, "c"), vacuum_state(2, "m")])
-        red = reduced_density(s, ("m",))
-        assert red.trace == pytest.approx(1.0, abs=1e-12)
-
-
-class TestOperatorFlags:
-    def test_flags_require_numerical_check(self):
-        mat = np.eye(4, dtype=complex)
-        raw = Operator(ModeLayout.of(("a", 3)), mat)
-        assert not raw.hermitian
-        assert Operator.of(ModeLayout.of(("a", 3)), mat).hermitian
-
-    def test_propagator_flag_is_exact(self):
-        # exp(-i H wm_t) is the identity, so Hermitian, only at wm_t = 0
-        assert dense_propagator(0.01, 0.0, 3, 3).hermitian
-        assert not dense_propagator(0.01, math.pi, 3, 3).hermitian
-
-    @pytest.mark.parametrize("row, col", [(-1, -1), (0, 3), (1023, 1020)])
-    def test_hermitian_flag_checks_row_blocks_not_matrices(self, row, col):
-        # dimension 1024 (16 MiB): the whole-matrix check held 2.0 matrices
-        # beside m; one broken pair, if any, in the first or the last block
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(1024, 1024)) + 1j * rng.normal(size=(1024, 1024))
-        m = a + a.conj().T
-        del a
-        if row >= 0:
-            m[row, col] += 1e-9
-        tracemalloc.start()
-        try:
-            op = Operator.of(ModeLayout.of(("a", 31), ("m", 31)), m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert op.hermitian == (row < 0)
-        assert peak < 0.25 * m.nbytes

@@ -29,3 +29,15 @@ def test_library_does_not_import_scipy():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if "scipy" in roots(node)]
     assert SOURCES and found == []
+
+
+def test_measurement_layer_is_gone():
+    # the engines contract arrays directly; the labelled operator layer that
+    # only tests called must not come back as dead public surface
+    from optoweak import DEFAULT_TOL, DensityMatrix, ModeLayout, fock
+    names = ("Operator", "expectation", "pointer_shift", "project_fock", "reduced_density")
+    found = [n for n in names if hasattr(optoweak, n) or hasattr(fock, n)]
+    found += [f"{owner.__name__}.{attr}" for owner, attr in (
+        (DensityMatrix, "partial_trace"), (ModeLayout, "without"),
+        (type(DEFAULT_TOL), "hermitian_atol")) if hasattr(owner, attr)]
+    assert found == []

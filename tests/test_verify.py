@@ -1,6 +1,7 @@
 """Verification checks that report their own failures as clauses."""
 
 import numpy as np
+import pytest
 
 from optoweak import StateVector, dynamics, verify
 
@@ -31,3 +32,20 @@ def test_propagator_check_watches_the_production_propagator(monkeypatch):
     assert not res.passed
     overall = next(c for c in res.clauses if c.name == "overall max deviation")
     assert overall.measured > 0.1
+
+
+@pytest.mark.parametrize("check, clause, measured", [
+    (verify.check_exact_vs_analytic, "max rel dev of q_noclick vs closed form", 0.0524396),
+    (verify.check_weak_value_wva,
+     "max rel dev numeric weak value vs |alpha|^2/2 + 1/(2 delta)", 0.0868565),
+    (verify.check_approximation_chain, "click-branch <q> rel dev, approx vs exact", 0.0198782),
+], ids=["exact_vs_analytic", "weak_value_wva", "approximation_chain"])
+def test_deliberate_failures_keep_their_values(check, clause, measured):
+    # three clauses hold leading-order closed forms to tolerances they miss;
+    # each fails alone, at its recorded value, while its check's other clauses
+    # pass.  A change that makes those forms more accurate updates the values.
+    res = check()
+    assert res.error is None
+    failed = [c for c in res.clauses if not c.ok]
+    assert [c.name for c in failed] == [clause]
+    assert failed[0].measured == pytest.approx(measured, rel=1e-6)
