@@ -13,6 +13,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,8 +30,10 @@ class EvolutionParams:
     ``k`` is the scaled coupling (coupling rate over mechanical frequency)
     and ``wm_t`` the mechanical phase advance.  The optical frequency's
     phase e^{-i (omega_c/omega_m) wm_t N} is common to both arms and commutes
-    with the recombiner, so it is not modelled.  The derived quantities are
-    properties so they can never drift out of sync with the primary fields.
+    with the recombiner, so it is not modelled.  Each derived quantity is
+    computed on first use and kept: the class is frozen, so it cannot drift
+    out of sync with the primary fields, and :func:`dataclasses.replace`
+    builds an instance that derives its own.
     """
 
     k: float
@@ -42,22 +45,22 @@ class EvolutionParams:
         if self.wm_t < 0:
             raise LayoutError("wm_t must be >= 0")
 
-    @property
+    @cached_property
     def kerr_phase(self) -> float:
         """k^2 (wm_t - sin wm_t), the number-squared phase."""
         return self.k ** 2 * (self.wm_t - math.sin(self.wm_t))
 
-    @property
+    @cached_property
     def disp_param(self) -> complex:
         """phi = k (1 - e^{-i wm_t}), the per-photon mirror displacement."""
         return self.k * (1.0 - np.exp(-1j * self.wm_t))
 
-    @property
+    @cached_property
     def abs_disp(self) -> float:
         """|phi|, always taken from the complex value."""
         return abs(self.disp_param)
 
-    @property
+    @cached_property
     def disp_sum(self) -> float:
         """phi + phi* = 2k(1 - cos wm_t), the position-displacement scale."""
         return 2.0 * self.disp_param.real

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analytics
 from .dissipation import _EXPM_WORKSPACE, _damped_scan
-from .dynamics import _mirror_tail, evolution_params
+from .dynamics import EvolutionParams, _mirror_tail, evolution_params
 from .errors import ConfigError, DegenerateBranchError, TruncationError
 from .fock import coherent_state
 from .interferometer import (_MIRROR_WORKSPACE, MAX_RECOMBINER_DIM, ProtocolParams,
@@ -40,6 +40,8 @@ CONFIG_KEYS = ("mode", "engine", "fixed", "axes", "pairs", "cutoffs",
                "overlay_alpha2", "out", "svg")
 RETIRED_KEYS = ("workers",)  # accepted and ignored
 SCAN_POINTS = 512  # grid points per batch of exact scans
+# bytes of mirror states one batch of exact outcomes may keep alive
+MIRROR_STATE_BUDGET = 16 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -107,9 +109,9 @@ def _expand_axis(name: str, spec) -> list[float]:
         missing = {"start", "stop", "count"} - set(spec)
         if missing:
             raise ConfigError(f"axis {name!r} range needs start/stop/count, missing {sorted(missing)}")
-        return list(np.linspace(_parameter(f"axes.{name}.start", name, spec["start"]),
-                                _parameter(f"axes.{name}.stop", name, spec["stop"]),
-                                _integer(f"axes.{name}.count", spec["count"], 2)))
+        return np.linspace(_parameter(f"axes.{name}.start", name, spec["start"]),
+                           _parameter(f"axes.{name}.stop", name, spec["stop"]),
+                           _integer(f"axes.{name}.count", spec["count"], 2)).tolist()
     if isinstance(spec, (list, tuple)):
         if not spec:
             raise ConfigError(f"axis {name!r} value list is empty")
@@ -239,29 +241,31 @@ def _check_exact_feasible(cfg: SweepConfig) -> None:
 # ---------------------------------------------------------------------------
 # formatting
 
-def format_float(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return f"{float(x):.17g}"
-
-
 def write_csv(path: str | None, header: list[str], rows) -> None:
     """Write header + rows to ``path``, or to stdout when it is None or empty
-    (any iterable; rows stream as they arrive)."""
+    (any iterable; rows stream as they arrive).  A ``str`` cell is written
+    as is, any other cell as float(cell) to 17 significant digits; each row
+    is one ``%`` format, cached per sequence of cell types."""
+    formats: dict[tuple, str] = {}
     with (open(path, "w", encoding="utf-8", newline="\n") if path
           else contextlib.nullcontext(sys.stdout)) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(cell if isinstance(cell, str) else format_float(cell)
-                              for cell in row) + "\n")
+            cells = tuple(row)
+            kinds = tuple(map(type, cells))
+            fmt = formats.get(kinds)
+            if fmt is None:
+                fmt = formats[kinds] = ",".join(
+                    "%s" if issubclass(kind, str) else "%.17g" for kind in kinds) + "\n"
+            fh.write(fmt % cells)
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _analytic_point(k: float, wm_t: float, alpha2: float, delta: float) -> dict:
+def _analytic_point(evolution: EvolutionParams, alpha2: float, delta: float) -> dict:
     """Closed forms at one grid point; degenerate fields become NaN + reason."""
-    inp = analytics.AnalyticInputs.of(alpha2, delta, k, wm_t)
+    inp = analytics.AnalyticInputs(alpha2, delta, evolution)
     reasons: list[str] = []
 
     def guarded(name, fn, *args):
@@ -281,7 +285,7 @@ def _analytic_point(k: float, wm_t: float, alpha2: float, delta: float) -> dict:
         "weak_value": guarded("weak_value", analytics.weak_value, alpha2, delta),
         "weak_value_one_photon": guarded("weak_value_one_photon",
                                          analytics.weak_value_one_photon, delta),
-        "q_no_postselection": analytics.q_no_postselection(k, wm_t),
+        "q_no_postselection": analytics.q_no_postselection(evolution.k, evolution.wm_t),
     }
     out["reason"] = "; ".join(reasons)
     return out
@@ -294,8 +298,8 @@ def _exact_outcomes(cfg: SweepConfig, points: list[dict]) -> list:
     for i, pt in enumerate(points if cfg.engine != "analytic" else ()):
         groups.setdefault((pt["k"], pt["wm_t"], pt["alpha2"], pt["gamma"]), []).append(i)
     for (k, wm_t, alpha2, gamma), idx in groups.items():
-        scan = [ProtocolParams(alpha=complex(math.sqrt(alpha2)), delta=points[i]["delta"],
-                               evolution=evolution_params(k, wm_t),
+        alpha, evolution = complex(math.sqrt(alpha2)), evolution_params(k, wm_t)
+        scan = [ProtocolParams(alpha=alpha, delta=points[i]["delta"], evolution=evolution,
                                optical_cutoff=cfg.optical_cutoff,
                                mirror_cutoff=cfg.exact_mirror_cutoff) for i in idx]
         out.update(zip(idx, _damped_scan(scan, gamma) if gamma > 0.0 else _scan(scan)))
@@ -311,12 +315,13 @@ SWEEP_HEADER = [
 ]
 
 
-def _sweep_rows_for_point(cfg: SweepConfig, point: dict, out) -> list[list]:
-    """The rows of one grid point; ``out`` is its exact outcome, or None."""
-    k, wm_t = point["k"], point["wm_t"]
-    alpha2, delta, gamma = point["alpha2"], point["delta"], point["gamma"]
-    base = [k, wm_t, alpha2, delta, gamma]
-    ana = _analytic_point(k, wm_t, alpha2, delta)
+def _sweep_rows_for_point(cfg: SweepConfig, point: dict, evolution: EvolutionParams,
+                          out) -> list[list]:
+    """The rows of one grid point at its ``evolution``; ``out`` is its exact
+    outcome, or None."""
+    alpha2, delta = point["alpha2"], point["delta"]
+    base = [point["k"], point["wm_t"], alpha2, delta, point["gamma"]]
+    ana = _analytic_point(evolution, alpha2, delta)
     rows = []
     rel = math.nan
     if out is not None and not math.isnan(ana["q_diff"]) and ana["q_diff"] != 0:
@@ -339,20 +344,37 @@ def _sweep_rows_for_point(cfg: SweepConfig, point: dict, out) -> list[list]:
     return rows
 
 
+def _batch_points(cfg: SweepConfig) -> int:
+    """Grid points per batch: SCAN_POINTS, fewer when an exact batch's mirror
+    states, two dm x dm complex matrices per point, would pass
+    MIRROR_STATE_BUDGET bytes (at least one point)."""
+    if cfg.engine == "analytic":
+        return SCAN_POINTS
+    dm = cfg.exact_mirror_cutoff + 1
+    return max(1, min(SCAN_POINTS, MIRROR_STATE_BUDGET // (2 * 16 * dm * dm)))
+
+
 def iter_sweep_rows(cfg: SweepConfig):
     """Yield sweep rows in grid order (the last axis in SWEEPABLE order
-    varies fastest), SCAN_POINTS grid points at a time: each batch runs its
-    exact points as one scan per drive (:func:`_exact_outcomes`) first."""
+    varies fastest), :func:`_batch_points` grid points at a time: each batch
+    runs its exact points as one scan per drive (:func:`_exact_outcomes`)
+    first, and its outcomes' mirror states live until its rows are yielded."""
     if not cfg.axes:
         raise ConfigError("sweep mode needs at least one axis")
     names = [n for n in SWEEPABLE if n in cfg.axes]
-    grids = [cfg.axes[n] for n in names]
-    points = ({**{n: cfg.value(n) for n in DEFAULT_FIXED},
-               **{name: grid[i] for name, grid, i in zip(names, grids, combo)}}
-              for combo in np.ndindex(*[len(g) for g in grids]))
-    while batch := list(itertools.islice(points, SCAN_POINTS)):
+    fixed = {n: cfg.value(n) for n in DEFAULT_FIXED}
+    points = ({**fixed, **dict(zip(names, values))}
+              for values in itertools.product(*(cfg.axes[n] for n in names)))
+    # one EvolutionParams per (k, wm_t), keyed on their bits: == would give
+    # k = -0.0 the instance of 0.0, and rows at -0.0 print -0
+    evolutions: dict[tuple[str, str], EvolutionParams] = {}
+    size = _batch_points(cfg)
+    while batch := list(itertools.islice(points, size)):
         for point, out in zip(batch, _exact_outcomes(cfg, batch)):
-            yield from _sweep_rows_for_point(cfg, point, out)
+            key = (point["k"].hex(), point["wm_t"].hex())
+            if (evolution := evolutions.get(key)) is None:
+                evolution = evolutions[key] = evolution_params(point["k"], point["wm_t"])
+            yield from _sweep_rows_for_point(cfg, point, evolution, out)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +392,10 @@ def run_figure2(cfg: SweepConfig) -> tuple[list[str], list[list]]:
         header += ["exact_alpha2", "exact_q_noclick", "exact_q_click",
                    "exact_q_diff", "exact_p_click"]
 
+    evolution = evolution_params(k, wm_t)
+
     def row(delta: float, ex) -> list:
-        ana = _analytic_point(k, wm_t, alpha2, delta)
+        ana = _analytic_point(evolution, alpha2, delta)
         out = [delta, ana["q_no_postselection"], ana["q_noclick"], ana["q_click"],
                ana["q_diff"], ana["q_wva"] - ana["q_noclick"], ana["p_click"]]
         if ex is not None:

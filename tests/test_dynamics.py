@@ -1,5 +1,6 @@
 """Evolution parameters, factored/dense propagators, weak approximation."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -46,6 +47,28 @@ class TestEvolutionParams:
         p = evolution_params(k, wt)
         assert p.abs_disp == pytest.approx(2 * k * abs(math.sin(wt / 2)), abs=1e-12)
         assert p.disp_sum == pytest.approx(2 * k * (1 - math.cos(wt)), abs=1e-12)
+
+    @pytest.mark.parametrize("k, wt", [(0.005, math.pi), (-0.0, 1.0), (0.0, 0.0),
+                                       (0.3, 2.5), (1e-300, 1e-3)])
+    def test_derived_values_are_the_uncached_expressions(self, k, wt):
+        phi = k * (1.0 - np.exp(-1j * wt))
+        expected = {"kerr_phase": k ** 2 * (wt - math.sin(wt)), "disp_param": phi,
+                    "abs_disp": abs(phi), "disp_sum": 2.0 * phi.real}
+        p = evolution_params(k, wt)
+        for name, value in expected.items():
+            got = getattr(p, name)
+            assert np.asarray(got).tobytes() == np.asarray(value).tobytes(), name
+            assert getattr(p, name) is got  # kept, not derived again
+
+    def test_replace_derives_fresh_values(self):
+        p = evolution_params(0.005, math.pi)
+        before = (p.kerr_phase, p.disp_param, p.abs_disp, p.disp_sum)
+        q = dataclasses.replace(p, k=0.02, wm_t=1.0)
+        fresh = evolution_params(0.02, 1.0)
+        assert (q.kerr_phase, q.disp_param, q.abs_disp, q.disp_sum) == (
+            fresh.kerr_phase, fresh.disp_param, fresh.abs_disp, fresh.disp_sum)
+        assert (p.kerr_phase, p.disp_param, p.abs_disp, p.disp_sum) == before
+        assert q.disp_sum != p.disp_sum
 
     def test_negative_k_rejected(self):
         with pytest.raises(LayoutError):

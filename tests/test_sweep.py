@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from optoweak import (ConfigError, ProtocolParams, TruncationError,
                       evolution_params, run_protocol)
 from optoweak.cli import main
 from optoweak.interferometer import _MIRROR_WORKSPACE, MAX_RECOMBINER_DIM
-from optoweak.sweep import (SWEEP_HEADER, SweepConfig, format_float, iter_sweep_rows,
-                            load_config, run_figure2, run_figure3, run_table1,
-                            write_csv)
+from optoweak import sweep
+from optoweak.sweep import (SWEEP_HEADER, SweepConfig, iter_sweep_rows, load_config,
+                            run_figure2, run_figure3, run_table1, write_csv)
 
 
 def cfg_file(tmp_path, payload):
@@ -24,6 +25,19 @@ def cfg_file(tmp_path, payload):
 
 def run_sweep(cfg):
     return SWEEP_HEADER, list(iter_sweep_rows(cfg))
+
+
+def csv_text(tmp_path, header, rows) -> str:
+    path = tmp_path / "t.csv"
+    write_csv(str(path), header, rows)
+    return path.read_bytes().decode()
+
+
+def per_cell_csv(header, rows) -> str:
+    """The reference rule, one cell at a time: a str as is, anything else
+    as float(cell) to 17 significant digits."""
+    return "".join(",".join(cell if isinstance(cell, str) else f"{float(cell):.17g}"
+                            for cell in row) + "\n" for row in [header, *rows])
 
 
 class TestConfig:
@@ -45,6 +59,12 @@ class TestConfig:
             load_config(cfg_file(tmp_path, {
                 "mode": "sweep",
                 "axes": {"delta": {"start": 0.01, "stop": 0.02, "count": 1}}}))
+
+    def test_range_axis_values_are_python_floats(self):
+        cfg = load_config(None, overrides={"axes": {
+            "delta": {"start": 0.001, "stop": 0.12, "count": 7}}}, default_mode="sweep")
+        assert cfg.axes["delta"] == list(np.linspace(0.001, 0.12, 7))
+        assert {type(x) for x in cfg.axes["delta"]} == {float}
 
     def test_unknown_fixed_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -321,6 +341,38 @@ class TestSweep:
         assert len(rows) == 1000
         assert time.perf_counter() - t0 < 1.0
 
+    def test_negative_zero_coupling_keeps_its_sign(self, tmp_path):
+        cfg = self.base_cfg(engine="both", axes={"k": [-0.0, 0.0]})
+        lines = csv_text(tmp_path, SWEEP_HEADER, iter_sweep_rows(cfg)).splitlines()
+        rows = [dict(zip(SWEEP_HEADER, line.split(","))) for line in lines[1:]]
+        assert [(r["k"], r["engine"]) for r in rows] == [
+            ("-0", "analytic"), ("-0", "exact"), ("0", "analytic"), ("0", "exact")]
+        for r in rows:
+            assert r["q_no_postselection"] == r["k"]
+        assert [r["q_noclick"] for r in rows if r["engine"] == "analytic"] == ["-0", "0"]
+
+    def test_exact_batch_keeps_its_mirror_states_within_budget(self):
+        # mirror cutoff 80: one point's two mirror states are 2 * 81^2 complex
+        # entries, so a batch of SCAN_POINTS points would keep 107 MB alive
+        dm = 81
+        cfg = self.base_cfg(engine="exact", fixed={"alpha2": 2.0}, cutoffs={"mirror": dm - 1},
+                            axes={"delta": list(np.linspace(0.001, 0.05, 200))})
+        assert sweep._batch_points(cfg) == sweep.MIRROR_STATE_BUDGET // (32 * dm ** 2) < 200
+        assert sweep._batch_points(load_config(None, overrides={"engine": "both", "axes": {
+            "delta": [0.01]}}, default_mode="sweep")) == sweep.SCAN_POINTS
+        list(iter_sweep_rows(self.base_cfg(engine="exact", fixed={"alpha2": 2.0},
+                                           cutoffs={"mirror": dm - 1})))  # warm the tables
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in iter_sweep_rows(cfg)) == 200
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one recombiner slice holds 2^16 // (2 dm^2) angles; its working set
+        # is at most _MIRROR_WORKSPACE arrays of their states
+        slice_bytes = _MIRROR_WORKSPACE * 16 * dm ** 2 * (2 ** 16 // (2 * dm ** 2))
+        assert peak < sweep.MIRROR_STATE_BUDGET + slice_bytes
+
     def test_no_axes_rejected(self):
         cfg = self.base_cfg(engine="analytic", axes={})
         with pytest.raises(ConfigError):
@@ -328,13 +380,13 @@ class TestSweep:
 
 
 class TestFormatting:
-    def test_seventeen_significant_digits(self):
-        assert format_float(math.pi) == f"{math.pi:.17g}"
-        assert format_float(float("nan")) == "nan"
+    def test_seventeen_significant_digits(self, tmp_path):
+        text = csv_text(tmp_path, ["x"], [[math.pi], [float("nan")]])
+        assert text.splitlines()[1:] == [f"{math.pi:.17g}", "nan"]
 
-    def test_round_trip_exact(self):
+    def test_round_trip_exact(self, tmp_path):
         x = 0.1 + 0.2
-        assert float(format_float(x)) == x
+        assert float(csv_text(tmp_path, ["x"], [[x]]).splitlines()[1]) == x
 
     def test_write_csv_lf_only(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -343,6 +395,23 @@ class TestFormatting:
         assert b"\r" not in raw
         assert raw.decode().splitlines()[0] == "a,b"
         assert "nan,y" in raw.decode()
+
+    def test_bytes_match_the_per_cell_rule(self, tmp_path):
+        nan = float("nan")
+        cells = [nan, -nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1 + 0.2, 7, True,
+                 np.float64(2.0 / 3.0), np.int64(-12), np.float64(nan)]
+        # two row shapes, and one shape whose str column moves, in one stream
+        rows = [["s", *cells, "t, u"], cells[::-1], ["s", *cells, "v"],
+                [1.0, "5%", "%s"], cells[::-1], ["x", 2.5, 3]]
+        assert csv_text(tmp_path, ["a", "b"], rows) == per_cell_csv(["a", "b"], rows)
+
+    def test_sweep_rows_match_the_per_cell_rule(self, tmp_path):
+        cfg = load_config(None, overrides={
+            "engine": "both", "fixed": {"alpha2": 1.0},
+            "axes": {"delta": [0.0, 0.01], "k": [0.0, 0.005]},
+            "cutoffs": {"optical": 10, "mirror": 8}}, default_mode="sweep")
+        rows = list(iter_sweep_rows(cfg))
+        assert csv_text(tmp_path, SWEEP_HEADER, rows) == per_cell_csv(SWEEP_HEADER, rows)
 
 
 class TestDegenerateGridPoints:
