@@ -12,9 +12,7 @@ from .dynamics import (EvolutionParams, dense_propagator, evolution_params,
 from .errors import (ConfigError, ConvergenceError, DegenerateBranchError,
                      InvariantError, LayoutError, OptoweakError,
                      TruncationError)
-from .fock import (DensityMatrix, ModeLayout, StateVector, annihilation,
-                   coherent_state, fock_state, poisson_tail, position, tensor,
-                   vacuum_state)
+from .fock import annihilation, coherent_state, poisson_tail, position
 from .interferometer import (ProtocolOutcome, ProtocolParams,
                              default_optical_cutoff, run_protocol,
                              weak_value_numeric)

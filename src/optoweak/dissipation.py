@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EvolutionParams, _hamiltonian, _mirror_tail, _require_am
+from .dynamics import EvolutionParams, _hamiltonian, _mirror_tail
 from .errors import LayoutError
-from .fock import DensityMatrix, annihilation
+from .fock import _hermitian, _unit, annihilation
 from .interferometer import (ProtocolOutcome, ProtocolParams, _arm, _drive,
                              _outcomes, _preselect_am, _recombined)
 from .tolerances import DEFAULT_TOL
@@ -39,14 +39,28 @@ class LindbladParams:
             raise LayoutError("gamma must be >= 0")
 
 
-def lindblad_rhs(rho: DensityMatrix, params: LindbladParams) -> np.ndarray:
-    """-i[H, rho] + (gamma/2)(2 c rho c^dag - c^dag c rho - rho c^dag c).
+def _density_matrix(rho: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """(da, dm) and the (da dm, da dm) matrix of an (a, m) density matrix
+    ``rho`` of shape (da, dm, da, dm); raises :class:`LayoutError` on another
+    shape or when rho is not Hermitian within ``density_hermitian_atol``."""
+    shape = np.shape(rho)
+    if len(shape) != 4 or shape[:2] != shape[2:] or 0 in shape:
+        raise LayoutError(f"expected an (a, m) density matrix, got shape {shape}")
+    (da, dm), n = shape[:2], shape[0] * shape[1]
+    r = np.asarray(rho, dtype=complex).reshape(n, n)
+    if not _hermitian(r, DEFAULT_TOL.density_hermitian_atol):
+        raise LayoutError("density matrix is not Hermitian within tolerance")
+    return da, dm, r
 
-    Returns the derivative as a plain matrix (it is traceless and Hermitian,
-    not a density matrix).
+
+def lindblad_rhs(rho: np.ndarray, params: LindbladParams) -> np.ndarray:
+    """-i[H, rho] + (gamma/2)(2 c rho c^dag - c^dag c rho - rho c^dag c) for
+    an (a, m) density matrix ``rho`` of shape (da, dm, da, dm).
+
+    Returns the derivative in that shape (it is traceless and Hermitian, not
+    a density matrix).
     """
-    _require_am(rho.layout)
-    (da, dm), r = rho.layout.shape, rho.matrix
+    da, dm, r = _density_matrix(rho)
     h = _hamiltonian(da, dm - 1, params.base.k)
     c = np.kron(np.eye(da), annihilation(dm - 1))
     out = -1j * (h @ r - r @ h)
@@ -54,7 +68,7 @@ def lindblad_rhs(rho: DensityMatrix, params: LindbladParams) -> np.ndarray:
         cd = c.conj().T
         cdc = cd @ c
         out = out + (params.gamma / 2.0) * (2.0 * c @ r @ cd - cdc @ r - r @ cdc)
-    return out
+    return out.reshape(da, dm, da, dm)
 
 
 # Pade [13/13] coefficients b_0 .. b_13 of exp (Higham, SIAM J. Matrix Anal.
@@ -104,18 +118,19 @@ def _expm(a: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def evolve_master(rho0: DensityMatrix, params: LindbladParams,
-                  total_time: float) -> DensityMatrix:
-    """Exact evolution under the damped master equation, block by block (:func:`_evolve_blocks`)."""
+def evolve_master(rho0: np.ndarray, params: LindbladParams,
+                  total_time: float) -> np.ndarray:
+    """Exact evolution of an (a, m) density matrix ``rho0`` of shape
+    (da, dm, da, dm) under the damped master equation, block by block
+    (:func:`_evolve_blocks`); returns a new array of that shape."""
     if total_time < 0:
         raise LayoutError("total_time must be >= 0")
+    da, dm, r = _density_matrix(rho0)
     if total_time == 0:
-        return rho0
-    _require_am(rho0.layout)
-    da, dm = rho0.layout.shape
+        return np.array(rho0, dtype=complex)
     rows, cols = np.triu_indices(da)
-    out = _evolve_blocks(rho0.matrix.reshape(da, dm, da, dm)[rows, :, cols], da, params, total_time)
-    return DensityMatrix(rho0.layout, out.transpose(0, 2, 1, 3).reshape(da * dm, da * dm))
+    out = _evolve_blocks(r.reshape(da, dm, da, dm)[rows, :, cols], da, params, total_time)
+    return out.transpose(0, 2, 1, 3)
 
 
 def _evolve_blocks(upper: np.ndarray, da: int, params: LindbladParams,
@@ -176,17 +191,16 @@ def _evolved_rho(drive: ProtocolParams, gamma: float
     The arrays are read-only, because every caller shares them.
     """
     psi = _preselect_am(drive)
-    _mirror_tail(drive.evolution, (np.abs(psi.grid) ** 2).sum(axis=1),
-                 drive.mirror_cutoff)
-    d, dm = psi.layout.shape
+    _mirror_tail(drive.evolution, (np.abs(psi) ** 2).sum(axis=1), drive.mirror_cutoff)
+    d, dm = psi.shape
     rows, cols = np.triu_indices(d)
-    rho = _evolve_blocks(psi.grid[rows, :, None] * psi.grid[cols, None, :].conj(), d,
+    rho = _evolve_blocks(psi[rows, :, None] * psi[cols, None, :].conj(), d,
                          LindbladParams(gamma=gamma, base=drive.evolution), drive.evolution.wm_t)
     rho_a = functools.reduce(np.add, (rho[:, :, m, m] for m in range(dm)))  # summed over m in order
-    pairs = rho.reshape(d * d, dm * dm)
-    for arr in (pairs, rho_a):
+    pairs, beta = rho.reshape(d * d, dm * dm), _unit(_arm(drive))
+    for arr in (pairs, rho_a, beta):
         arr.setflags(write=False)
-    return pairs, rho_a, float(np.trace(rho_a).real), _arm(drive, "b").normalize().amplitudes
+    return pairs, rho_a, float(np.trace(rho_a).real), beta
 
 
 def _postselect(points: list[ProtocolParams], rho: np.ndarray, rho_a: np.ndarray,

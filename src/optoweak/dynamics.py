@@ -18,8 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, LayoutError, TruncationError
-from .fock import (ModeLayout, StateVector, _moment_table,
-                   _warn_large_displacement, annihilation, poisson_tail)
+from .fock import _moment_table, _warn_large_displacement, annihilation, poisson_tail
 from .tolerances import DEFAULT_TOL
 
 
@@ -87,43 +86,40 @@ def _mirror_tail(params: EvolutionParams, weights: np.ndarray,
     return tail
 
 
-def _require_am(layout: ModeLayout) -> None:
-    """Raise :class:`LayoutError` unless ``layout`` is (arm a, mirror m)."""
-    if layout.labels != ("a", "m"):
-        raise LayoutError(f"expected layout ('a', 'm'), got {layout.labels}")
-
-
-def factored_propagate(state: StateVector, params: EvolutionParams) -> StateVector:
-    """Evolve an (a, m) ``state`` with the factored propagator.
+def factored_propagate(state: np.ndarray, params: EvolutionParams) -> np.ndarray:
+    """Evolve an (a, m) ket ``state`` of shape (da, dm) with the factored
+    propagator, returning a new ket of that shape.
 
     Right-to-left: mirror rotation e^{-i wm_t c^dag c}; per photon-number
     block n of arm a, mirror displacement D(n phi); Kerr phase
     e^{i kerr n^2}.
     Every D(n phi) comes from one cached eigendecomposition of the mirror
     position and is applied in factored form, never built as a matrix.
-    Raises :class:`TruncationError` past the mirror-tail budget, then warns
-    when the largest displacement is not small against the mirror cutoff.
+    Raises :class:`LayoutError` unless ``state`` has two nonempty axes, and
+    :class:`TruncationError` past the mirror-tail budget, then warns when the
+    largest displacement is not small against the mirror cutoff.
     """
+    if np.ndim(state) != 2 or np.size(state) == 0:
+        raise LayoutError(f"expected an (a, m) ket, got shape {np.shape(state)}")
     out = _factored_propagate(state, params)
-    _warn_large_displacement(params.disp_param, state.layout.cutoff("a"),
-                             state.layout.cutoff("m"), stacklevel=2)
+    _warn_large_displacement(params.disp_param, out.shape[0] - 1, out.shape[1] - 1,
+                             stacklevel=2)
     return out
 
 
-def _factored_propagate(state: StateVector, params: EvolutionParams) -> StateVector:
-    """:func:`factored_propagate` without its warning, for callers that
-    cache the result and so warn on every call themselves."""
-    _require_am(state.layout)
-    n_max, m_cut = state.layout.cutoff("a"), state.layout.cutoff("m")
-    tail = _mirror_tail(params, (np.abs(state.grid) ** 2).sum(axis=1), m_cut)
-    g = np.array(state.grid)  # writable copy
+def _factored_propagate(state: np.ndarray, params: EvolutionParams) -> np.ndarray:
+    """:func:`factored_propagate` without its shape check and warning, for
+    callers that cache the result and so warn on every call themselves."""
+    g = np.array(state, dtype=complex)  # writable copy
+    n_max, m_cut = g.shape[0] - 1, g.shape[1] - 1
+    _mirror_tail(params, (np.abs(g) ** 2).sum(axis=1), m_cut)
     # mirror free rotation (acts first)
     g *= np.exp(-1j * params.wm_t * np.arange(m_cut + 1))
     # per-block displacement on the mirror axis (Bose, Jacobs & Knight, PRA 56,
     # 4175 (1997)): i(beta c^dag - beta* c) = P |beta| q P^*, q = V diag(w) V^T,
     # P = diag(u^k), u = i beta / |beta| from beta's phase (no division: zero
     # drive is safe), so D(n beta) g = P V (exp(-i n |beta| w) * (V^T P^* g))
-    _, _, w, v = _moment_table(m_cut)
+    _, w, v = _moment_table(m_cut)
     beta = params.disp_param
     pv = np.exp(1j * (cmath.phase(beta) + math.pi / 2) * np.arange(m_cut + 1))[:, None] * v
     y = g[1:] @ pv.conj()
@@ -131,7 +127,7 @@ def _factored_propagate(state: StateVector, params: EvolutionParams) -> StateVec
     g[1:] = y @ pv.T
     # then the Kerr phase
     g *= np.exp(1j * params.kerr_phase * np.arange(n_max + 1) ** 2)[:, None]
-    return StateVector(state.layout, g.reshape(-1), leakage=state.leakage + tail)
+    return g
 
 
 def _hamiltonian(da: int, mirror_cutoff: int, k: float) -> np.ndarray:
@@ -162,41 +158,42 @@ def dense_propagator(k: float, wm_t: float, optical_cutoff: int, mirror_cutoff: 
     return u
 
 
-def weak_approx_propagate(state: StateVector, params: EvolutionParams,
-                          alpha: complex) -> StateVector:
-    """Apply exp[alpha (a_c^dag + a_d^dag)(phi c^dag - phi* c)/2].
+def weak_approx_propagate(state: np.ndarray, params: EvolutionParams,
+                          alpha: complex) -> np.ndarray:
+    """Apply exp[alpha (a_c^dag + a_d^dag)(phi c^dag - phi* c)/2] to a
+    (c, d, m) ket ``state`` of shape (dc, dd, dm), returning a new one.
 
     This is the weak-interaction approximation of the post-beam-splitter
     evolution; it exists to test that approximation chain against the exact
     pipeline, not to replace it.  Evaluated by a scaled Taylor series with a
     convergence check on the term norm.
     """
-    layout = state.layout
-    axes = {lab: layout.axis(lab) for lab in ("c", "d", "m")}  # raises on a missing mode
-    if layout.dim > DEFAULT_TOL.dense_dim_cap:
-        raise LayoutError(f"joint dimension {layout.dim} exceeds the dense cap")
+    if np.ndim(state) != 3 or np.size(state) == 0:
+        raise LayoutError(f"expected a (c, d, m) ket, got shape {np.shape(state)}")
+    g = np.array(state, dtype=complex)
+    (dc, dd, dm), size = g.shape, g.size
+    if size > DEFAULT_TOL.dense_dim_cap:
+        raise LayoutError(f"joint dimension {size} exceeds the dense cap")
     if params.abs_disp > DEFAULT_TOL.weak_disp_warn:
         warnings.warn(f"|phi|={params.abs_disp:.3g} is not small; the weak "
                       "approximation is unreliable", stacklevel=2)
     phi = params.disp_param
-    cm = annihilation(layout.cutoff("m"))
+    cm = annihilation(dm - 1)
     b = (phi * cm.conj().T - np.conj(phi) * cm) / 2.0
-    ac_dag = annihilation(layout.cutoff("c")).conj().T
-    ad_dag = annihilation(layout.cutoff("d")).conj().T
+    ac_dag = annihilation(dc - 1).conj().T
+    ad_dag = annihilation(dd - 1).conj().T
 
-    def on(op: np.ndarray, g: np.ndarray, lab: str) -> np.ndarray:  # op on mode lab
-        return np.moveaxis(np.tensordot(op, g, axes=([1], [axes[lab]])), 0, axes[lab])
+    def on(op: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:  # op on one mode
+        return np.moveaxis(np.tensordot(op, g, axes=([1], [axis])), 0, axis)
 
     def apply_x(g: np.ndarray) -> np.ndarray:
-        return alpha * on(b, on(ac_dag, g, "c") + on(ad_dag, g, "d"), "m")
+        return alpha * on(b, on(ac_dag, g, 0) + on(ad_dag, g, 1), 2)
 
     # crude operator-norm bound decides how many scaling steps keep the
     # series fast and well-conditioned
     bound = (abs(alpha) * abs(phi)
-             * (math.sqrt(layout.dim_of("c")) + math.sqrt(layout.dim_of("d")))
-             * math.sqrt(layout.dim_of("m")))
+             * (math.sqrt(dc) + math.sqrt(dd)) * math.sqrt(dm))
     steps = max(1, 1 << max(0, math.ceil(math.log2(max(bound, 1e-12)))))
-    g = np.array(state.grid)
     for _ in range(steps):
         term, acc = g.copy(), g.copy()
         scale, converged = float(np.linalg.norm(g)), False
@@ -210,4 +207,4 @@ def weak_approx_propagate(state: StateVector, params: EvolutionParams,
             raise ConvergenceError("weak-approximation series did not converge",
                                    float(np.linalg.norm(term)))
         g = acc
-    return StateVector(layout, g.reshape(-1), state.leakage)
+    return g

@@ -10,7 +10,8 @@ class OptoweakError(Exception):
 
 
 class LayoutError(OptoweakError):
-    """Mode layouts are incompatible (unknown label, cutoff mismatch, ...)."""
+    """An input does not fit the call: an array with the wrong shape, a
+    density matrix that is not Hermitian, a parameter out of its range, ..."""
 
 
 class TruncationError(OptoweakError):

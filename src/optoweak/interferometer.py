@@ -22,9 +22,8 @@ import numpy as np
 
 from .dynamics import EvolutionParams, _factored_propagate
 from .errors import DegenerateBranchError, InvariantError, LayoutError
-from .fock import (DensityMatrix, StateVector, _moment_table, _tridiagonal_eigh,
-                   _warn_large_displacement, coherent_state, cutoff_for_leakage,
-                   tensor, vacuum_state)
+from .fock import (_moment_table, _tridiagonal_eigh, _unit, _warn_large_displacement,
+                   coherent_state, cutoff_for_leakage)
 from .tolerances import DEFAULT_TOL
 
 PRESELECT_LEAKAGE = 1e-9
@@ -83,8 +82,10 @@ class ProtocolOutcome:
 
     ``p_residual`` is the trace the two reported outcomes leave: the
     probability of two or more dark-port photons.  Position moments are in
-    zero-point (sigma) units.  Degenerate branches (e.g. the click branch at
-    zero drive) carry NaN moments plus a reason.
+    zero-point (sigma) units.  The mirror states are read-only (dm, dm)
+    density matrices, normalized to trace 1.  Degenerate branches (e.g. the
+    click branch at zero drive) carry NaN moments, no mirror state and a
+    reason.
     """
 
     p_click: float
@@ -95,22 +96,25 @@ class ProtocolOutcome:
     dq_click: float
     dq_noclick: float
     diff: float
-    mirror_click: DensityMatrix | None
-    mirror_noclick: DensityMatrix | None
+    mirror_click: np.ndarray | None
+    mirror_noclick: np.ndarray | None
     degenerate_reason: str | None = None
 
 
-def _arm(params: ProtocolParams, label: str) -> StateVector:
+def _arm(params: ProtocolParams) -> np.ndarray:
     """One preselected arm |alpha/sqrt2>; the leakage check of every
     preselection (arm a and arm b of both engines) happens here."""
-    return coherent_state(params.alpha / math.sqrt(2.0), params.n_opt, label,
+    return coherent_state(params.alpha / math.sqrt(2.0), params.n_opt,
                           leakage_tol=PRESELECT_LEAKAGE / 2)
 
 
-def _preselect_am(params: ProtocolParams) -> StateVector:
-    """|alpha/sqrt2>_a |0>_m, normalized: the part of the preselected state
-    that interacts.  Arm b stays coherent and is rebuilt at recombination."""
-    return tensor([_arm(params, "a"), vacuum_state(params.mirror_cutoff, "m")]).normalize()
+def _preselect_am(params: ProtocolParams) -> np.ndarray:
+    """|alpha/sqrt2>_a |0>_m as a (d, dm) ket, normalized over the whole
+    grid: the part of the preselected state that interacts.  Arm b stays
+    coherent and is rebuilt at recombination."""
+    vacuum = np.zeros(params.mirror_cutoff + 1, dtype=complex)
+    vacuum[0] = 1.0
+    return _unit(np.multiply.outer(_arm(params), vacuum))
 
 
 def _drive(params: ProtocolParams) -> ProtocolParams:
@@ -127,11 +131,14 @@ def _evolved_ket(drive: ProtocolParams) -> tuple[np.ndarray, float, np.ndarray]:
 
     A miss runs the preselection leakage and mirror-tail checks; the cache
     keeps no exception, so a failing key raises on every call.  Eight
-    entries of d dm + d complex numbers, read-only (:class:`StateVector`
-    freezes its amplitudes) because every caller shares them.
+    entries of d dm + d complex numbers, read-only because every caller
+    shares them.
     """
     psi = _factored_propagate(_preselect_am(drive), drive.evolution)
-    return psi.grid, psi.norm ** 2, _arm(drive, "b").normalize().amplitudes
+    beta = _unit(_arm(drive))
+    for arr in (psi, beta):
+        arr.setflags(write=False)
+    return psi, float(np.linalg.norm(psi)) ** 2, beta
 
 
 @functools.lru_cache(maxsize=8)
@@ -216,9 +223,13 @@ def _outcomes(rho_m: np.ndarray, probs: np.ndarray, trace: float) -> list[Protoc
     (click), their traces ``probs`` and the (a, m) state's trace, in one array
     pass; a degenerate branch gets NaN moments, no mirror state and a reason.
     The recombiner is unitary, so trace - sum(probs) is P(2+ dark-port photons)."""
-    layout, qs, _, _ = _moment_table(rho_m.shape[-1] - 1)
+    qs, _, _ = _moment_table(rho_m.shape[-1] - 1)
     bad = probs < DEFAULT_TOL.degenerate_prob
-    rho, mats = DensityMatrix._symmetrized(layout, rho_m, np.where(bad, 1.0, probs))
+    # element (i, j) and the conjugate of (j, i) are the same sums over the
+    # same real 2p, so every mirror state is exactly Hermitian
+    two_p = 2 * np.where(bad, 1.0, probs)[..., None, None]
+    rho = (rho_m + rho_m.conj().swapaxes(-1, -2)) / two_p
+    rho.setflags(write=False)
     mom = (rho.real[:, :, None] * qs).sum(axis=(3, 4))  # <q>, <q^2> of every branch
     mom[bad] = math.nan
     q, q2 = mom.transpose(2, 0, 1)
@@ -227,8 +238,8 @@ def _outcomes(rho_m: np.ndarray, probs: np.ndarray, trace: float) -> list[Protoc
         out.append(ProtocolOutcome(
             p_click=p[1], p_noclick=p[0], p_residual=max(trace - p[0] - p[1], 0.0),
             q_click=q_c, q_noclick=q_nc, dq_click=dq_c, dq_noclick=dq_nc, diff=q_c - q_nc,
-            mirror_click=None if b[1] else mats[2 * t + 1],
-            mirror_noclick=None if b[0] else mats[2 * t],
+            mirror_click=None if b[1] else rho[t, 1],
+            mirror_noclick=None if b[0] else rho[t, 0],
             degenerate_reason="; ".join(f"{name}:" + str(DegenerateBranchError(
                 f"projection onto |{j}> of mode 'd' has no weight", p[j]))
                 for j, name in enumerate(("noclick", "click")) if b[j]) if True in b else None))

@@ -143,6 +143,9 @@ def load_config(path: str | None, overrides: dict | None = None,
     mode = raw.get("mode")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    for key in ("out", "svg"):
+        if not isinstance(raw.get(key), (str, type(None))):
+            raise ConfigError(f"{key} must be a path string or null, got {raw[key]!r}")
     if raw.get("svg") is not None and mode not in ("figure2", "figure3"):
         raise ConfigError(f"svg: only figure2 and figure3 draw a plot, not mode {mode!r}")
     engine = raw.get("engine", "analytic")
@@ -175,10 +178,13 @@ def load_config(path: str | None, overrides: dict | None = None,
             _integer(f"cutoffs.{key}", val, 0)
     pairs = raw.get("pairs", DEFAULT_PAIRS)
     try:
-        pairs = tuple((_number("pairs probability", p), _number("pairs k", k))
+        pairs = tuple((_number("pairs probability", p), _number("pairs k", k, 0.0))
                       for p, k in pairs)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"pairs must be [probability, k] items: {err}") from err
+    for p, _ in pairs:
+        if not 0.0 < p <= 1.0:
+            raise ConfigError(f"pairs probability must be in (0, 1], got {p!r}")
 
     cfg = SweepConfig(
         mode=mode, engine=engine, fixed=fixed, axes=axes, pairs=pairs,
@@ -230,9 +236,9 @@ def _check_exact_feasible(cfg: SweepConfig) -> None:
         return
     wm_t = max(_exact_values(cfg, "wm_t"), key=lambda w: evolution_params(1.0, w).abs_disp)
     evolution = evolution_params(max(_exact_values(cfg, "k")), wm_t)
-    arm = coherent_state(math.sqrt(alpha2 / 2.0), n_opt, "a", leakage_tol=1.0)
+    arm = coherent_state(math.sqrt(alpha2 / 2.0), n_opt, leakage_tol=1.0)
     try:
-        _mirror_tail(evolution, np.abs(arm.amplitudes) ** 2, cfg.exact_mirror_cutoff)
+        _mirror_tail(evolution, np.abs(arm) ** 2, cfg.exact_mirror_cutoff)
     except TruncationError as err:
         raise ConfigError(f"exact engine infeasible at |alpha|^2={alpha2:.3g}, "
                           f"k={evolution.k:.3g}, wm_t={wm_t:.3g}: {err}") from err

@@ -14,9 +14,7 @@ class Tolerances:
     coherent_leakage: float = 1e-10   # default allowed coherent-state leakage
     degenerate_prob: float = 1e-300   # below this a branch is degenerate
     # density matrices
-    trace_atol: float = 1e-9
     density_hermitian_atol: float = 1e-10
-    positivity_floor: float = -1e-9
     # propagators
     dense_dim_cap: int = 4096         # dense cross-checks; squared, caps exact-engine arrays
     propagate_leakage: float = 1e-9   # mirror tail allowed in factored_propagate

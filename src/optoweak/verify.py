@@ -22,10 +22,16 @@ from . import analytics
 from .dissipation import LindbladParams, damped_protocol, evolve_master
 from .dynamics import (dense_propagator, evolution_params, factored_propagate,
                        weak_approx_propagate)
-from .fock import (DensityMatrix, ModeLayout, StateVector, coherent_state,
-                   fock_state, position, tensor, vacuum_state)
+from .fock import coherent_state, position
 from .interferometer import ProtocolParams, _scan, run_protocol, weak_value_numeric
 from .sweep import TABLE1_DELTAS, run_table1
+
+
+def _vacuum(cutoff: int) -> np.ndarray:
+    """The mirror ground state |0> on ``cutoff`` + 1 levels."""
+    vac = np.zeros(cutoff + 1, dtype=complex)
+    vac[0] = 1.0
+    return vac
 
 
 def _params(alpha2: float, delta: float, k: float, wm_t: float, **cutoffs) -> ProtocolParams:
@@ -168,12 +174,12 @@ def _factored_block(k: float, wm_t: float, optical_cutoff: int, mirror_cutoff: i
                    mirror_pad: int) -> np.ndarray:
     """:func:`factored_propagate` on the mirror-padded (a, m) space, one column
     per basis ket, on mirror levels <= ``mirror_cutoff``: a dense_propagator block."""
-    dm = mirror_cutoff + 1
-    layout = ModeLayout.of(("a", optical_cutoff), ("m", mirror_cutoff + mirror_pad))
-    kets = np.eye(layout.dim).reshape(optical_cutoff + 1, -1, layout.dim)[:, :dm]
+    da, dm = optical_cutoff + 1, mirror_cutoff + 1
+    shape = (da, dm + mirror_pad)
+    kets = np.eye(math.prod(shape)).reshape(*shape, -1)[:, :dm]
     params = evolution_params(k, wm_t)
-    return np.array([factored_propagate(StateVector(layout, ket), params).grid[:, :dm]
-                     .reshape(-1) for ket in kets.reshape(-1, layout.dim)]).T
+    return np.array([factored_propagate(ket.reshape(shape), params)[:, :dm].reshape(-1)
+                     for ket in kets.reshape(da * dm, -1)]).T
 
 
 @_timed(10.0)
@@ -199,8 +205,9 @@ def check_no_postselection_bound(res: CheckResult, mirror_cutoff: int = 12) -> N
 
     def shift(k: float, wm_t: float) -> float:
         """<q> of the one-photon block m; the vacuum's <q> is exactly 0."""
-        psi = tensor([fock_state(1, 1, "a"), vacuum_state(mirror_cutoff, "m")])
-        m = factored_propagate(psi, evolution_params(k, wm_t)).grid[1]
+        psi = np.zeros((2, mirror_cutoff + 1), dtype=complex)
+        psi[1, 0] = 1.0
+        m = factored_propagate(psi, evolution_params(k, wm_t))[1]
         return float((m.conj() @ q @ m).real / (m.conj() @ m).real)
 
     for k in (0.005, 0.25):
@@ -264,15 +271,14 @@ def check_dissipation_robustness(res: CheckResult, optical_cutoff: int = 12,
             abs(undamped.p_click - unitary.p_click), 1e-8)
 
     # integrator health on the damped a-m segment
-    arm = coherent_state(complex(math.sqrt(alpha2 / 2)), optical_cutoff, "a",
-                         leakage_tol=1.0)
-    psi = tensor([arm, vacuum_state(mirror_cutoff, "m")]).normalize()
-    rho0 = DensityMatrix.from_state(psi)
+    arm = coherent_state(complex(math.sqrt(alpha2 / 2)), optical_cutoff, leakage_tol=1.0)
+    psi = np.multiply.outer(arm, _vacuum(mirror_cutoff))
+    psi = psi / np.linalg.norm(psi)
     lb = LindbladParams(gamma=gamma, base=params.evolution)
-    rho = evolve_master(rho0, lb, wm_t)
-    res.add("trace drift", abs(rho.trace - 1.0), 1e-9)
+    rho = evolve_master(np.multiply.outer(psi, psi.conj()), lb, wm_t).reshape(psi.size, -1)
+    res.add("trace drift", abs(float(np.trace(rho).real) - 1.0), 1e-9)
     res.add("negativity of smallest eigenvalue",
-            max(0.0, -float(np.linalg.eigvalsh(rho.matrix).min())), 1e-9)
+            max(0.0, -float(np.linalg.eigvalsh(rho).min())), 1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -285,11 +291,11 @@ def check_approximation_chain(res: CheckResult, optical_cutoff: int = 12,
     alpha = math.sqrt(alpha2)
     ev = evolution_params(k, wm_t)
     # the approximate evolved state: weak operator on the linearized inputs
-    psi0 = tensor([coherent_state(alpha, optical_cutoff, "c"),
-                   coherent_state(delta * alpha, optical_cutoff, "d"),
-                   vacuum_state(mirror_cutoff, "m")]).normalize()
-    psi = weak_approx_propagate(psi0, ev, alpha)
-    x = psi.grid[:, 1]  # the click branch over (c, m)
+    psi0 = np.multiply.outer(np.multiply.outer(coherent_state(alpha, optical_cutoff),
+                                               coherent_state(delta * alpha, optical_cutoff)),
+                             _vacuum(mirror_cutoff))
+    psi = weak_approx_propagate(psi0 / np.linalg.norm(psi0), ev, alpha)
+    x = psi[:, 1]  # the click branch over (c, m)
     p_click = float(np.sum(np.abs(x) ** 2))
     q_apx = float(np.sum(x.conj() * (x @ position(mirror_cutoff))).real) / p_click
 

@@ -148,9 +148,8 @@ class TestMirrorStates:
         params = ProtocolParams(alpha=complex(math.sqrt(alpha2)), delta=delta,
                                 evolution=evolution_params(k, wm_t))
         out = run_protocol(params)
-        ref = coherent_state(click_amp, params.mirror_cutoff, "m", leakage_tol=1.0)
-        fid = float(np.real(ref.amplitudes.conj() @ out.mirror_click.matrix
-                            @ ref.amplitudes)) / ref.norm ** 2
+        ref = coherent_state(click_amp, params.mirror_cutoff, leakage_tol=1.0)
+        fid = float(np.real(ref.conj() @ out.mirror_click @ ref)) / np.vdot(ref, ref).real
         assert fid > 0.999
 
 

@@ -217,6 +217,47 @@ def test_svg_config_key_only_where_a_plot_is_drawn(tmp_path, capsys, monkeypatch
     assert not svg.exists() and not out.exists()
 
 
+@pytest.mark.parametrize("mode, key, bad", [
+    ("table1", "out", True), ("table1", "out", 2), ("figure2", "svg", 1),
+    ("figure3", "svg", 0.5), ("table1", "out", ["t.csv"]), ("figure3", "out", {"p": "x"}),
+])
+def test_out_and_svg_must_be_path_strings(tmp_path, capfd, mode, key, bad):
+    # open() takes an int or a bool as a file descriptor: "out": true wrote
+    # the CSV to fd 1 and exited 0, "out": 2 wrote it to stderr
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": mode, key: bad}))
+    assert main([mode, "--config", str(cfg)]) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"optoweak: config-error: {key} must be a path string or "
+                            f"null, got {bad!r}\n")
+    cfg.write_text(json.dumps({"mode": "table1", "out": None}))
+    assert main(["table1", "--config", str(cfg)]) == 0
+    assert capfd.readouterr().out.startswith("delta,")
+
+
+@pytest.mark.parametrize("pair, message", [
+    ([-1, 0.01], "pairs probability must be in (0, 1], got -1.0"),
+    ([0, 0.01], "pairs probability must be in (0, 1], got 0.0"),
+    ([1.5, 0.01], "pairs probability must be in (0, 1], got 1.5"),
+    ([0.004, -0.01], "pairs k must be >= 0, got -0.01"),
+    ([1, 0.0], None),
+], ids=["negative-p", "zero-p", "p-above-1", "negative-k", "p-1-k-0"])
+def test_figure3_pairs_are_range_checked(tmp_path, capsys, pair, message):
+    # a negative probability printed a negative |alpha|^2 with exit 0, and a
+    # negative k failed in the engine with exit 3
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps({"mode": "figure3", "pairs": [[0.004, 0.01], pair],
+                               "out": str(out)}))
+    code = main(["figure3", "--config", str(cfg)])
+    if message is None:
+        assert code == 0 and out.read_text().startswith("delta,alpha2_p0.004_k0.01,alpha2_p1_k0")
+        return
+    assert code == 2
+    assert capsys.readouterr().err == f"optoweak: config-error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode, axes, ignored", [
     ("figure2", {"delta": [0.005], "alpha2": [5.0, 9.0]}, "alpha2"),
     ("figure3", {"k": [0.1]}, "k"),

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from optoweak import (DensityMatrix, LindbladParams, ModeLayout, LayoutError, ProtocolParams, TruncationError, coherent_state,
-                      damped_protocol, evolution_params, evolve_master, fock_state,
-                      lindblad_rhs, run_protocol, tensor, vacuum_state)
+from optoweak import (LindbladParams, LayoutError, ProtocolParams, TruncationError,
+                      coherent_state, damped_protocol, evolution_params, evolve_master,
+                      lindblad_rhs, run_protocol)
 from optoweak.dissipation import _EXPM_WORKSPACE, _THETA13, _evolve_blocks, _expm
 from optoweak.dynamics import _hamiltonian, factored_propagate
 
@@ -19,31 +19,52 @@ from optoweak.dynamics import _hamiltonian, factored_propagate
 def mirror_number(rho):
     """<n_m> of an (a, m) density matrix whose arm a has dimension 1, so that
     the matrix is the mirror's own."""
-    return float(np.diag(rho.matrix).real @ np.arange(len(rho.matrix)))
+    m = rho.reshape(rho.shape[1], -1)
+    return float(np.diag(m).real @ np.arange(len(m)))
 
 
-def random_density(rng, lay):
-    n = lay.dim
+def random_density(rng, da, dm):
+    """A random (a, m) density matrix of shape (da, dm, da, dm), not a product state."""
+    n = da * dm
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = m @ m.conj().T
-    return DensityMatrix(lay, rho / np.trace(rho))
+    return (rho / np.trace(rho)).reshape(da, dm, da, dm)
+
+
+def product_density(arm, mirror_cutoff):
+    """|arm> |0>_m, normalized, as a pure (a, m) density matrix, and its ket."""
+    vacuum = np.zeros(mirror_cutoff + 1, dtype=complex)
+    vacuum[0] = 1.0
+    psi = np.multiply.outer(arm, vacuum)
+    psi = psi / np.linalg.norm(psi)
+    return np.multiply.outer(psi, psi.conj()), psi
+
+
+def mirror_density(mirror):
+    """|0>_a |mirror>, normalized, as a pure (a, m) density matrix with arm a
+    of dimension 1."""
+    psi = (mirror / np.linalg.norm(mirror))[None, :]
+    return np.multiply.outer(psi, psi.conj())
+
+
+def as_matrix(rho):
+    """An (a, m) density matrix as its (da dm, da dm) matrix."""
+    n = rho.shape[0] * rho.shape[1]
+    return rho.reshape(n, n)
 
 
 class TestRhs:
     def test_eigenprojector_commutator_vanishes(self):
         base = evolution_params(0.05, math.pi)
-        lay = ModeLayout.of(("a", 3), ("m", 4))
         h = _hamiltonian(4, 4, base.k)
         w, v = np.linalg.eigh(h)
-        proj = np.outer(v[:, 3], v[:, 3].conj())
-        rhs = lindblad_rhs(DensityMatrix(lay, proj), LindbladParams(0.0, base))
+        proj = np.outer(v[:, 3], v[:, 3].conj()).reshape(4, 5, 4, 5)
+        rhs = lindblad_rhs(proj, LindbladParams(0.0, base))
         assert np.abs(rhs).max() < 1e-12
 
     def test_dissipator_vanishes_on_mirror_vacuum(self):
         base = evolution_params(0.0, math.pi)
-        rho = DensityMatrix.from_state(
-            tensor([coherent_state(0.7, 5, "a", leakage_tol=1.0).normalize(),
-                    vacuum_state(4, "m")]))
+        rho, _ = product_density(coherent_state(0.7, 5, leakage_tol=1.0), 4)
         rhs = lindblad_rhs(rho, LindbladParams(0.5, base))
         assert np.abs(rhs).max() < 1e-12
 
@@ -51,9 +72,8 @@ class TestRhs:
     @settings(max_examples=15, deadline=None)
     def test_rhs_traceless_and_hermitian(self, seed):
         rng = np.random.default_rng(seed)
-        lay = ModeLayout.of(("a", 2), ("m", 3))
-        rho = random_density(rng, lay)
-        rhs = lindblad_rhs(rho, LindbladParams(0.3, evolution_params(0.1, 1.0)))
+        rho = random_density(rng, 3, 4)
+        rhs = as_matrix(lindblad_rhs(rho, LindbladParams(0.3, evolution_params(0.1, 1.0))))
         assert abs(np.trace(rhs)) < 1e-12
         assert np.abs(rhs - rhs.conj().T).max() < 1e-12
 
@@ -62,9 +82,7 @@ class TestEvolveMaster:
     def test_working_set_is_the_feasibility_count(self):
         # mirror cutoff 15: one 256 x 256 block generator per chunk, the
         # limit the feasibility guard bounds by _EXPM_WORKSPACE generators
-        psi = tensor([coherent_state(0.3, 1, "a", leakage_tol=1.0),
-                      vacuum_state(15, "m")]).normalize()
-        rho0 = DensityMatrix.from_state(psi)
+        rho0, _ = product_density(coherent_state(0.3, 1, leakage_tol=1.0), 15)
         params = LindbladParams(1e-3, evolution_params(0.005, math.pi))
         tracemalloc.start()
         try:
@@ -87,12 +105,11 @@ class TestEvolveMaster:
     def test_matches_unitary_at_zero_damping(self):
         k, wm_t = 0.005, math.pi
         base = evolution_params(k, wm_t)
-        psi = tensor([coherent_state(1.0, 7, "a", leakage_tol=1.0),
-                      vacuum_state(6, "m")]).normalize()
-        rho = evolve_master(DensityMatrix.from_state(psi), LindbladParams(0.0, base), wm_t)
-        ref = factored_propagate(psi, base)
-        rho_ref = np.outer(ref.amplitudes, ref.amplitudes.conj())
-        dist = 0.5 * np.abs(np.linalg.eigvalsh(rho.matrix - rho_ref)).sum()
+        rho0, psi = product_density(coherent_state(1.0, 7, leakage_tol=1.0), 6)
+        rho = evolve_master(rho0, LindbladParams(0.0, base), wm_t)
+        ref = factored_propagate(psi, base).reshape(-1)
+        rho_ref = np.outer(ref, ref.conj())
+        dist = 0.5 * np.abs(np.linalg.eigvalsh(as_matrix(rho) - rho_ref)).sum()
         assert dist < 1e-8
 
     def test_decay_rate_oracle(self):
@@ -100,9 +117,7 @@ class TestEvolveMaster:
         gamma, t = 0.5, 10.0
         beta = 0.3
         base = evolution_params(0.0, 0.0)  # no coherent dynamics
-        psi = tensor([fock_state(0, 0, "a"),
-                      coherent_state(beta, 8, "m", leakage_tol=1.0).normalize()])
-        rho0 = DensityMatrix.from_state(psi)
+        rho0 = mirror_density(coherent_state(beta, 8, leakage_tol=1.0))
         out = evolve_master(rho0, LindbladParams(gamma, base), t)
         meas = mirror_number(out)
         oracle = beta ** 2 * math.exp(-gamma * t)
@@ -111,37 +126,32 @@ class TestEvolveMaster:
 
     def test_mirror_free_evolution_conserves_number_when_undamped(self):
         base = evolution_params(0.0, math.pi)
-        psi = tensor([fock_state(0, 0, "a"),
-                      coherent_state(0.4, 6, "m", leakage_tol=1.0).normalize()])
-        rho = evolve_master(DensityMatrix.from_state(psi), LindbladParams(0.0, base),
-                            math.pi)
-        assert mirror_number(rho) == pytest.approx(
-            mirror_number(DensityMatrix.from_state(psi)), abs=1e-10)
+        rho0 = mirror_density(coherent_state(0.4, 6, leakage_tol=1.0))
+        rho = evolve_master(rho0, LindbladParams(0.0, base), math.pi)
+        assert mirror_number(rho) == pytest.approx(mirror_number(rho0), abs=1e-10)
 
     def test_trace_drift_tiny_at_device_damping(self):
         base = evolution_params(0.005, math.pi)
-        psi = tensor([coherent_state(1.0, 7, "a", leakage_tol=1.0),
-                      vacuum_state(6, "m")]).normalize()
-        rho = evolve_master(DensityMatrix.from_state(psi),
-                            LindbladParams(5e-7, base), math.pi)
-        assert abs(rho.trace - 1.0) < 1e-10
+        rho0, _ = product_density(coherent_state(1.0, 7, leakage_tol=1.0), 6)
+        rho = evolve_master(rho0, LindbladParams(5e-7, base), math.pi)
+        assert abs(np.trace(as_matrix(rho)).real - 1.0) < 1e-10
 
 
-def dense_superoperator(lay, lb):
+def dense_superoperator(da, dm, lb):
     """The joint-space Liouvillian, one column per basis matrix E_ij.
 
     ``lindblad_rhs`` takes Hermitian input only, so each E_ij comes from the
     Hermitian pair A = E_ij + E_ji, B = i(E_ij - E_ji) by linearity:
     L(E_ij) = (L(A) - i L(B)) / 2.
     """
-    n = lay.dim
+    n = da * dm
     sup = np.empty((n * n, n * n), dtype=complex)
     for i in range(n):
         for j in range(n):
             e = np.zeros((n, n), dtype=complex)
             e[i, j] = 1.0
-            a = lindblad_rhs(DensityMatrix(lay, e + e.T), lb)
-            b = lindblad_rhs(DensityMatrix(lay, 1j * (e - e.T)), lb)
+            a = lindblad_rhs((e + e.T).reshape(da, dm, da, dm), lb)
+            b = lindblad_rhs((1j * (e - e.T)).reshape(da, dm, da, dm), lb)
             sup[:, i * n + j] = ((a - 1j * b) / 2).reshape(-1)
     return sup
 
@@ -151,14 +161,13 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.5])
     def test_block_evolution_matches_dense_superoperator(self, gamma):
-        lay = ModeLayout.of(("a", 3), ("m", 4))
         base = evolution_params(0.1, math.pi)
         lb = LindbladParams(gamma, base)
-        rho0 = random_density(np.random.default_rng(7), lay)  # not a product state
+        rho0 = random_density(np.random.default_rng(7), 4, 5)  # not a product state
         t = base.wm_t
-        ref = expm(t * dense_superoperator(lay, lb)) @ rho0.matrix.reshape(-1)
+        ref = expm(t * dense_superoperator(4, 5, lb)) @ rho0.reshape(-1)
         out = evolve_master(rho0, lb, t)
-        assert np.abs(out.matrix - ref.reshape(lay.dim, lay.dim)).max() < 1e-12
+        assert np.abs(out - ref.reshape(rho0.shape)).max() < 1e-12
 
 
 def non_normal(rng, n, norm):
@@ -260,11 +269,10 @@ class TestDampedProtocol:
 class TestTrajectoryHealth:
     def test_trace_hermiticity_positivity_along_trajectory(self):
         base = evolution_params(0.02, math.pi)
-        psi = tensor([coherent_state(1.0, 7, "a", leakage_tol=1.0),
-                      vacuum_state(6, "m")]).normalize()
-        rho0 = DensityMatrix.from_state(psi)
+        rho0, _ = product_density(coherent_state(1.0, 7, leakage_tol=1.0), 6)
         lb = LindbladParams(1e-4, base)
         for frac in (0.25, 0.5, 0.75, 1.0):
-            rho = evolve_master(rho0, lb, frac * math.pi)
-            rho.validate()  # trace within 1e-9, min eigenvalue >= -1e-9
-            assert np.abs(rho.matrix - rho.matrix.conj().T).max() < 1e-12
+            rho = as_matrix(evolve_master(rho0, lb, frac * math.pi))
+            assert abs(np.trace(rho).real - 1.0) < 1e-9
+            assert np.linalg.eigvalsh(rho).min() >= -1e-9
+            assert np.abs(rho - rho.conj().T).max() < 1e-12

@@ -11,13 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from optoweak import (DEFAULT_TOL, DensityMatrix, LayoutError, LindbladParams,
-                      TruncationError, annihilation, coherent_state, dense_propagator,
-                      evolution_params, evolve_master, factored_propagate,
-                      fock_state, lindblad_rhs, position, tensor, vacuum_state,
+from optoweak import (DEFAULT_TOL, LayoutError, LindbladParams, TruncationError,
+                      annihilation, coherent_state, dense_propagator, evolution_params,
+                      evolve_master, factored_propagate, lindblad_rhs, position,
                       weak_approx_propagate)
 from optoweak.analytics import q_no_postselection
 from optoweak.verify import _factored_block
+
+
+def basis(n, cutoff):
+    """The Fock state |n> on cutoff + 1 levels."""
+    return np.eye(cutoff + 1, dtype=complex)[n]
+
+
+def unit(x):
+    return x / np.linalg.norm(x)
 
 
 class TestEvolutionParams:
@@ -77,24 +85,24 @@ class TestEvolutionParams:
 
 class TestFactoredPropagate:
     def test_zero_time_is_identity(self):
-        s = tensor([coherent_state(0.8, 8, "a", leakage_tol=1.0),
-                    coherent_state(0.1, 6, "m", leakage_tol=1.0)])
+        s = np.multiply.outer(coherent_state(0.8, 8, leakage_tol=1.0),
+                              coherent_state(0.1, 6, leakage_tol=1.0))
         out = factored_propagate(s, evolution_params(0.2, 0.0))
-        assert np.abs(out.amplitudes - s.amplitudes).max() < 1e-14
+        assert np.abs(out - s).max() < 1e-14
 
     def test_vacuum_uncoupled(self):
-        s = tensor([vacuum_state(4, "a"), vacuum_state(6, "m")])
+        s = np.multiply.outer(basis(0, 4), basis(0, 6))
         out = factored_propagate(s, evolution_params(0.1, math.pi))
-        assert np.abs(out.amplitudes - s.amplitudes).max() < 1e-14
+        assert np.abs(out - s).max() < 1e-14
 
     def test_single_photon_displaces_mirror(self):
         # one photon, half period: mirror ends in |phi> with phi = 0.2
-        s = tensor([fock_state(1, 1, "a"), vacuum_state(10, "m")])
+        s = np.multiply.outer(basis(1, 1), basis(0, 10))
         out = factored_propagate(s, evolution_params(0.1, math.pi))
-        m = out.grid[1]  # the a = 0 row is empty
-        assert np.abs(out.grid[0]).max() == 0.0
-        ref = coherent_state(0.2, 10, "m", leakage_tol=1.0).normalize()
-        assert abs(ref.amplitudes.conj() @ m) ** 2 == pytest.approx(1.0, abs=1e-10)
+        m = out[1]  # the a = 0 row is empty
+        assert np.abs(out[0]).max() == 0.0
+        ref = unit(coherent_state(0.2, 10, leakage_tol=1.0))
+        assert abs(ref.conj() @ m) ** 2 == pytest.approx(1.0, abs=1e-10)
         q = (m.conj() @ position(10) @ m).real / (m.conj() @ m).real
         assert q == pytest.approx(0.4, abs=1e-10)
 
@@ -102,10 +110,10 @@ class TestFactoredPropagate:
     def test_one_photon_mirror_mean_matches_closed_form(self, wt):
         # <q> of the one-photon row, as verify's check 5 reads it, against
         # 2k(1 - cos wm_t) and against the dense propagator's mirror row
-        k, s = 0.05, tensor([fock_state(1, 1, "a"), vacuum_state(12, "m")])
+        k, s = 0.05, np.multiply.outer(basis(1, 1), basis(0, 12))
         q = position(12)
-        m = factored_propagate(s, evolution_params(k, wt)).grid[1]
-        md = (dense_propagator(k, wt, 1, 12) @ s.amplitudes).reshape(2, 13)[1]
+        m = factored_propagate(s, evolution_params(k, wt))[1]
+        md = (dense_propagator(k, wt, 1, 12) @ s.reshape(-1)).reshape(2, 13)[1]
         means = [(x.conj() @ q @ x).real / (x.conj() @ x).real for x in (m, md)]
         assert means[0] == pytest.approx(q_no_postselection(k, wt), abs=1e-12)
         assert means[1] == pytest.approx(means[0], abs=1e-10)
@@ -113,17 +121,16 @@ class TestFactoredPropagate:
     @given(st.floats(0.0, 0.08), st.floats(0.0, 2 * math.pi))
     @settings(max_examples=25, deadline=None)
     def test_norm_preserved(self, k, wt):
-        s = tensor([coherent_state(1.0, 9, "a", leakage_tol=1.0),
-                    vacuum_state(12, "m")]).normalize()
+        s = unit(np.multiply.outer(coherent_state(1.0, 9, leakage_tol=1.0), basis(0, 12)))
         out = factored_propagate(s, evolution_params(k, wt))
-        assert out.norm == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
 
     def test_warm_call_builds_no_per_photon_number_operator(self):
         # D(n phi) is applied in q's cached eigenbasis, two (d, dm) @ (dm, dm)
         # products; a stack of every D(n phi), 300 * 40^2 complex entries
         # (7.7 MB), and its unitarity check peaked at 23.6 MB
-        s = tensor([coherent_state(math.sqrt(150.0), 299, "a", leakage_tol=1.0),
-                    vacuum_state(39, "m")])
+        s = np.multiply.outer(coherent_state(math.sqrt(150.0), 299, leakage_tol=1.0),
+                              basis(0, 39))
         params = evolution_params(1e-3, math.pi)
         factored_propagate(s, params)  # the eigenpairs of mirror cutoff 39
         tracemalloc.start()
@@ -135,20 +142,18 @@ class TestFactoredPropagate:
         assert peak < 2e6
 
     def test_mirror_cutoff_too_small_raises(self):
-        s = tensor([fock_state(1, 1, "a"), vacuum_state(1, "m")])
+        s = np.multiply.outer(basis(1, 1), basis(0, 1))
         with pytest.raises(TruncationError):
             factored_propagate(s, evolution_params(0.25, math.pi))
 
     def test_warns_when_displacement_large_for_mirror_cutoff(self):
         # |6 phi|^2 = 9 > 0.25 * 20 with phi = 2k = 0.5; the mirror tail
         # still passes, so only the warning flags it
-        s = tensor([coherent_state(0.3, 6, "a", leakage_tol=1.0),
-                    vacuum_state(20, "m")]).normalize()
+        s = unit(np.multiply.outer(coherent_state(0.3, 6, leakage_tol=1.0), basis(0, 20)))
         params = evolution_params(0.25, math.pi)
         with pytest.warns(UserWarning, match="not small against cutoff 20"):
             factored_propagate(s, params)
-        wide = tensor([coherent_state(0.3, 6, "a", leakage_tol=1.0),
-                       vacuum_state(40, "m")]).normalize()
+        wide = unit(np.multiply.outer(coherent_state(0.3, 6, leakage_tol=1.0), basis(0, 40)))
         factored_propagate(wide, params)  # 9 < 0.25 * 40: silent under filterwarnings=error
 
 
@@ -202,19 +207,19 @@ class TestDensePropagator:
 
 class TestWeakApproxPropagate:
     def _base_state(self, alpha, delta):
-        return tensor([coherent_state(alpha, 10, "c", leakage_tol=1.0),
-                       coherent_state(delta * alpha, 10, "d", leakage_tol=1.0),
-                       vacuum_state(8, "m")]).normalize()
+        cd = np.multiply.outer(coherent_state(alpha, 10, leakage_tol=1.0),
+                               coherent_state(delta * alpha, 10, leakage_tol=1.0))
+        return unit(np.multiply.outer(cd, basis(0, 8)))
 
     def test_zero_disp_is_identity(self):
         s = self._base_state(1.0, 0.02)
         out = weak_approx_propagate(s, evolution_params(0.1, 0.0), 1.0)
-        assert np.abs(out.amplitudes - s.amplitudes).max() < 1e-13
+        assert np.abs(out - s).max() < 1e-13
 
     def test_zero_alpha_is_identity(self):
         s = self._base_state(1.0, 0.02)
         out = weak_approx_propagate(s, evolution_params(0.005, math.pi), 0.0)
-        assert np.abs(out.amplitudes - s.amplitudes).max() < 1e-13
+        assert np.abs(out - s).max() < 1e-13
 
     def test_warns_above_weak_regime(self):
         s = self._base_state(0.5, 0.02)
@@ -236,20 +241,59 @@ class TestWeakApproxPropagate:
         b = (phi * cm.conj().T - np.conj(phi) * cm) / 2
         x = alpha * (np.kron(ac.conj().T, np.kron(np.eye(dd), b))
                      + np.kron(np.eye(dc), np.kron(ac.conj().T, b)))
-        ref = expm(x) @ s.amplitudes
+        ref = expm(x) @ s.reshape(-1)
         out = weak_approx_propagate(s, params, alpha)
-        assert np.abs(out.amplitudes - ref).max() < 1e-12
+        assert out.shape == (dc, dd, dm)
+        assert np.abs(out.reshape(-1) - ref).max() < 1e-12
 
 
-class TestLayout:
-    def test_mirror_first_layout_refused(self):
-        # the exact engines evolve arm a then mirror m, in that order only
-        params = evolution_params(0.08, 1.1)
-        psi = tensor([vacuum_state(10, "m"), coherent_state(0.9, 8, "a", leakage_tol=1.0)])
-        rho = DensityMatrix.from_state(psi)
-        with pytest.raises(LayoutError, match="expected layout"):
-            factored_propagate(psi, params)
-        with pytest.raises(LayoutError, match="expected layout"):
-            evolve_master(rho, LindbladParams(1e-3, params), 1.1)
-        with pytest.raises(LayoutError, match="expected layout"):
-            lindblad_rhs(rho, LindbladParams(1e-3, params))
+class TestArrayContract:
+    """The engines take plain arrays from outside: each refuses a wrong shape,
+    and the density-matrix oracles a non-Hermitian matrix, with LayoutError."""
+
+    params = evolution_params(0.08, 1.1)
+
+    def rho(self):
+        psi = unit(np.multiply.outer(coherent_state(0.5, 2, leakage_tol=1.0), basis(0, 3)))
+        return np.multiply.outer(psi, psi.conj())  # (a, m) = (3, 4)
+
+    @pytest.mark.parametrize("shape", [(12,), (2, 3, 4), (), (3, 0), (0, 4)])
+    def test_factored_propagate_refuses_a_wrong_shape(self, shape):
+        with pytest.raises(LayoutError, match="expected an"):
+            factored_propagate(np.ones(shape, dtype=complex), self.params)
+
+    @pytest.mark.parametrize("shape", [(60,), (3, 20), (3, 4, 5, 1), (3, 4, 0)])
+    def test_weak_approx_propagate_refuses_a_wrong_shape(self, shape):
+        with pytest.raises(LayoutError, match="expected a"):
+            weak_approx_propagate(np.ones(shape, dtype=complex), self.params, 0.5)
+
+    @pytest.mark.parametrize("call", [lambda r, lb: evolve_master(r, lb, 1.1), lindblad_rhs],
+                             ids=["evolve_master", "lindblad_rhs"])
+    def test_density_oracles_refuse_a_wrong_shape_or_non_hermitian_input(self, call):
+        rho, lb = self.rho(), LindbladParams(1e-3, self.params)
+        for bad in (rho.reshape(12, 12), rho.reshape(3, 4, 12), rho.reshape(3, 4, 4, 3),
+                    rho.reshape(3, 4, 3, 4, 1), np.zeros((0, 4, 0, 4))):
+            with pytest.raises(LayoutError, match="expected an"):
+                call(bad, lb)
+        off = rho.copy()
+        off[0, 0, 1, 0] += 1e-9  # one entry without its conjugate partner
+        with pytest.raises(LayoutError, match="not Hermitian"):
+            call(off, lb)
+        call(rho, lb)  # the same matrix, Hermitian, passes
+
+    def test_arrays_in_arrays_out(self):
+        # each engine returns a new array of its input's shape and leaves the
+        # caller's array as it was
+        ket = np.multiply.outer(coherent_state(0.5, 3, leakage_tol=1.0), basis(0, 5))
+        weak = np.multiply.outer(ket, basis(0, 2))
+        rho = self.rho()
+        lb = LindbladParams(1e-3, self.params)
+        for fn, arg in ((lambda x: factored_propagate(x, self.params), ket),
+                        (lambda x: weak_approx_propagate(x, self.params, 0.5), weak),
+                        (lambda x: evolve_master(x, lb, 1.1), rho),
+                        (lambda x: evolve_master(x, lb, 0.0), rho),
+                        (lambda x: lindblad_rhs(x, lb), rho)):
+            before = arg.copy()
+            out = fn(arg)
+            assert out.shape == arg.shape and not np.shares_memory(out, arg)
+            assert np.array_equal(arg, before)

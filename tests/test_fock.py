@@ -1,4 +1,4 @@
-"""Fock-space algebra: constructor oracles, operator matrices, density matrices."""
+"""Fock-space algebra: constructor oracles, operator matrices, array conventions."""
 
 import math
 import os
@@ -15,23 +15,27 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import optoweak
-from optoweak import (DensityMatrix, EvolutionParams, LayoutError, ModeLayout,
-                      ProtocolParams, TruncationError, annihilation,
-                      coherent_state, evolution_params, factored_propagate,
-                      fock_state, position, poisson_tail, run_protocol,
-                      StateVector, tensor, vacuum_state)
+from optoweak import (EvolutionParams, LayoutError, LindbladParams, ProtocolParams,
+                      TruncationError, annihilation, coherent_state, evolution_params,
+                      evolve_master, factored_propagate, position, poisson_tail,
+                      run_protocol)
+from optoweak import dissipation
 from optoweak import fock as fock_mod
 from optoweak import interferometer
-from optoweak.fock import _tridiagonal_eigh
+from optoweak.fock import _tridiagonal_eigh, _unit
 
 
 def number(cutoff):
     return np.diag(np.arange(cutoff + 1.0))
 
 
-def mean(op, state):
-    """<psi| op |psi> of a single-mode state."""
-    a = state.amplitudes
+def basis(n, cutoff):
+    """The Fock state |n> on cutoff + 1 levels."""
+    return np.eye(cutoff + 1, dtype=complex)[n]
+
+
+def mean(op, a):
+    """<psi| op |psi> of single-mode amplitudes ``a``."""
     return complex(a.conj() @ op @ a)
 
 
@@ -55,8 +59,7 @@ class Kick(EvolutionParams):
 
 def kicked(grid, phi):
     """factored_propagate's D(n phi) on row n of an (a, m) amplitude grid."""
-    layout = ModeLayout.of(("a", grid.shape[0] - 1), ("m", grid.shape[1] - 1))
-    return factored_propagate(StateVector(layout, grid), Kick(0.0, 0.0, phi)).grid
+    return factored_propagate(grid, Kick(0.0, 0.0, phi))
 
 
 def random_grid(shape, seed=0):
@@ -71,48 +74,29 @@ def poisson_tail_direct(lam: float, cutoff: int) -> float:
     return 1.0 - math.exp(-lam) * total
 
 
-class TestModeLayout:
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(LayoutError):
-            ModeLayout.of(("a", 3), ("a", 2))
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(LayoutError):
-            ModeLayout.of(("x", 3))
-
-    def test_dims_and_axes(self):
-        lay = ModeLayout.of(("a", 2), ("b", 3), ("m", 1))
-        assert lay.dim == 3 * 4 * 2
-        assert lay.shape == (3, 4, 2)
-        assert lay.axis("b") == 1
-        assert lay.cutoff("m") == 1
-
-    def test_last_mode_varies_fastest(self):
-        lay = ModeLayout.of(("a", 1), ("m", 2))
-        # index = n_a * 3 + n_m
-        assert np.ravel_multi_index((1, 2), lay.shape) == 5
-        assert np.ravel_multi_index((0, 1), lay.shape) == 1
-
-
 class TestCoherentState:
     def test_vacuum_case(self):
         s = coherent_state(0.0, 4)
-        assert s.amplitudes[0] == 1.0
-        assert np.all(s.amplitudes[1:] == 0)
-        assert s.leakage == 0.0
+        assert s.shape == (5,) and s.dtype == complex and not s.flags.writeable
+        assert s[0] == 1.0
+        assert np.all(s[1:] == 0)
+        assert poisson_tail(0.0, 4) == 0.0
 
     def test_cutoff_zero_closed_form(self):
         s = coherent_state(1.0, 0, leakage_tol=1.0)
-        assert s.amplitudes[0] == pytest.approx(math.exp(-0.5), abs=1e-15)
-        assert s.leakage == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+        assert s[0] == pytest.approx(math.exp(-0.5), abs=1e-15)
+        assert poisson_tail(1.0, 0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
 
     def test_leakage_against_direct_summation(self):
-        # |alpha|^2 = 2 at cutoff 14; the tail is 3.87e-9 by direct summation
+        # |alpha|^2 = 2 at cutoff 14; the tail is 3.87e-9 by direct summation,
+        # so the state fits a 1e-8 budget and not a 3.8e-9 one
         oracle = poisson_tail_direct(2.0, 14)
-        s = coherent_state(math.sqrt(2.0), 14, leakage_tol=1e-8)
-        assert s.leakage == pytest.approx(oracle, rel=1e-9)
-        assert s.leakage < 1e-8
-        assert s.leakage == pytest.approx(3.871230336e-9, rel=1e-6)
+        coherent_state(math.sqrt(2.0), 14, leakage_tol=1e-8)
+        with pytest.raises(TruncationError) as err:
+            coherent_state(math.sqrt(2.0), 14, leakage_tol=3.8e-9)
+        assert err.value.leakage == poisson_tail(math.sqrt(2.0) ** 2, 14)
+        assert err.value.leakage == pytest.approx(oracle, rel=1e-9)
+        assert err.value.leakage == pytest.approx(3.871230336e-9, rel=1e-6)
 
     def test_leakage_above_tolerance_raises(self):
         with pytest.raises(TruncationError) as err:
@@ -121,7 +105,7 @@ class TestCoherentState:
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.7])
     def test_leakage_monotone_in_cutoff(self, alpha):
-        leaks = [coherent_state(alpha, n, leakage_tol=1.0).leakage for n in range(2, 14)]
+        leaks = [poisson_tail(alpha ** 2, n) for n in range(2, 14)]
         assert all(a >= b for a, b in zip(leaks, leaks[1:]))
 
     def test_amplitudes_match_series(self):
@@ -129,7 +113,7 @@ class TestCoherentState:
         s = coherent_state(alpha, 12, leakage_tol=1.0)
         for n in range(13):
             ref = math.exp(-abs(alpha) ** 2 / 2) * alpha ** n / math.sqrt(math.factorial(n))
-            assert s.amplitudes[n] == pytest.approx(ref, abs=1e-14)
+            assert s[n] == pytest.approx(ref, abs=1e-14)
 
 
 class TestPoissonTail:
@@ -165,27 +149,6 @@ class TestPoissonTail:
             assert run.stdout.split() == [], work
 
 
-class TestTensor:
-    def test_vacuum_pair(self):
-        s = tensor([fock_state(0, 2, "a"), fock_state(0, 3, "m")])
-        assert s.amplitudes[np.ravel_multi_index((0, 0), s.layout.shape)] == 1.0
-        assert s.norm == 1.0
-
-    def test_one_photon_slot(self):
-        s = tensor([fock_state(1, 2, "a"), fock_state(0, 3, "m")])
-        assert s.amplitudes[np.ravel_multi_index((1, 0), s.layout.shape)] == 1.0
-
-    def test_norm_is_product_of_norms(self):
-        a = coherent_state(1.0, 6, "a", leakage_tol=1.0)
-        b = coherent_state(1.0, 6, "b", leakage_tol=1.0)
-        prod = tensor([a, b])
-        assert prod.norm == pytest.approx(a.norm * b.norm, abs=1e-12)
-
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(LayoutError):
-            tensor([fock_state(0, 2, "a"), fock_state(0, 2, "a")])
-
-
 class TestOperators:
     def test_annihilation_matrix_elements(self):
         a = annihilation(4)
@@ -199,12 +162,12 @@ class TestOperators:
             assert np.abs(op - op.conj().T).max() < 1e-12
 
     def test_position_vacuum_expectation_zero(self):
-        assert mean(position(6), vacuum_state(6, "m")) == 0
+        assert mean(position(6), basis(0, 6)) == 0
 
     def test_position_on_coherent_closed_form(self):
         # <beta| c + c^dag |beta> = 2 Re beta
         beta, sigma = 0.6, 1.3
-        val = mean(position(20, sigma), coherent_state(beta, 20, "m"))
+        val = mean(position(20, sigma), coherent_state(beta, 20))
         assert val.real == pytest.approx(2 * sigma * beta, abs=1e-9)
         assert abs(val.imag) < 1e-12
 
@@ -212,7 +175,7 @@ class TestOperators:
     def test_position_moments_on_coherent(self, beta):
         # <beta|q|beta> = 2 sigma Re beta, and a coherent state keeps the
         # vacuum's variance sigma^2 whatever its complex amplitude
-        sigma, s = 1.3, coherent_state(beta, 30, "m")
+        sigma, s = 1.3, coherent_state(beta, 30)
         q = position(30, sigma)
         m1, m2 = mean(q, s), mean(q @ q, s)
         assert m1.real == pytest.approx(2 * sigma * beta.real, abs=1e-9)
@@ -221,16 +184,16 @@ class TestOperators:
 
     def test_annihilation_lowers_fock_states(self):
         a = annihilation(4)
-        assert np.abs(a @ fock_state(0, 4).amplitudes).max() == 0.0
+        assert np.abs(a @ basis(0, 4)).max() == 0.0
         for n in range(1, 5):
-            ref = math.sqrt(n) * fock_state(n - 1, 4).amplitudes
-            assert np.abs(a @ fock_state(n, 4).amplitudes - ref).max() < 1e-15
+            ref = math.sqrt(n) * basis(n - 1, 4)
+            assert np.abs(a @ basis(n, 4) - ref).max() < 1e-15
 
     def test_coherent_state_is_annihilation_eigenstate(self):
         # a|beta> = beta|beta> on every level below the cutoff; the top level
         # has no level above it to lower from
         beta = 0.7 - 0.2j
-        amps = coherent_state(beta, 12, leakage_tol=1.0).amplitudes
+        amps = coherent_state(beta, 12, leakage_tol=1.0)
         lowered = annihilation(12) @ amps
         assert np.abs(lowered[:-1] - beta * amps[:-1]).max() < 1e-15
         assert lowered[-1] == 0.0
@@ -246,7 +209,7 @@ class TestOperators:
         # oracle squares q = c + c^dag by a matrix product
         c = annihilation(cutoff).real
         q = c + c.T
-        qs = fock_mod._moment_table(cutoff)[1]
+        qs = fock_mod._moment_table(cutoff)[0]
         assert np.array_equal(qs[0], q)
         ref = q @ q
         assert np.abs(qs[1] - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
@@ -262,8 +225,8 @@ class TestDisplacement:
     def test_small_displacement_matches_series(self):
         g = np.zeros((2, 13), dtype=complex)
         g[1, 0] = 1.0  # |1>_a |0>_m
-        ref = coherent_state(0.01, 12, "m", leakage_tol=1.0)
-        assert np.abs(kicked(g, 0.01)[1] - ref.amplitudes).max() < 1e-10
+        ref = coherent_state(0.01, 12, leakage_tol=1.0)
+        assert np.abs(kicked(g, 0.01)[1] - ref).max() < 1e-10
 
     def test_inverse_pair(self):
         g = random_grid((3, 11))
@@ -339,52 +302,43 @@ class TestFockSlices:
     # the engines and verify postselect a dark-port count by slicing the
     # occupation grid along that mode's axis
     def test_certain_branch(self):
-        g = tensor([fock_state(0, 3, "c"), fock_state(0, 3, "d")]).grid
+        g = np.multiply.outer(basis(0, 3), basis(0, 3))
         assert np.sum(np.abs(g[:, 0]) ** 2) == pytest.approx(1.0, abs=1e-12)
         assert np.abs(g[:, 1:]).max() == 0.0
 
     def test_single_photon_of_weak_coherent(self):
         # P(1) = |da|^2 e^{-|da|^2} for da = 0.1
-        p = abs(coherent_state(0.1, 10, "d").grid[1]) ** 2
+        p = abs(coherent_state(0.1, 10)[1]) ** 2
         assert p == pytest.approx(0.01 * math.exp(-0.01), rel=1e-10)
         assert p == pytest.approx(9.900498337e-3, rel=1e-8)
 
     @given(st.integers(0, 30))
     @settings(max_examples=20, deadline=None)
     def test_completeness(self, seed):
-        lay = ModeLayout.of(("a", 3), ("d", 4), ("m", 2))
-        s = StateVector(lay, random_grid(lay.shape, seed))
-        total = sum(np.sum(np.abs(s.grid[:, n]) ** 2) for n in range(5))
-        assert total == pytest.approx(s.norm ** 2, rel=1e-10)
+        s = random_grid((4, 5, 3), seed)  # (a, d, m)
+        total = sum(np.sum(np.abs(s[:, n]) ** 2) for n in range(5))
+        assert total == pytest.approx(np.linalg.norm(s) ** 2, rel=1e-10)
 
     def test_product_state_factorization(self):
-        a = coherent_state(0.7, 8, "a", leakage_tol=1.0).normalize()
-        m = coherent_state(0.2, 5, "m", leakage_tol=1.0).normalize()
-        x = tensor([a, m]).grid[:, 0]
-        assert np.abs(x / np.linalg.norm(x) - a.amplitudes).max() < 1e-12
+        a = _unit(coherent_state(0.7, 8, leakage_tol=1.0))
+        m = _unit(coherent_state(0.2, 5, leakage_tol=1.0))
+        x = np.multiply.outer(a, m)[:, 0]
+        assert np.abs(x / np.linalg.norm(x) - a).max() < 1e-12
 
 
-class TestStateVector:
-    @pytest.mark.parametrize("shape", [(6,), (2, 3)])
-    def test_state_vector_keeps_its_own_copy(self, shape):
-        # 1-D and 2-D (occupation grid) input: the state owns its amplitudes,
-        # and the caller's buffer stays its own and writable
-        a = np.ones(shape, dtype=complex)
-        s = StateVector(ModeLayout.of(("a", 1), ("m", 2)), a)
-        a[(0,) * a.ndim] = 5.0
-        assert a.flags.writeable and not np.shares_memory(a, s.amplitudes)
-        assert np.array_equal(s.amplitudes, np.ones(6)) and not s.amplitudes.flags.writeable
-
+class TestTypedErrors:
     def test_typed_errors_survive_optimize_flag(self):
         # `python -O` strips assert statements; the typed errors must remain
         snippet = (
             "import sys, numpy as np\n"
-            "from optoweak import (DegenerateBranchError, DensityMatrix, ModeLayout,\n"
-            "                      StateVector, TruncationError)\n"
+            "from optoweak import (DegenerateBranchError, LayoutError, TruncationError,\n"
+            "                      coherent_state, evolution_params, factored_propagate)\n"
+            "from optoweak.fock import _unit\n"
             "assert False, 'unreachable under -O'\n"
-            "lay = ModeLayout.of(('m', 2))\n"
-            "calls = ((lambda: StateVector(lay, np.zeros(3)).normalize(), DegenerateBranchError),\n"
-            "         (lambda: DensityMatrix(lay, 0.5 * np.eye(3)).validate(), TruncationError))\n"
+            "ev = evolution_params(0.1, 1.0)\n"
+            "calls = ((lambda: _unit(np.zeros(3)), DegenerateBranchError),\n"
+            "         (lambda: coherent_state(2.0, 4), TruncationError),\n"
+            "         (lambda: factored_propagate(np.zeros(3), ev), LayoutError))\n"
             "for call, err in calls:\n"
             "    try:\n"
             "        call()\n"
@@ -399,53 +353,41 @@ class TestStateVector:
 
 
 class TestDensityMatrix:
+    # an (a, m) density matrix from outside is an array of shape
+    # (da, dm, da, dm); the oracles that take one check its Hermiticity
+    lb = LindbladParams(1e-3, evolution_params(0.005, math.pi))
+
     @pytest.mark.parametrize("row, col", [(0, 3), (700, 703), (1023, 1020)])
     def test_hermitian_check_covers_every_row_block(self, row, col):
         # one broken pair inside the first, a middle or the last row block
         m = np.eye(1024, dtype=complex)
         m[row, col] = 1e-9
         with pytest.raises(LayoutError, match="not Hermitian"):
-            DensityMatrix(ModeLayout.of(("a", 31), ("m", 31)), m)
+            evolve_master(m.reshape(32, 32, 32, 32), self.lb, 1.0)
 
     def test_hermitian_check_holds_row_blocks_not_matrices(self):
         # dimension 1024 (16 MiB): m - m^H and its abs, taken whole, held
         # 2.5 matrices beside m; in row blocks the check holds a few rows
         rng = np.random.default_rng(0)
         a = rng.normal(size=(1024, 1024)) + 1j * rng.normal(size=(1024, 1024))
-        m = a + a.conj().T
+        m = (a + a.conj().T).reshape(32, 32, 32, 32)
         del a
         tracemalloc.start()
         try:
-            DensityMatrix(ModeLayout.of(("a", 31), ("m", 31)), m)
+            dissipation._density_matrix(m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * m.nbytes
 
-    def test_constructor_takes_ownership_of_a_complex_matrix(self):
-        # a complex array is kept uncopied and frozen, the caller's included;
-        # any other dtype is converted, so the caller keeps a writable array
-        lay = ModeLayout.of(("m", 2))
-        m = np.eye(3, dtype=complex)
-        rho = DensityMatrix(lay, m)
-        assert rho.matrix is m and not m.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            m[0, 0] = 2.0
-        real = np.eye(3)
-        assert DensityMatrix(lay, real).matrix is not real
-        real[0, 0] = 2.0
-
-    def test_from_state_of_product_traces_to_its_factor(self):
+    def test_outer_product_of_a_product_traces_to_its_factor(self):
         # (a, m) with m fastest: tracing arm a out of the outer product
         # leaves the mirror's own density matrix
-        a = coherent_state(0.6, 7, "a", leakage_tol=1.0).normalize()
-        m = coherent_state(0.3, 5, "m", leakage_tol=1.0).normalize()
-        rho = DensityMatrix.from_state(tensor([a, m]))
-        red = np.trace(rho.matrix.reshape(8, 6, 8, 6), axis1=0, axis2=2)
-        assert np.abs(red - np.outer(m.amplitudes, m.amplitudes.conj())).max() < 1e-12
-
-    def test_validate_catches_bad_trace(self):
-        lay = ModeLayout.of(("m", 3))
-        rho = DensityMatrix(lay, 0.5 * np.eye(4, dtype=complex))
-        with pytest.raises(TruncationError):
-            rho.validate()
+        a = _unit(coherent_state(0.6, 7, leakage_tol=1.0))
+        m = _unit(coherent_state(0.3, 5, leakage_tol=1.0))
+        psi = np.multiply.outer(a, m)
+        rho = np.multiply.outer(psi, psi.conj())
+        red = np.trace(rho, axis1=0, axis2=2)
+        assert np.abs(red - np.outer(m, m.conj())).max() < 1e-12
+        flat = psi.reshape(-1)
+        assert np.array_equal(rho.reshape(48, 48), np.outer(flat, flat.conj()))

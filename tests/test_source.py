@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import optoweak
@@ -32,12 +33,30 @@ def test_library_does_not_import_scipy():
 
 
 def test_measurement_layer_is_gone():
-    # the engines contract arrays directly; the labelled operator layer that
-    # only tests called must not come back as dead public surface
-    from optoweak import DEFAULT_TOL, DensityMatrix, ModeLayout, fock
-    names = ("Operator", "expectation", "pointer_shift", "project_fock", "reduced_density")
+    # the engines contract plain arrays directly; neither the labelled
+    # operator layer nor the labelled state layer may come back as dead
+    # public surface
+    from optoweak import DEFAULT_TOL, fock
+    names = ("Operator", "expectation", "pointer_shift", "project_fock", "reduced_density",
+             "MODE_LABELS", "ModeLayout", "StateVector", "DensityMatrix", "tensor",
+             "fock_state", "vacuum_state")
     found = [n for n in names if hasattr(optoweak, n) or hasattr(fock, n)]
-    found += [f"{owner.__name__}.{attr}" for owner, attr in (
-        (DensityMatrix, "partial_trace"), (ModeLayout, "without"),
-        (type(DEFAULT_TOL), "hermitian_atol")) if hasattr(owner, attr)]
+    found += [f"Tolerances.{attr}" for attr in ("hermitian_atol", "trace_atol", "positivity_floor")
+              if hasattr(DEFAULT_TOL, attr)]
+    if hasattr(optoweak.dynamics, "_require_am"):
+        found.append("dynamics._require_am")
     assert found == []
+
+
+def test_benchmark_api_exists():
+    # the names and argument names the benchmark harness calls or wraps
+    from optoweak import dissipation, dynamics, fock, interferometer, sweep
+    for owner, names in ((fock, ("coherent_state",)),
+                         (dynamics, ("factored_propagate", "evolution_params")),
+                         (dissipation, ("evolve_master", "damped_protocol")),
+                         (interferometer, ("ProtocolParams", "run_protocol")),
+                         (sweep, ("load_config", "write_csv", "iter_sweep_rows"))):
+        assert all(callable(getattr(owner, name, None)) for name in names), owner
+    assert "engine" in sweep.SWEEP_HEADER
+    params = inspect.signature(dissipation.evolve_master).parameters
+    assert {"params", "total_time"} <= set(params)

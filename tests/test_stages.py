@@ -9,12 +9,13 @@ import warnings
 import numpy as np
 import pytest
 
-from optoweak import (DensityMatrix, LayoutError, ModeLayout, ProtocolParams,
-                      TruncationError, damped_protocol, evolution_params, fock,
-                      run_protocol, sweep)
+from optoweak import (LindbladParams, ProtocolParams, TruncationError, damped_protocol,
+                      dissipation, evolution_params, evolve_master, fock, run_protocol,
+                      sweep)
 from optoweak.dissipation import _damped_scan, _evolved_rho
 from optoweak.fock import _moment_table
-from optoweak.interferometer import _MIRROR_WORKSPACE, _drive, _evolved_ket, _scan
+from optoweak.interferometer import (_MIRROR_WORKSPACE, _drive, _evolved_ket, _outcomes,
+                                     _scan)
 from optoweak.sweep import SWEEP_HEADER, iter_sweep_rows, load_config
 
 FIELDS = ("p_click", "p_noclick", "p_residual", "q_click", "q_noclick",
@@ -43,7 +44,7 @@ def fingerprint(out):
     """Every reported number as float.hex, the mirror-state bytes (None for a
     degenerate branch) and the degenerate reason."""
     return ([float(getattr(out, name)).hex() for name in FIELDS]
-            + [None if rho is None else rho.matrix.tobytes()
+            + [None if rho is None else rho.tobytes()
                for rho in (out.mirror_click, out.mirror_noclick)]
             + [out.degenerate_reason])
 
@@ -128,7 +129,7 @@ def test_damped_stage_holds_one_density_matrix_read_only():
 
 
 def test_moment_tables_are_read_only():
-    _assert_read_only(_moment_table(3)[1:])
+    _assert_read_only(_moment_table(3))
 
 
 def test_delta_and_default_cutoff_share_a_key():
@@ -296,8 +297,8 @@ def test_batched_scan_keeps_the_one_delta_bits(engine, n_deltas):
     assert [fingerprint(out) for out in outs] == [fingerprint(one(p)) for p in points]
     for out in outs:
         for rho in (out.mirror_click, out.mirror_noclick):
-            assert rho.matrix.shape == (4, 4) and not rho.matrix.flags.writeable
-            assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+            assert rho.shape == (4, 4) and not rho.flags.writeable
+            assert np.array_equal(rho, rho.conj().T)
 
 
 @pytest.mark.parametrize("engine", ["unitary", "damped"])
@@ -316,33 +317,35 @@ def test_zero_drive_batch_marks_every_click_branch_degenerate(engine):
 
 
 def test_symmetrized_stacks_are_hermitian_bit_for_bit():
+    # each reported mirror state is (m + m^H) / (2 p) of its branch, read-only
+    # and exactly equal to its own conjugate transpose
     rng = np.random.default_rng(7)
     for n in (1, 2, 4, 7, 11):
         scale = 10.0 ** rng.uniform(-300, 3, size=(50, 2, 1, 1))
         m = scale * (rng.normal(size=(50, 2, n, n)) + 1j * rng.normal(size=(50, 2, n, n)))
         p = 10.0 ** rng.uniform(-14, 0, size=(50, 2))
-        rho, mats = DensityMatrix._symmetrized(ModeLayout.of(("m", n - 1)), m, p)
-        assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
-        assert not rho.flags.writeable and len(mats) == 100
-        assert all(np.shares_memory(dm.matrix, rho) for dm in mats)
-        assert np.array_equal(mats[5].matrix, rho[2, 1])
-    m = np.eye(3, dtype=complex)
-    m[0, 1] = 1e-6
-    with pytest.raises(LayoutError, match="not Hermitian"):
-        DensityMatrix(ModeLayout.of(("m", 2)), m)
+        outs = _outcomes(m, p, 1.0)
+        assert len(outs) == 50
+        for t, out in enumerate(outs):
+            for j, rho in enumerate((out.mirror_noclick, out.mirror_click)):
+                assert rho.shape == (n, n) and not rho.flags.writeable
+                assert np.array_equal(rho, rho.conj().T)
+                assert np.array_equal(rho, (m[t, j] + m[t, j].conj().T) / (2 * p[t, j]))
 
 
 @pytest.mark.parametrize("engine", ["unitary", "damped"])
 def test_warm_exact_point_makes_no_hermiticity_check(monkeypatch, engine):
     # the mirror states are Hermitian by construction, so a warm point checks
-    # neither; a DensityMatrix built by hand still is checked
+    # neither; a density matrix passed in from outside still is checked
     params = make_params(2.0, 0.01, optical_cutoff=12, mirror_cutoff=3)
     run = unitary if engine == "unitary" else damped
     run(params)
     calls = []
     check = fock._hermitian
-    monkeypatch.setattr(fock, "_hermitian", lambda *a: calls.append(1) or check(*a))
+    for module in (fock, dissipation):
+        monkeypatch.setattr(module, "_hermitian", lambda *a: calls.append(1) or check(*a))
     run(make_params(2.0, 0.02, optical_cutoff=12, mirror_cutoff=3))
     assert calls == []
-    DensityMatrix(ModeLayout.of(("m", 2)), np.eye(3, dtype=complex))
+    evolve_master(np.eye(6, dtype=complex).reshape(2, 3, 2, 3) / 6,
+                  LindbladParams(GAMMA, params.evolution), 0.0)
     assert calls == [1]

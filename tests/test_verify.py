@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from optoweak import StateVector, dynamics, verify
+from optoweak import dynamics, verify
 
 
 def test_table1_delta_mismatch_is_a_failing_clause(monkeypatch):
@@ -23,9 +23,8 @@ def test_propagator_check_watches_the_production_propagator(monkeypatch):
 
     def without_kerr(state, params):
         out = production(state, params)
-        n = np.arange(out.layout.cutoff("a") + 1)
-        undo = np.exp(-1j * params.kerr_phase * n ** 2)[:, None]
-        return StateVector(out.layout, (out.grid * undo).reshape(-1), out.leakage)
+        n = np.arange(out.shape[0])
+        return out * np.exp(-1j * params.kerr_phase * n ** 2)[:, None]
     monkeypatch.setattr(dynamics, "_factored_propagate", without_kerr)
     res = verify.check_propagator_equivalence()
     assert res.error is None
