@@ -2,9 +2,9 @@
 measurement of a single photon's radiation-pressure kick in a driven
 interferometer with a movable mirror."""
 
-from .analytics import (AnalyticInputs, alpha2_for_probability, p_success,
-                        p_success_wva, q_click, q_click_smallk, q_diff,
-                        q_diff_argmax, q_no_postselection, q_noclick, q_wva,
+from .analytics import (alpha2_for_probability, p_success, p_success_wva,
+                        q_click, q_click_smallk, q_diff, q_diff_argmax,
+                        q_no_postselection, q_noclick, q_wva, regime,
                         snr_click, weak_value, weak_value_one_photon)
 from .dissipation import LindbladParams, damped_protocol, evolve_master, lindblad_rhs
 from .dynamics import (EvolutionParams, dense_propagator, evolution_params,

@@ -3,13 +3,14 @@
 These are the leading-order formulas the exact simulator is compared
 against, and the generators for the figure/table outputs.  All position
 outputs are in zero-point (sigma) units; conversion to meters happens at the
-presentation layer, never here.
+presentation layer, never here.  The closed forms at one grid point take
+(alpha2, delta, evolution), the mean photon number, the postselection
+parameter and the evolution setting, in that order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .dynamics import EvolutionParams, evolution_params
 from .errors import DegenerateBranchError
@@ -19,65 +20,49 @@ WVA_RATIO = 10.0          # delta >= ratio * |phi|/2  ->  "wva"
 BOUNDARY_RTOL = 0.01      # |delta - |phi|/2| <= rtol * |phi|/2  ->  "boundary"
 
 
-@dataclass(frozen=True)
-class AnalyticInputs:
-    """Mean photon number, postselection parameter and evolution setting."""
-
-    alpha2: float
-    delta: float
-    evolution: EvolutionParams
-
-    def __post_init__(self):
-        if self.alpha2 < 0:
-            raise ValueError("alpha2 must be >= 0")
-
-    @classmethod
-    def of(cls, alpha2: float, delta: float, k: float, wm_t: float) -> "AnalyticInputs":
-        return cls(alpha2, delta, evolution_params(k, wm_t))
-
-    @property
-    def phi_sum(self) -> float:
-        return self.evolution.disp_sum
-
-    @property
-    def abs_phi(self) -> float:
-        return self.evolution.abs_disp
-
-    @property
-    def regime(self) -> str:
-        """'wva', 'boundary' or 'strong' against delta vs |phi|/2."""
-        half = self.abs_phi / 2.0
-        if half == 0.0:
-            return "wva"
-        if abs(self.delta - half) <= BOUNDARY_RTOL * half:
-            return "boundary"
-        if self.delta >= WVA_RATIO * half:
-            return "wva"
-        if self.delta < half:
-            return "strong"
-        return "intermediate"
+def _check_alpha2(alpha2: float) -> None:
+    """Refuse a negative mean photon number, an input from outside."""
+    if alpha2 < 0:
+        raise ValueError("alpha2 must be >= 0")
 
 
-def q_noclick(inputs: AnalyticInputs) -> float:
+def regime(delta: float, evolution: EvolutionParams) -> str:
+    """'wva', 'boundary', 'intermediate' or 'strong': delta against |phi|/2."""
+    half = evolution.abs_disp / 2.0
+    if half == 0.0:
+        return "wva"
+    if abs(delta - half) <= BOUNDARY_RTOL * half:
+        return "boundary"
+    if delta >= WVA_RATIO * half:
+        return "wva"
+    if delta < half:
+        return "strong"
+    return "intermediate"
+
+
+def q_noclick(alpha2: float, delta: float, evolution: EvolutionParams) -> float:
     """Failed-postselection mirror displacement: (phi+phi*) |alpha|^2 / 2."""
-    return inputs.phi_sum * inputs.alpha2 / 2.0
+    _check_alpha2(alpha2)
+    return evolution.disp_sum * alpha2 / 2.0
 
 
-def q_click(inputs: AnalyticInputs) -> float:
+def q_click(alpha2: float, delta: float, evolution: EvolutionParams) -> float:
     """Successful-postselection displacement: classical part plus the
     single-photon enhancement delta / (2 delta^2 + |phi|^2/2)."""
-    denom = 2.0 * inputs.delta ** 2 + inputs.abs_phi ** 2 / 2.0
+    _check_alpha2(alpha2)
+    denom = 2.0 * delta ** 2 + evolution.abs_disp ** 2 / 2.0
     if denom == 0.0:
         raise DegenerateBranchError("q_click with delta = phi = 0", 0.0)
-    return inputs.phi_sum * (inputs.alpha2 / 2.0 + inputs.delta / denom)
+    return evolution.disp_sum * (alpha2 / 2.0 + delta / denom)
 
 
-def q_diff(inputs: AnalyticInputs) -> float:
+def q_diff(alpha2: float, delta: float, evolution: EvolutionParams) -> float:
     """Added-photon amplification: delta (phi+phi*) / (2 delta^2 + |phi|^2/2)."""
-    denom = 2.0 * inputs.delta ** 2 + inputs.abs_phi ** 2 / 2.0
+    _check_alpha2(alpha2)
+    denom = 2.0 * delta ** 2 + evolution.abs_disp ** 2 / 2.0
     if denom == 0.0:
         raise DegenerateBranchError("q_diff with delta = phi = 0", 0.0)
-    return inputs.delta * inputs.phi_sum / denom
+    return delta * evolution.disp_sum / denom
 
 
 def q_diff_argmax(k: float, wm_t: float) -> float:
@@ -85,18 +70,17 @@ def q_diff_argmax(k: float, wm_t: float) -> float:
     return evolution_params(k, wm_t).abs_disp / 2.0
 
 
-def q_wva(inputs: AnalyticInputs) -> float:
+def q_wva(alpha2: float, delta: float, evolution: EvolutionParams) -> float:
     """Backaction-free limit: (phi+phi*)(|alpha|^2/2 + 1/(2 delta))."""
-    if inputs.delta == 0.0:
+    _check_alpha2(alpha2)
+    if delta == 0.0:
         raise DegenerateBranchError("q_wva at delta = 0", 0.0)
-    return inputs.phi_sum * (inputs.alpha2 / 2.0 + 1.0 / (2.0 * inputs.delta))
+    return evolution.disp_sum * (alpha2 / 2.0 + 1.0 / (2.0 * delta))
 
 
 def weak_value(alpha2: float, delta: float) -> float:
     """|alpha|^2/2 + 1/(2 delta)."""
-    if delta == 0.0:
-        raise DegenerateBranchError("weak value at delta = 0", 0.0)
-    return alpha2 / 2.0 + 1.0 / (2.0 * delta)
+    return alpha2 / 2.0 + weak_value_one_photon(delta)
 
 
 def weak_value_one_photon(delta: float) -> float:
@@ -106,9 +90,10 @@ def weak_value_one_photon(delta: float) -> float:
     return 1.0 / (2.0 * delta)
 
 
-def p_success(inputs: AnalyticInputs) -> float:
+def p_success(alpha2: float, delta: float, evolution: EvolutionParams) -> float:
     """|alpha|^2 (delta^2 + |phi|^2/4); perturbative, warn-level only."""
-    return inputs.alpha2 * (inputs.delta ** 2 + inputs.abs_phi ** 2 / 4.0)
+    _check_alpha2(alpha2)
+    return alpha2 * (delta ** 2 + evolution.abs_disp ** 2 / 4.0)
 
 
 def p_success_wva(alpha2: float, delta: float) -> float:

@@ -7,7 +7,7 @@
 Configuration comes from a single JSON file (documented in the README);
 command-line flags override config keys.  Exit codes: 0 success,
 1 verification failure, 2 config error (an output path that cannot be
-written included), 3 numerical/truncation error.
+written included), 3 numerical/truncation error; stdout closed early exits 0.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from .errors import (ConfigError, ConvergenceError, DegenerateBranchError,
@@ -114,6 +115,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _run(args)
+    except BrokenPipeError:
+        # stdout's reader left (``| head``); with fd 1 on devnull the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ConfigError as err:
         print(f"optoweak: config-error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,6 +11,7 @@ same outcome record; only the damped state is contracted as a density matrix.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,7 +205,7 @@ def _evolved_rho(drive: ProtocolParams, gamma: float
 
 
 def _postselect(points: list[ProtocolParams], rho: np.ndarray, rho_a: np.ndarray,
-                trace: float, beta: np.ndarray) -> list[ProtocolOutcome]:
+                trace: float, beta: np.ndarray) -> Iterator[ProtocolOutcome]:
     """Recombine, postselect on the dark port and collect mirror statistics
     of a mixed (a, m) state at each delta of ``points`` (one drive): the
     damped engine's route.  ``rho`` is the evolved (a, m) density matrix as
@@ -215,19 +216,18 @@ def _postselect(points: list[ProtocolParams], rho: np.ndarray, rho_a: np.ndarray
     M_j[n, n'] = sum_c W[j, c, n] W*[j, c, n'], one product per slice of
     deltas, with probability Tr(M_j rho_a).  The bright port is never
     conditioned, which equals tracing it out."""
-    dm, out = points[0].mirror_cutoff + 1, []
+    dm = points[0].mirror_cutoff + 1
     for w in _recombined(points, beta):
         m = w.transpose(0, 1, 3, 2) @ w.conj()  # M_j[n, n'], as a BLAS batch
         rho_m = (m.reshape(len(w), 2, -1) @ rho).reshape(-1, 2, dm, dm)
         probs = np.einsum("tjnk,nk->tj", m, rho_a).real
-        out += _outcomes(rho_m, probs, trace)
-    return out
+        yield from _outcomes(rho_m, probs, trace)
 
 
-def _damped_scan(points: list[ProtocolParams], gamma: float) -> list[ProtocolOutcome]:
-    """:func:`damped_protocol` at each delta of ``points`` (one drive): one
-    stage lookup, then :func:`_postselect`."""
-    return _postselect(points, *_evolved_rho(_drive(points[0]), gamma))
+def _damped_scan(points: list[ProtocolParams], gamma: float) -> Iterator[ProtocolOutcome]:
+    """:func:`damped_protocol` at each delta of ``points`` (one drive),
+    yielded in order: on first use one stage lookup, then :func:`_postselect`."""
+    yield from _postselect(points, *_evolved_rho(_drive(points[0]), gamma))
 
 
 def damped_protocol(params: ProtocolParams, gamma: float) -> ProtocolOutcome:
@@ -240,4 +240,4 @@ def damped_protocol(params: ProtocolParams, gamma: float) -> ProtocolOutcome:
     comes from the stage :func:`_evolved_rho`, once per drive, cutoffs and
     gamma.
     """
-    return _damped_scan([params], gamma)[0]
+    return next(_damped_scan([params], gamma))

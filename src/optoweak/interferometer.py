@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -217,7 +218,7 @@ def _recombined(points: list[ProtocolParams], beta: np.ndarray):
         yield _bs_kernel(np.array([math.pi / 4 + p.delta for p in points[lo:lo + step]]), beta)
 
 
-def _outcomes(rho_m: np.ndarray, probs: np.ndarray, trace: float) -> list[ProtocolOutcome]:
+def _outcomes(rho_m: np.ndarray, probs: np.ndarray, trace: float) -> Iterator[ProtocolOutcome]:
     """Mirror statistics at each delta t of a slice from the unnormalized
     mirror states ``rho_m[t, j]`` of dark-port outcome j = 0 (no click) or 1
     (click), their traces ``probs`` and the (a, m) state's trace, in one array
@@ -233,34 +234,33 @@ def _outcomes(rho_m: np.ndarray, probs: np.ndarray, trace: float) -> list[Protoc
     mom = (rho.real[:, :, None] * qs).sum(axis=(3, 4))  # <q>, <q^2> of every branch
     mom[bad] = math.nan
     q, q2 = mom.transpose(2, 0, 1)
-    out, cols = [], (probs, q, np.sqrt(np.maximum(q2 - q * q, 0.0)), bad)
+    cols = (probs, q, np.sqrt(np.maximum(q2 - q * q, 0.0)), bad)
     for t, (p, (q_nc, q_c), (dq_nc, dq_c), b) in enumerate(zip(*(c.tolist() for c in cols))):
-        out.append(ProtocolOutcome(
+        yield ProtocolOutcome(
             p_click=p[1], p_noclick=p[0], p_residual=max(trace - p[0] - p[1], 0.0),
             q_click=q_c, q_noclick=q_nc, dq_click=dq_c, dq_noclick=dq_nc, diff=q_c - q_nc,
             mirror_click=None if b[1] else rho[t, 1],
             mirror_noclick=None if b[0] else rho[t, 0],
             degenerate_reason="; ".join(f"{name}:" + str(DegenerateBranchError(
                 f"projection onto |{j}> of mode 'd' has no weight", p[j]))
-                for j, name in enumerate(("noclick", "click")) if b[j]) if True in b else None))
-    return out
+                for j, name in enumerate(("noclick", "click")) if b[j]) if True in b else None)
 
 
-def _scan(points: list[ProtocolParams]) -> list[ProtocolOutcome]:
+def _scan(points: list[ProtocolParams]) -> Iterator[ProtocolOutcome]:
     """:func:`run_protocol` at each delta of ``points``, which share one
-    :func:`_drive` key and were each built, so checked, by the caller: one
-    stage lookup, one displacement warning (at the caller's caller), then
-    the recombiner (:func:`_recombined`) and :func:`_outcomes` per slice."""
+    :func:`_drive` key and were each built, so checked, by the caller.  On
+    first use: one stage lookup and one displacement warning (at the caller's
+    caller), then the recombiner (:func:`_recombined`) and :func:`_outcomes`
+    per slice, whose outcomes it yields in order, so only one slice's mirror
+    states are alive at a time."""
     drive = _drive(points[0])
     grid, norm2, beta = _evolved_ket(drive)
     _warn_large_displacement(drive.evolution.disp_param, drive.optical_cutoff,
                              drive.mirror_cutoff, stacklevel=3)
-    out = []
     for w in _recombined(points, beta):
         x = w @ grid
         probs = (x.real ** 2 + x.imag ** 2).sum(axis=(2, 3))
-        out += _outcomes(x.transpose(0, 1, 3, 2) @ x.conj(), probs, norm2)
-    return out
+        yield from _outcomes(x.transpose(0, 1, 3, 2) @ x.conj(), probs, norm2)
 
 
 def run_protocol(params: ProtocolParams) -> ProtocolOutcome:
@@ -277,7 +277,7 @@ def run_protocol(params: ProtocolParams) -> ProtocolOutcome:
     and cutoffs.  The warning that the largest mirror displacement is not
     small against the cutoff fires on every call.
     """
-    return _scan([params])[0]
+    return next(_scan([params]))
 
 
 def weak_value_numeric(params: ProtocolParams) -> float:

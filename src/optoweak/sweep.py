@@ -11,6 +11,7 @@ import contextlib
 import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -40,8 +41,9 @@ CONFIG_KEYS = ("mode", "engine", "fixed", "axes", "pairs", "cutoffs",
                "overlay_alpha2", "out", "svg")
 RETIRED_KEYS = ("workers",)  # accepted and ignored
 SCAN_POINTS = 512  # grid points per batch of exact scans
-# bytes of mirror states one batch of exact outcomes may keep alive
-MIRROR_STATE_BUDGET = 16 * 2 ** 20
+# what a sweep keeps of each exact outcome: the scalars its rows print
+_EXACT_FIELDS = operator.attrgetter("p_click", "p_noclick", "p_residual", "q_click", "q_noclick",
+                                    "diff", "dq_click", "dq_noclick", "degenerate_reason")
 
 
 @dataclass(frozen=True)
@@ -185,12 +187,17 @@ def load_config(path: str | None, overrides: dict | None = None,
     for p, _ in pairs:
         if not 0.0 < p <= 1.0:
             raise ConfigError(f"pairs probability must be in (0, 1], got {p!r}")
+    if not pairs:
+        raise ConfigError("pairs: figure3 needs at least one [probability, k] item")
+    overlay_alpha2 = _number("overlay_alpha2", raw.get("overlay_alpha2", 2.0), 0.0)
+    for key, reader in (("pairs", "figure3"), ("overlay_alpha2", "figure2")):
+        if key in raw and mode != reader:
+            raise ConfigError(f"{key}: mode {mode!r} would ignore it (only {reader} reads it)")
 
     cfg = SweepConfig(
         mode=mode, engine=engine, fixed=fixed, axes=axes, pairs=pairs,
         optical_cutoff=cut.get("optical"), mirror_cutoff=cut.get("mirror"),
-        overlay_alpha2=_number("overlay_alpha2", raw.get("overlay_alpha2", 2.0), 0.0),
-        out=raw.get("out"), svg=raw.get("svg"))
+        overlay_alpha2=overlay_alpha2, out=raw.get("out"), svg=raw.get("svg"))
     _check_exact_feasible(cfg)
     return cfg
 
@@ -271,7 +278,6 @@ def write_csv(path: str | None, header: list[str], rows) -> None:
 
 def _analytic_point(evolution: EvolutionParams, alpha2: float, delta: float) -> dict:
     """Closed forms at one grid point; degenerate fields become NaN + reason."""
-    inp = analytics.AnalyticInputs(alpha2, delta, evolution)
     reasons: list[str] = []
 
     def guarded(name, fn, *args):
@@ -282,12 +288,12 @@ def _analytic_point(evolution: EvolutionParams, alpha2: float, delta: float) -> 
             return math.nan
 
     out = {
-        "regime": inp.regime,
-        "q_click": guarded("q_click", analytics.q_click, inp),
-        "q_noclick": analytics.q_noclick(inp),
-        "q_diff": guarded("q_diff", analytics.q_diff, inp),
-        "q_wva": guarded("q_wva", analytics.q_wva, inp),
-        "p_click": analytics.p_success(inp),
+        "regime": analytics.regime(delta, evolution),
+        "q_click": guarded("q_click", analytics.q_click, alpha2, delta, evolution),
+        "q_noclick": analytics.q_noclick(alpha2, delta, evolution),
+        "q_diff": guarded("q_diff", analytics.q_diff, alpha2, delta, evolution),
+        "q_wva": guarded("q_wva", analytics.q_wva, alpha2, delta, evolution),
+        "p_click": analytics.p_success(alpha2, delta, evolution),
         "weak_value": guarded("weak_value", analytics.weak_value, alpha2, delta),
         "weak_value_one_photon": guarded("weak_value_one_photon",
                                          analytics.weak_value_one_photon, delta),
@@ -297,10 +303,11 @@ def _analytic_point(evolution: EvolutionParams, alpha2: float, delta: float) -> 
     return out
 
 
-def _exact_outcomes(cfg: SweepConfig, points: list[dict]) -> list:
-    """Each grid point's exact outcome (None for the analytic engine), from one
-    unitary or damped (gamma > 0) scan per drive (k, wm_t, |alpha|^2, gamma)."""
-    out, groups = {}, {}
+def _exact_outcomes(cfg: SweepConfig, points: list[dict]) -> list[tuple | None]:
+    """Each grid point's exact scalars, the tuple :data:`_EXACT_FIELDS` reads
+    as the scan streams (None for the analytic engine), from one unitary or
+    damped (gamma > 0) scan per drive (k, wm_t, |alpha|^2, gamma)."""
+    out, groups = [None] * len(points), {}
     for i, pt in enumerate(points if cfg.engine != "analytic" else ()):
         groups.setdefault((pt["k"], pt["wm_t"], pt["alpha2"], pt["gamma"]), []).append(i)
     for (k, wm_t, alpha2, gamma), idx in groups.items():
@@ -308,8 +315,9 @@ def _exact_outcomes(cfg: SweepConfig, points: list[dict]) -> list:
         scan = [ProtocolParams(alpha=alpha, delta=points[i]["delta"], evolution=evolution,
                                optical_cutoff=cfg.optical_cutoff,
                                mirror_cutoff=cfg.exact_mirror_cutoff) for i in idx]
-        out.update(zip(idx, _damped_scan(scan, gamma) if gamma > 0.0 else _scan(scan)))
-    return [out.get(i) for i in range(len(points))]
+        for i, outcome in zip(idx, _damped_scan(scan, gamma) if gamma > 0.0 else _scan(scan)):
+            out[i] = _EXACT_FIELDS(outcome)
+    return out
 
 
 SWEEP_HEADER = [
@@ -324,14 +332,14 @@ SWEEP_HEADER = [
 def _sweep_rows_for_point(cfg: SweepConfig, point: dict, evolution: EvolutionParams,
                           out) -> list[list]:
     """The rows of one grid point at its ``evolution``; ``out`` is its exact
-    outcome, or None."""
+    outcome from :func:`_exact_outcomes`, or None."""
     alpha2, delta = point["alpha2"], point["delta"]
     base = [point["k"], point["wm_t"], alpha2, delta, point["gamma"]]
     ana = _analytic_point(evolution, alpha2, delta)
     rows = []
     rel = math.nan
     if out is not None and not math.isnan(ana["q_diff"]) and ana["q_diff"] != 0:
-        rel = (out.diff - ana["q_diff"]) / ana["q_diff"]
+        rel = (out[5] - ana["q_diff"]) / ana["q_diff"]  # out[5]: the exact diff
     tail = [ana["q_wva"], ana["weak_value"], ana["weak_value_one_photon"],
             ana["q_no_postselection"], rel]
     if cfg.engine in ("analytic", "both"):
@@ -342,29 +350,17 @@ def _sweep_rows_for_point(cfg: SweepConfig, point: dict, evolution: EvolutionPar
                             ana["q_click"], ana["q_noclick"], ana["q_diff"],
                             math.nan, math.nan, *tail, note])
     if out is not None:
-        note = "; ".join(filter(None, [ana["reason"], out.degenerate_reason]))
-        rows.append(base + ["exact", ana["regime"],
-                            out.p_click, out.p_noclick, out.p_residual,
-                            out.q_click, out.q_noclick, out.diff,
-                            out.dq_click, out.dq_noclick, *tail, note])
+        *exact, reason = out  # p_click .. dq_noclick, in column order
+        note = "; ".join(filter(None, [ana["reason"], reason]))
+        rows.append(base + ["exact", ana["regime"], *exact, *tail, note])
     return rows
-
-
-def _batch_points(cfg: SweepConfig) -> int:
-    """Grid points per batch: SCAN_POINTS, fewer when an exact batch's mirror
-    states, two dm x dm complex matrices per point, would pass
-    MIRROR_STATE_BUDGET bytes (at least one point)."""
-    if cfg.engine == "analytic":
-        return SCAN_POINTS
-    dm = cfg.exact_mirror_cutoff + 1
-    return max(1, min(SCAN_POINTS, MIRROR_STATE_BUDGET // (2 * 16 * dm * dm)))
 
 
 def iter_sweep_rows(cfg: SweepConfig):
     """Yield sweep rows in grid order (the last axis in SWEEPABLE order
-    varies fastest), :func:`_batch_points` grid points at a time: each batch
-    runs its exact points as one scan per drive (:func:`_exact_outcomes`)
-    first, and its outcomes' mirror states live until its rows are yielded."""
+    varies fastest), SCAN_POINTS grid points at a time: each batch runs its
+    exact points as one scan per drive (:func:`_exact_outcomes`) first and
+    keeps only the scalars its rows print."""
     if not cfg.axes:
         raise ConfigError("sweep mode needs at least one axis")
     names = [n for n in SWEEPABLE if n in cfg.axes]
@@ -374,8 +370,7 @@ def iter_sweep_rows(cfg: SweepConfig):
     # one EvolutionParams per (k, wm_t), keyed on their bits: == would give
     # k = -0.0 the instance of 0.0, and rows at -0.0 print -0
     evolutions: dict[tuple[str, str], EvolutionParams] = {}
-    size = _batch_points(cfg)
-    while batch := list(itertools.islice(points, size)):
+    while batch := list(itertools.islice(points, SCAN_POINTS)):
         for point, out in zip(batch, _exact_outcomes(cfg, batch)):
             key = (point["k"].hex(), point["wm_t"].hex())
             if (evolution := evolutions.get(key)) is None:
@@ -405,7 +400,8 @@ def run_figure2(cfg: SweepConfig) -> tuple[list[str], list[list]]:
         out = [delta, ana["q_no_postselection"], ana["q_noclick"], ana["q_click"],
                ana["q_diff"], ana["q_wva"] - ana["q_noclick"], ana["p_click"]]
         if ex is not None:
-            out += [cfg.overlay_alpha2, ex.q_noclick, ex.q_click, ex.diff, ex.p_click]
+            p_click, _, _, q_click, q_noclick, diff, *_ = ex
+            out += [cfg.overlay_alpha2, q_noclick, q_click, diff, p_click]
         return out
 
     exact = _exact_outcomes(cfg, [{"k": k, "wm_t": wm_t, "alpha2": cfg.overlay_alpha2,

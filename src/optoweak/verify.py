@@ -132,15 +132,15 @@ def check_table1(res: CheckResult) -> None:
 @_timed(1.0)
 def check_figure2_analytic(res: CheckResult) -> None:
     k, wm_t, alpha2 = 0.005, math.pi, 30.0
-    inp = analytics.AnalyticInputs.of(alpha2, 0.005, k, wm_t)
-    res.add("no-click level - 0.3", abs(analytics.q_noclick(inp) - 0.3), 1e-12)
+    ev = evolution_params(k, wm_t)
+    res.add("no-click level - 0.3", abs(analytics.q_noclick(alpha2, 0.005, ev) - 0.3), 1e-12)
     res.add("no-postselection level - 0.02",
             abs(analytics.q_no_postselection(k, wm_t) - 0.02), 1e-12)
     delta_star = analytics.q_diff_argmax(k, wm_t)
     res.add("argmax delta - 0.005", abs(delta_star - 0.005), 1e-12)
-    peak = analytics.AnalyticInputs.of(alpha2, delta_star, k, wm_t)
-    res.add("click peak - 1.3", abs(analytics.q_click(peak) - 1.3), 1e-12)
-    res.add("difference at peak - 1.0", abs(analytics.q_diff(peak) - 1.0), 1e-12)
+    res.add("click peak - 1.3", abs(analytics.q_click(alpha2, delta_star, ev) - 1.3), 1e-12)
+    res.add("difference at peak - 1.0",
+            abs(analytics.q_diff(alpha2, delta_star, ev) - 1.0), 1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -153,16 +153,16 @@ DESK_DELTAS = (0.002, 0.005, 0.01, 0.02, 0.035, 0.05)
 def check_exact_vs_analytic(res: CheckResult, optical_cutoff: int = 14,
                             mirror_cutoff: int = 8) -> None:
     k, wm_t, alpha2 = 0.005, math.pi, 2.0
-    low, ex = (_scan([_params(a2, delta, k, wm_t, optical_cutoff=optical_cutoff,
-                              mirror_cutoff=mirror_cutoff) for delta in DESK_DELTAS])
+    low, ex = (list(_scan([_params(a2, delta, k, wm_t, optical_cutoff=optical_cutoff,
+                                   mirror_cutoff=mirror_cutoff) for delta in DESK_DELTAS]))
                for a2 in (0.5, alpha2))
-    inps = [analytics.AnalyticInputs.of(alpha2, delta, k, wm_t) for delta in DESK_DELTAS]
+    ev = evolution_params(k, wm_t)
     for name, attr, ref, tol in (("q_diff", "diff", analytics.q_diff, 0.05),
                                  ("p_click", "p_click", analytics.p_success, 0.05),
                                  ("q_noclick", "q_noclick", analytics.q_noclick, 0.02)):
         res.add(f"max rel dev of {name} vs closed form",
-                max(abs(getattr(out, attr) - ref(inp)) / ref(inp) for out, inp in zip(ex, inps)),
-                tol)
+                max(abs(getattr(out, attr) - ref(alpha2, delta, ev)) / ref(alpha2, delta, ev)
+                    for out, delta in zip(ex, DESK_DELTAS)), tol)
     res.add("q_diff alpha2-independence 0.5 vs 2",
             max(abs(lo.diff - out.diff) / abs(out.diff) for lo, out in zip(low, ex)), 0.02)
 

@@ -7,39 +7,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optoweak import (AnalyticInputs, DegenerateBranchError, ProtocolParams,
+from optoweak import (DegenerateBranchError, ProtocolParams,
                       alpha2_for_probability, coherent_state, evolution_params,
                       p_success, p_success_wva, q_click, q_click_smallk,
                       q_diff, q_diff_argmax, q_no_postselection, q_noclick,
-                      q_wva, run_protocol, snr_click, weak_value,
+                      q_wva, regime, run_protocol, snr_click, weak_value,
                       weak_value_one_photon)
 from optoweak.analytics import BOUNDARY_RTOL, WVA_RATIO
 
-inputs = AnalyticInputs.of
+
+def inputs(alpha2, delta, k, wm_t):
+    """The closed forms' arguments (alpha2, delta, evolution) at k and wm_t."""
+    return alpha2, delta, evolution_params(k, wm_t)
 
 
 class TestDisplacements:
     def test_q_noclick_values(self):
-        assert q_noclick(inputs(0.0, 0.01, 0.005, math.pi)) == 0.0
-        assert q_noclick(inputs(30.0, 0.01, 0.005, math.pi)) == pytest.approx(0.3, abs=1e-15)
-        assert q_noclick(inputs(30.0, 0.01, 0.005, 0.0)) == 0.0
+        assert q_noclick(*inputs(0.0, 0.01, 0.005, math.pi)) == 0.0
+        assert q_noclick(*inputs(30.0, 0.01, 0.005, math.pi)) == pytest.approx(0.3, abs=1e-15)
+        assert q_noclick(*inputs(30.0, 0.01, 0.005, 0.0)) == 0.0
 
     def test_q_click_values(self):
-        val = q_click(inputs(30.0, 0.005, 0.005, math.pi))
+        val = q_click(*inputs(30.0, 0.005, 0.005, math.pi))
         assert val == pytest.approx(0.02 * (15 + 50), abs=1e-12)  # = 1.3
         # huge delta: only the classical term survives
-        big = q_click(inputs(30.0, 1e9, 0.005, math.pi))
-        assert big == pytest.approx(q_noclick(inputs(30.0, 1e9, 0.005, math.pi)), rel=1e-9)
+        big = q_click(*inputs(30.0, 1e9, 0.005, math.pi))
+        assert big == pytest.approx(q_noclick(*inputs(30.0, 1e9, 0.005, math.pi)), rel=1e-9)
         # no drive: the pure single-photon term
-        lone = q_click(inputs(0.0, 0.01, 0.005, math.pi))
+        lone = q_click(*inputs(0.0, 0.01, 0.005, math.pi))
         phi2 = evolution_params(0.005, math.pi).abs_disp ** 2
         assert lone == pytest.approx(0.02 * 0.01 / (2e-4 + phi2 / 2), rel=1e-12)
 
     def test_q_diff_values(self):
-        assert q_diff(inputs(1.0, q_diff_argmax(0.005, math.pi), 0.005, math.pi)) \
+        assert q_diff(*inputs(1.0, q_diff_argmax(0.005, math.pi), 0.005, math.pi)) \
             == pytest.approx(1.0, abs=1e-14)
-        assert q_diff(inputs(1.0, 0.0, 0.005, math.pi)) == 0.0
-        assert q_diff(inputs(1.0, 0.05, 0.005, math.pi)) \
+        assert q_diff(*inputs(1.0, 0.0, 0.005, math.pi)) == 0.0
+        assert q_diff(*inputs(1.0, 0.05, 0.005, math.pi)) \
             == pytest.approx(0.05 * 0.02 / (0.005 + 5e-5), rel=1e-12)
 
     def test_q_no_postselection(self):
@@ -52,15 +55,15 @@ class TestDisplacements:
     @settings(max_examples=100, deadline=None)
     def test_click_minus_noclick_is_diff(self, alpha2, delta, k, wm_t):
         inp = inputs(alpha2, delta, k, wm_t)
-        assert q_click(inp) - q_noclick(inp) == pytest.approx(q_diff(inp), abs=1e-14)
+        assert q_click(*inp) - q_noclick(*inp) == pytest.approx(q_diff(*inp), abs=1e-14)
 
     def test_wva_dominates_click_and_converges(self):
         k, wm_t = 0.005, math.pi
         ratios = []
         for delta in (0.01, 0.05, 0.2):
             inp = inputs(1.0, delta, k, wm_t)
-            assert q_wva(inp) >= q_click(inp)
-            ratios.append(q_wva(inp) / q_click(inp))
+            assert q_wva(*inp) >= q_click(*inp)
+            ratios.append(q_wva(*inp) / q_click(*inp))
         assert ratios[0] > ratios[1] > ratios[2]
         assert ratios[-1] == pytest.approx(1.0, abs=2e-3)
 
@@ -68,7 +71,7 @@ class TestDisplacements:
         k, wm_t = 0.005, math.pi
         star = q_diff_argmax(k, wm_t)
         grid = np.linspace(0.5 * star, 1.5 * star, 101)
-        vals = [q_diff(inputs(1.0, d, k, wm_t)) for d in grid]
+        vals = [q_diff(*inputs(1.0, d, k, wm_t)) for d in grid]
         diffs = np.diff(vals)
         flip = int(np.argmax(diffs < 0))
         assert abs(grid[flip] - star) <= (grid[1] - grid[0])
@@ -95,7 +98,7 @@ class TestProbabilities:
     def test_success_values(self):
         assert p_success_wva(30.0, 0.05) == pytest.approx(0.075, abs=1e-15)
         assert p_success_wva(30.0, 0.02) == pytest.approx(0.012, abs=1e-15)
-        assert p_success(inputs(0.0, 0.05, 0.005, math.pi)) == 0.0
+        assert p_success(*inputs(0.0, 0.05, 0.005, math.pi)) == 0.0
 
     def test_table_regeneration_exact(self):
         deltas = (0.1, 0.08, 0.06, 0.04, 0.02, 0.01)
@@ -116,7 +119,7 @@ class TestProbabilities:
     @settings(max_examples=50, deadline=None)
     def test_probability_round_trip(self, p_target, delta, k):
         a2 = alpha2_for_probability(p_target, k, math.pi, delta)
-        assert p_success(inputs(a2, delta, k, math.pi)) == pytest.approx(p_target, rel=1e-12)
+        assert p_success(*inputs(a2, delta, k, math.pi)) == pytest.approx(p_target, rel=1e-12)
 
 
 class TestSmallCouplingExpansion:
@@ -131,7 +134,7 @@ class TestSmallCouplingExpansion:
         if alpha2 * k > 0.3:
             alpha2 = 0.3 / k
         delta = k
-        full = q_click(inputs(alpha2, delta, k, math.pi))
+        full = q_click(*inputs(alpha2, delta, k, math.pi))
         small = q_click_smallk(alpha2, k, delta)
         assert small == pytest.approx(full, rel=0.02)
 
@@ -141,9 +144,9 @@ class TestMirrorStates:
         # backaction-free click state: the coherent mirror amplitude
         # |alpha|^2 phi / 2 + phi / (2 delta), the no-click one plus the weak value's kick
         alpha2, k, wm_t, delta = 1.0, 0.001, math.pi, 0.05
-        inp = inputs(alpha2, delta, k, wm_t)
-        assert inp.regime == "wva"
-        phi = inp.evolution.disp_param
+        evolution = evolution_params(k, wm_t)
+        assert regime(delta, evolution) == "wva"
+        phi = evolution.disp_param
         click_amp = alpha2 * phi / 2.0 + phi / (2.0 * delta)
         params = ProtocolParams(alpha=complex(math.sqrt(alpha2)), delta=delta,
                                 evolution=evolution_params(k, wm_t))
@@ -156,12 +159,21 @@ class TestMirrorStates:
 class TestRegimeClassifier:
     def test_labels(self):
         k, wm_t = 0.005, math.pi  # |phi|/2 = 0.005
-        assert inputs(1.0, 0.05, k, wm_t).regime == "wva"
-        assert inputs(1.0, 0.005, k, wm_t).regime == "boundary"
-        assert inputs(1.0, 0.002, k, wm_t).regime == "strong"
-        assert inputs(1.0, 0.02, k, wm_t).regime == "intermediate"
-        assert inputs(1.0, 0.05, 0.0, wm_t).regime == "wva"
+        evolution = evolution_params(k, wm_t)
+        assert regime(0.05, evolution) == "wva"
+        assert regime(0.005, evolution) == "boundary"
+        assert regime(0.002, evolution) == "strong"
+        assert regime(0.02, evolution) == "intermediate"
+        assert regime(0.05, evolution_params(0.0, wm_t)) == "wva"
 
     def test_thresholds_are_module_constants(self):
         assert WVA_RATIO == 10.0
         assert BOUNDARY_RTOL == 0.01
+
+
+@pytest.mark.parametrize("form", [q_noclick, q_click, q_diff, q_wva, p_success])
+def test_negative_alpha2_raises_value_error(form):
+    # the closed forms take alpha2 from outside, so each refuses a negative one
+    with pytest.raises(ValueError, match="alpha2 must be >= 0"):
+        form(*inputs(-1e-12, 0.01, 0.005, math.pi))
+    assert math.isfinite(form(*inputs(0.0, 0.01, 0.005, math.pi)))

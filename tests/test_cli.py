@@ -1,11 +1,17 @@
 """Command-line behavior: outputs, exit codes, error prefixes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from optoweak import verify
 from optoweak.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_table1_to_csv(tmp_path, capsys):
@@ -273,6 +279,38 @@ def test_axes_a_mode_never_reads_exit_2(tmp_path, capsys, monkeypatch, mode, axe
     assert main([mode, "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"optoweak: config-error: axes.{ignored}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, extra, message", [
+    ("sweep", {"axes": {"delta": [0.01]}, "pairs": [[0.5, 0.01]]},
+     "pairs: mode 'sweep' would ignore it (only figure3 reads it)"),
+    ("table1", {"overlay_alpha2": 5},
+     "overlay_alpha2: mode 'table1' would ignore it (only figure2 reads it)"),
+    ("figure3", {"pairs": []}, "pairs: figure3 needs at least one [probability, k] item"),
+], ids=["pairs-in-sweep", "overlay-in-table1", "empty-figure3-pairs"])
+def test_keys_a_mode_never_reads_exit_2(tmp_path, capsys, mode, extra, message):
+    # each exited 0 with the key unused (an empty figure3 pairs list wrote a
+    # delta-only CSV); now a config error naming the key, before any output
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps({"mode": mode, "out": str(out), **extra}))
+    assert main([mode, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"optoweak: config-error: {message}\n"
+    assert not out.exists()
+
+
+def test_closed_stdout_exits_0_quietly(tmp_path):
+    # 2000 analytic rows outgrow a pipe buffer, so the CLI is still writing
+    # when its reader closes the pipe after one line
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "sweep", "axes": {
+        "delta": {"start": 0.001, "stop": 0.1, "count": 2000}}}))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "optoweak.cli", "sweep", "--config", str(cfg)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"k,wm_t,alpha2,delta,")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_table1_reads_the_configured_alpha2(tmp_path, capsys):

@@ -163,6 +163,15 @@ def test_small_mirror_cutoff_raises_on_every_call(run, stage, key):
     assert stage.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("engine", ["unitary", "damped"])
+def test_failing_scan_raises_on_first_use(engine):
+    # a scan is a generator: building it runs nothing, and the stage's
+    # mirror-tail check raises when its first outcome is drawn
+    params = make_params(2.0, 0.005, k=0.1, optical_cutoff=12, mirror_cutoff=1)
+    scan = _scan([params]) if engine == "unitary" else _damped_scan([params], GAMMA)
+    with pytest.raises(TruncationError, match="mirror cutoff 1 too small"):
+        next(scan)
+
 
 def test_one_delta_scan_is_run_protocol_and_warns_at_the_caller():
     # the point of the displacement-warning test above
@@ -171,7 +180,7 @@ def test_one_delta_scan_is_run_protocol_and_warns_at_the_caller():
         warnings.simplefilter("always")
         line = inspect.currentframe().f_lineno + 1
         out = run_protocol(params)
-        scanned = _scan([params])[0]
+        scanned = next(_scan([params]))
     assert fingerprint(out) == fingerprint(scanned)
     hits = [w for w in caught if "displacement" in str(w.message)]
     assert len(hits) == 2
@@ -194,12 +203,14 @@ def test_cold_point_holds_the_mirror_working_set_the_guard_counts():
 def test_scan_slices_count_the_mirror_dimension():
     # d = 13, mirror cutoff 80: slices of 2^16 // (2 * 81^2) = 4 angles, so
     # beyond the 200 outcomes' own mirror states (2 dm^2 complex entries each,
-    # 40 MiB) a warm scan holds about one slice's arrays; slices of
-    # 2^16 // (2 * 13^2) = 193 angles, sized by d alone, peaked at 123 MiB
+    # 40 MiB, all kept by the list) a warm scan holds about one slice's
+    # arrays; slices of 2^16 // (2 * 13^2) = 193 angles, sized by d alone,
+    # peaked at 123 MiB
     points = [make_params(2.0, float(delta), mirror_cutoff=80)
               for delta in np.linspace(0.001, 0.12, 200)]
-    _scan(points[:1])  # warm the stages
-    assert _traced_peak(_scan, points) < 200 * 2 * 16 * 81 ** 2 + 4 * 2 ** 20
+    list(_scan(points[:1]))  # warm the stages
+    peak = _traced_peak(lambda pts: list(_scan(pts)), points)
+    assert peak < 200 * 2 * 16 * 81 ** 2 + 4 * 2 ** 20
 
 
 def test_one_eigendecomposition_per_mirror_cutoff(monkeypatch):
@@ -280,9 +291,10 @@ def test_figure2_overlay_is_one_scan(monkeypatch):
 # the batched postselection pass: one array pass per recombiner slice
 
 def scan_of(engine):
+    """The engine's scan, as a list, and its one-delta protocol."""
     if engine == "unitary":
-        return _scan, run_protocol
-    return (lambda points: _damped_scan(points, GAMMA)), damped
+        return (lambda points: list(_scan(points))), run_protocol
+    return (lambda points: list(_damped_scan(points, GAMMA))), damped
 
 
 @pytest.mark.parametrize("n_deltas", [1, 3, 20, 200])
@@ -324,7 +336,7 @@ def test_symmetrized_stacks_are_hermitian_bit_for_bit():
         scale = 10.0 ** rng.uniform(-300, 3, size=(50, 2, 1, 1))
         m = scale * (rng.normal(size=(50, 2, n, n)) + 1j * rng.normal(size=(50, 2, n, n)))
         p = 10.0 ** rng.uniform(-14, 0, size=(50, 2))
-        outs = _outcomes(m, p, 1.0)
+        outs = list(_outcomes(m, p, 1.0))
         assert len(outs) == 50
         for t, out in enumerate(outs):
             for j, rho in enumerate((out.mirror_noclick, out.mirror_click)):

@@ -12,7 +12,6 @@ from optoweak import (ConfigError, ProtocolParams, TruncationError,
                       evolution_params, run_protocol)
 from optoweak.cli import main
 from optoweak.interferometer import _MIRROR_WORKSPACE, MAX_RECOMBINER_DIM
-from optoweak import sweep
 from optoweak.sweep import (SWEEP_HEADER, SweepConfig, iter_sweep_rows, load_config,
                             run_figure2, run_figure3, run_table1, write_csv)
 
@@ -351,27 +350,26 @@ class TestSweep:
             assert r["q_no_postselection"] == r["k"]
         assert [r["q_noclick"] for r in rows if r["engine"] == "analytic"] == ["-0", "0"]
 
-    def test_exact_batch_keeps_its_mirror_states_within_budget(self):
+    def test_exact_sweep_memory_does_not_grow_with_its_deltas(self):
         # mirror cutoff 80: one point's two mirror states are 2 * 81^2 complex
-        # entries, so a batch of SCAN_POINTS points would keep 107 MB alive
-        dm = 81
-        cfg = self.base_cfg(engine="exact", fixed={"alpha2": 2.0}, cutoffs={"mirror": dm - 1},
-                            axes={"delta": list(np.linspace(0.001, 0.05, 200))})
-        assert sweep._batch_points(cfg) == sweep.MIRROR_STATE_BUDGET // (32 * dm ** 2) < 200
-        assert sweep._batch_points(load_config(None, overrides={"engine": "both", "axes": {
-            "delta": [0.01]}}, default_mode="sweep")) == sweep.SCAN_POINTS
-        list(iter_sweep_rows(self.base_cfg(engine="exact", fixed={"alpha2": 2.0},
-                                           cutoffs={"mirror": dm - 1})))  # warm the tables
-        tracemalloc.start()
-        try:
-            assert sum(1 for _ in iter_sweep_rows(cfg)) == 200
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # one recombiner slice holds 2^16 // (2 dm^2) angles; its working set
-        # is at most _MIRROR_WORKSPACE arrays of their states
-        slice_bytes = _MIRROR_WORKSPACE * 16 * dm ** 2 * (2 ** 16 // (2 * dm ** 2))
-        assert peak < sweep.MIRROR_STATE_BUDGET + slice_bytes
+        # entries (210 KB), and a recombiner slice holds 2^16 // (2 * 81^2) = 4
+        # angles.  The scans stream, so a sweep keeps one slice's states and
+        # each point's scalars: 3.5-3.8 MiB at 20-1000 deltas, where keeping a
+        # batch's outcomes would have held 107 MB
+        peaks = []
+        warm = self.base_cfg(engine="exact", fixed={"alpha2": 2.0}, cutoffs={"mirror": 80})
+        list(iter_sweep_rows(warm))  # warm the tables and the ket stage
+        for n in (20, 200, 1000):
+            cfg = self.base_cfg(engine="exact", fixed={"alpha2": 2.0}, cutoffs={"mirror": 80},
+                                axes={"delta": list(np.linspace(0.001, 0.05, n))})
+            tracemalloc.start()
+            try:
+                assert sum(1 for _ in iter_sweep_rows(cfg)) == n
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 5 * 2 ** 20
+        assert peaks[2] <= 1.2 * peaks[0]
 
     def test_no_axes_rejected(self):
         cfg = self.base_cfg(engine="analytic", axes={})
