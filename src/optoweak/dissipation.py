@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EvolutionParams, _hamiltonian, _mirror_tail
+from .dynamics import EvolutionParams, _hamiltonian
 from .errors import LayoutError
-from .fock import _hermitian, _unit, annihilation
-from .interferometer import (ProtocolOutcome, ProtocolParams, _arm, _drive,
-                             _outcomes, _preselect_am, _recombined)
+from .fock import _hermitian, annihilation
+from .interferometer import ProtocolOutcome, ProtocolParams, _arm, _drive, _outcomes, _recombined
 from .tolerances import DEFAULT_TOL
 
 
@@ -191,14 +190,14 @@ def _evolved_rho(drive: ProtocolParams, gamma: float
     guard's 256 MiB cap, and a damped delta scan needs only the last one.
     The arrays are read-only, because every caller shares them.
     """
-    psi = _preselect_am(drive)
-    _mirror_tail(drive.evolution, (np.abs(psi) ** 2).sum(axis=1), drive.mirror_cutoff)
-    d, dm = psi.shape
+    beta = _arm(drive)
+    d, dm = len(beta), drive.mirror_cutoff + 1
     rows, cols = np.triu_indices(d)
-    rho = _evolve_blocks(psi[rows, :, None] * psi[cols, None, :].conj(), d,
-                         LindbladParams(gamma=gamma, base=drive.evolution), drive.evolution.wm_t)
+    upper = np.zeros((len(rows), dm, dm), dtype=complex)
+    upper[:, 0, 0] = beta[rows] * beta[cols].conj()  # the mirror starts in vacuum
+    rho = _evolve_blocks(upper, d, LindbladParams(gamma, drive.evolution), drive.evolution.wm_t)
     rho_a = functools.reduce(np.add, (rho[:, :, m, m] for m in range(dm)))  # summed over m in order
-    pairs, beta = rho.reshape(d * d, dm * dm), _unit(_arm(drive))
+    pairs = rho.reshape(d * d, dm * dm)
     for arr in (pairs, rho_a, beta):
         arr.setflags(write=False)
     return pairs, rho_a, float(np.trace(rho_a).real), beta

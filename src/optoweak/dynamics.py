@@ -2,9 +2,9 @@
 
 The exact propagator factorizes over photon-number blocks of arm ``a``:
 a mirror free rotation, then a photon-number-conditioned mirror
-displacement, then a number-squared (Kerr-like) phase.  A dense matrix
-exponential of the Hamiltonian exists purely as an independent cross-check of
-that factorization.
+displacement, then a number-squared (Kerr-like) phase.  The engines write
+it in closed form for their vacuum mirror; :func:`factored_propagate` (any
+ket, through q's eigenpairs) and :func:`dense_propagator` are its oracles.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ConvergenceError, LayoutError, TruncationError
-from .fock import _moment_table, _warn_large_displacement, annihilation, poisson_tail
+from .fock import _tridiagonal_eigh, _warn_large_displacement, annihilation, poisson_tail
 from .tolerances import DEFAULT_TOL
 
 
@@ -86,9 +86,25 @@ def _mirror_tail(params: EvolutionParams, weights: np.ndarray,
     return tail
 
 
+@lru_cache(maxsize=8)
+def _eigenpairs(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenpairs q = V diag(w) V^T of the mirror position on
+    ``cutoff`` + 1 levels for :func:`factored_propagate`, whose D(beta) is
+    unitary to rounding exactly when V is orthogonal and w real: raises
+    :class:`TruncationError` unless max |V^T V - I| < ``unitary_atol``, w finite."""
+    w, v = _tridiagonal_eigh(np.sqrt(np.arange(1.0, cutoff + 1)))
+    # V^T V as a BLAS product: about 13 times faster than einsum at cutoff 1000
+    dev = float(np.abs(v.T @ v - np.eye(cutoff + 1)).max())
+    if not (dev < DEFAULT_TOL.unitary_atol and np.isfinite(w).all()):
+        raise TruncationError("displacement operator failed the unitarity check", dev)
+    for arr in (w, v):
+        arr.setflags(write=False)
+    return w, v
+
+
 def factored_propagate(state: np.ndarray, params: EvolutionParams) -> np.ndarray:
     """Evolve an (a, m) ket ``state`` of shape (da, dm) with the factored
-    propagator, returning a new ket of that shape.
+    propagator, returning a new ket of that shape (an oracle: see above).
 
     Right-to-left: mirror rotation e^{-i wm_t c^dag c}; per photon-number
     block n of arm a, mirror displacement D(n phi); Kerr phase
@@ -101,15 +117,6 @@ def factored_propagate(state: np.ndarray, params: EvolutionParams) -> np.ndarray
     """
     if np.ndim(state) != 2 or np.size(state) == 0:
         raise LayoutError(f"expected an (a, m) ket, got shape {np.shape(state)}")
-    out = _factored_propagate(state, params)
-    _warn_large_displacement(params.disp_param, out.shape[0] - 1, out.shape[1] - 1,
-                             stacklevel=2)
-    return out
-
-
-def _factored_propagate(state: np.ndarray, params: EvolutionParams) -> np.ndarray:
-    """:func:`factored_propagate` without its shape check and warning, for
-    callers that cache the result and so warn on every call themselves."""
     g = np.array(state, dtype=complex)  # writable copy
     n_max, m_cut = g.shape[0] - 1, g.shape[1] - 1
     _mirror_tail(params, (np.abs(g) ** 2).sum(axis=1), m_cut)
@@ -119,7 +126,7 @@ def _factored_propagate(state: np.ndarray, params: EvolutionParams) -> np.ndarra
     # 4175 (1997)): i(beta c^dag - beta* c) = P |beta| q P^*, q = V diag(w) V^T,
     # P = diag(u^k), u = i beta / |beta| from beta's phase (no division: zero
     # drive is safe), so D(n beta) g = P V (exp(-i n |beta| w) * (V^T P^* g))
-    _, w, v = _moment_table(m_cut)
+    w, v = _eigenpairs(m_cut)
     beta = params.disp_param
     pv = np.exp(1j * (cmath.phase(beta) + math.pi / 2) * np.arange(m_cut + 1))[:, None] * v
     y = g[1:] @ pv.conj()
@@ -127,6 +134,7 @@ def _factored_propagate(state: np.ndarray, params: EvolutionParams) -> np.ndarra
     g[1:] = y @ pv.T
     # then the Kerr phase
     g *= np.exp(1j * params.kerr_phase * np.arange(n_max + 1) ** 2)[:, None]
+    _warn_large_displacement(params.disp_param, n_max, m_cut, stacklevel=2)
     return g
 
 

@@ -102,22 +102,14 @@ def annihilation(cutoff: int) -> np.ndarray:
 
 def position(cutoff: int, sigma: float = 1.0) -> np.ndarray:
     """q = sigma (c + c^dag); sigma is the zero-point spread (1 = sigma units)."""
-    return sigma * _moment_table(cutoff)[0][0]
+    return sigma * _moment_table(cutoff)[0]
 
 
 @functools.lru_cache(maxsize=8)
-def _moment_table(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _moment_table(cutoff: int) -> np.ndarray:
     """The real, symmetric matrices of q = c + c^dag (:func:`position` in
-    sigma units) and q^2, stacked, and q's eigenpairs q = V diag(w) V^T,
-    built once per cutoff and kept read-only; Tr(rho q) is the elementwise
-    sum of Re(rho) q.
-
-    Every mirror displacement is D(beta) = P V exp(-i |beta| w) V^T P^* with
-    P diagonal and unimodular (:func:`optoweak.dynamics._factored_propagate`),
-    so it is unitary to rounding exactly when V is orthogonal and w is real:
-    raises :class:`TruncationError` unless max |V^T V - I| < ``unitary_atol``
-    and w is finite.
-    """
+    sigma units) and q^2, stacked, built once per cutoff and kept read-only;
+    Tr(rho q) is the elementwise sum of Re(rho) q."""
     c = annihilation(cutoff).real
     # the truncated q^2 in closed form, pentadiagonal: 2n + 1 on the diagonal
     # but N at the top level n = N, and sqrt((n + 1)(n + 2)) two off it
@@ -126,17 +118,8 @@ def _moment_table(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     i = np.arange(cutoff - 1)
     q2[i, i + 2] = q2[i + 2, i] = np.sqrt((i + 1.0) * (i + 2.0))
     qs = np.stack((c + c.T, q2))
-    w, v = _tridiagonal_eigh(np.sqrt(np.arange(1.0, cutoff + 1)))
-    # a BLAS product: about 13 times faster than einsum at cutoff 1000, and a
-    # process's first real one maps at most 256 KB, under 1% of a run's peak RSS
-    gram = v.T @ v
-    gram[np.diag_indices(cutoff + 1)] -= 1.0
-    dev = float(np.abs(gram, out=gram).max())
-    if not (dev < DEFAULT_TOL.unitary_atol and np.isfinite(w).all()):
-        raise TruncationError("displacement operator failed the unitarity check", dev)
-    for arr in (qs, w, v):
-        arr.setflags(write=False)
-    return qs, w, v
+    qs.setflags(write=False)
+    return qs
 
 
 def _warn_large_displacement(beta: complex, n_max: int, cutoff: int,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import EvolutionParams, _factored_propagate
+from .dynamics import EvolutionParams, _mirror_tail
 from .errors import DegenerateBranchError, InvariantError, LayoutError
 from .fock import (_moment_table, _tridiagonal_eigh, _unit, _warn_large_displacement,
                    coherent_state, cutoff_for_leakage)
@@ -31,9 +31,8 @@ PRESELECT_LEAKAGE = 1e-9
 # sqrt(C(2053, 1026)) is 0.75 of the largest float; sqrt(C(2054, 1027)) overflows
 MAX_RECOMBINER_DIM = 2054
 # complex dm^2-sized arrays that a cold exact point holds at once at large
-# mirror cutoffs (the moment and eigenvector tables, their eigensolver's
-# workspace, the mirror states and moments): 7.5-7.8 measured by tracemalloc
-# at mirror cutoffs 250-1000 and |alpha|^2 2
+# mirror cutoffs (the moment tables, the mirror states and moments): 7.0-7.3
+# measured by tracemalloc at mirror cutoffs 250-1000 and |alpha|^2 2
 _MIRROR_WORKSPACE = 8
 
 
@@ -102,20 +101,13 @@ class ProtocolOutcome:
     degenerate_reason: str | None = None
 
 
-def _arm(params: ProtocolParams) -> np.ndarray:
-    """One preselected arm |alpha/sqrt2>; the leakage check of every
-    preselection (arm a and arm b of both engines) happens here."""
-    return coherent_state(params.alpha / math.sqrt(2.0), params.n_opt,
-                          leakage_tol=PRESELECT_LEAKAGE / 2)
-
-
-def _preselect_am(params: ProtocolParams) -> np.ndarray:
-    """|alpha/sqrt2>_a |0>_m as a (d, dm) ket, normalized over the whole
-    grid: the part of the preselected state that interacts.  Arm b stays
-    coherent and is rebuilt at recombination."""
-    vacuum = np.zeros(params.mirror_cutoff + 1, dtype=complex)
-    vacuum[0] = 1.0
-    return _unit(np.multiply.outer(_arm(params), vacuum))
+def _arm(drive: ProtocolParams) -> np.ndarray:
+    """Unit-norm amplitudes of a preselected arm |alpha/sqrt2>, the start of both
+    engines' stages, after the leakage check and the mirror-tail check they share."""
+    beta = _unit(coherent_state(drive.alpha / math.sqrt(2.0), drive.n_opt,
+                                leakage_tol=PRESELECT_LEAKAGE / 2))
+    _mirror_tail(drive.evolution, np.abs(beta) ** 2, drive.mirror_cutoff)
+    return beta
 
 
 def _drive(params: ProtocolParams) -> ProtocolParams:
@@ -128,15 +120,26 @@ def _drive(params: ProtocolParams) -> ProtocolParams:
 @functools.lru_cache(maxsize=8)
 def _evolved_ket(drive: ProtocolParams) -> tuple[np.ndarray, float, np.ndarray]:
     """The delta-free front half of :func:`run_protocol`: the evolved (a, m)
-    ket grid, its norm^2 and arm b's amplitudes, for a :func:`_drive` key.
+    ket grid, its norm^2 (1 minus the mirror tail) and arm b's amplitudes,
+    for a :func:`_drive` key.
+
+    The mirror starts in vacuum, so block n of arm a maps |n>|0> to e^{i K n^2}
+    |n phi> (Bose, Jacobs & Knight, PRA 56, 4175 (1997)): psi[n, m] = beta[n]
+    e^{i K n^2} e^{-|n phi|^2/2} (n phi)^m / sqrt(m!), exact on the kept
+    levels, K = ``kerr_phase``, phi = ``disp_param``.  Rows are running products
+    along m with e^{-|n phi|^2/4} at each end, so none overflows or flushes to zero.
 
     A miss runs the preselection leakage and mirror-tail checks; the cache
     keeps no exception, so a failing key raises on every call.  Eight
     entries of d dm + d complex numbers, read-only because every caller
     shares them.
     """
-    psi = _factored_propagate(_preselect_am(drive), drive.evolution)
-    beta = _unit(_arm(drive))
+    beta, ev = _arm(drive), drive.evolution
+    n = np.arange(len(beta))
+    half = np.exp(-(n * ev.abs_disp) ** 2 / 4)
+    start = half * np.exp(1j * ev.kerr_phase * n ** 2) * beta
+    ratio = np.multiply.outer(n * ev.disp_param, np.arange(1.0, drive.mirror_cutoff + 1) ** -0.5)
+    psi = np.cumprod(np.hstack([start[:, None], ratio]), axis=1) * half[:, None]
     for arr in (psi, beta):
         arr.setflags(write=False)
     return psi, float(np.linalg.norm(psi)) ** 2, beta
@@ -224,7 +227,7 @@ def _outcomes(rho_m: np.ndarray, probs: np.ndarray, trace: float) -> Iterator[Pr
     (click), their traces ``probs`` and the (a, m) state's trace, in one array
     pass; a degenerate branch gets NaN moments, no mirror state and a reason.
     The recombiner is unitary, so trace - sum(probs) is P(2+ dark-port photons)."""
-    qs, _, _ = _moment_table(rho_m.shape[-1] - 1)
+    qs = _moment_table(rho_m.shape[-1] - 1)
     bad = probs < DEFAULT_TOL.degenerate_prob
     # element (i, j) and the conjugate of (j, i) are the same sums over the
     # same real 2p, so every mirror state is exactly Hermitian
@@ -267,9 +270,9 @@ def run_protocol(params: ProtocolParams) -> ProtocolOutcome:
     """Run the unitary pipeline and collect both dark-port branches (a
     one-delta :func:`_scan`).
 
-    The (a, m) ket evolves under the factored propagator (one cached real
-    eigendecomposition per mirror cutoff) and stays a ket up to the dark
-    port: x_j = W_j psi, with W from :func:`_bs_kernel`, is the (bright port
+    The (a, m) ket evolves in closed form, a coherent mirror state per
+    photon number of arm a (:func:`_evolved_ket`), and stays a ket up to the
+    dark port: x_j = W_j psi, with W from :func:`_bs_kernel`, is the (bright port
     c) x mirror ket left by dark-port outcome j, and tracing out c gives the
     unnormalized mirror state x_j^T x_j^*.  No (a, m) density matrix is
     formed; :func:`optoweak.dissipation._postselect` is the mixed-state

@@ -10,14 +10,14 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     # state / operator algebra
-    unitary_atol: float = 1e-9        # max |V^T V - I| of the eigenvectors behind every D(beta)
+    unitary_atol: float = 1e-9        # max |V^T V - I| of q's eigenvectors in the oracle's D(beta)
     coherent_leakage: float = 1e-10   # default allowed coherent-state leakage
     degenerate_prob: float = 1e-300   # below this a branch is degenerate
     # density matrices
     density_hermitian_atol: float = 1e-10
     # propagators
     dense_dim_cap: int = 4096         # dense cross-checks; squared, caps exact-engine arrays
-    propagate_leakage: float = 1e-9   # mirror tail allowed in factored_propagate
+    propagate_leakage: float = 1e-9   # mirror tail allowed in the engines and factored_propagate
     series_term_rtol: float = 1e-14   # Taylor series convergence cut
     series_max_terms: int = 200
     # parameter-regime warnings

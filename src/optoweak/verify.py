@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analytics
+from . import analytics, interferometer
 from .dissipation import LindbladParams, damped_protocol, evolve_master
 from .dynamics import (dense_propagator, evolution_params, factored_propagate,
                        weak_approx_propagate)
@@ -168,7 +168,7 @@ def check_exact_vs_analytic(res: CheckResult, optical_cutoff: int = 14,
 
 
 # --------------------------------------------------------------------------
-# 4. factored vs dense propagator
+# 4. factored vs dense propagator, and the engines' closed-form ket vs factored
 
 def _factored_block(k: float, wm_t: float, optical_cutoff: int, mirror_cutoff: int,
                    mirror_pad: int) -> np.ndarray:
@@ -194,6 +194,16 @@ def check_propagator_equivalence(res: CheckResult) -> None:
             worst = max(worst, dev)
             res.add(f"max |dU| k={k:g} wm_t={wm_t/math.pi:g}pi", dev, 1e-8)
     res.add("overall max deviation", worst, 1e-8)
+    # the stage production runs, looked up on its module at call time, against
+    # the oracle on the vacuum mirror it starts from, padded as above
+    worst = 0.0
+    for alpha2, k, wm_t, mirror in ((30.0, 0.005, math.pi, 10), (12.0, 0.02, math.pi / 2, 20),
+                                    (2.0, 0.2, math.pi, 110)):
+        drive = interferometer._drive(_params(alpha2, 0.0, k, wm_t, mirror_cutoff=mirror))
+        psi, _, beta = interferometer._evolved_ket(drive)
+        ref = factored_propagate(np.multiply.outer(beta, _vacuum(mirror + pad)), drive.evolution)
+        worst = max(worst, float(np.abs(psi - ref[:, :mirror + 1]).max()))
+    res.add("production ket vs factored_propagate", worst, 1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -205,8 +215,7 @@ def check_no_postselection_bound(res: CheckResult, mirror_cutoff: int = 12) -> N
 
     def shift(k: float, wm_t: float) -> float:
         """<q> of the one-photon block m; the vacuum's <q> is exactly 0."""
-        psi = np.zeros((2, mirror_cutoff + 1), dtype=complex)
-        psi[1, 0] = 1.0
+        psi = np.multiply.outer([0.0, 1.0], _vacuum(mirror_cutoff))  # |1>_a |0>_m
         m = factored_propagate(psi, evolution_params(k, wm_t))[1]
         return float((m.conj() @ q @ m).real / (m.conj() @ m).real)
 
@@ -270,10 +279,8 @@ def check_dissipation_robustness(res: CheckResult, optical_cutoff: int = 12,
     res.add("gamma=0 vs unitary pipeline, p_click",
             abs(undamped.p_click - unitary.p_click), 1e-8)
 
-    # integrator health on the damped a-m segment
-    arm = coherent_state(complex(math.sqrt(alpha2 / 2)), optical_cutoff, leakage_tol=1.0)
-    psi = np.multiply.outer(arm, _vacuum(mirror_cutoff))
-    psi = psi / np.linalg.norm(psi)
+    # integrator health on the damped a-m segment, from the engines' start
+    psi = np.multiply.outer(interferometer._arm(params), _vacuum(mirror_cutoff))
     lb = LindbladParams(gamma=gamma, base=params.evolution)
     rho = evolve_master(np.multiply.outer(psi, psi.conj()), lb, wm_t).reshape(psi.size, -1)
     res.add("trace drift", abs(float(np.trace(rho).real) - 1.0), 1e-9)

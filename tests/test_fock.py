@@ -19,7 +19,7 @@ from optoweak import (EvolutionParams, LayoutError, LindbladParams, ProtocolPara
                       TruncationError, annihilation, coherent_state, evolution_params,
                       evolve_master, factored_propagate, position, poisson_tail,
                       run_protocol)
-from optoweak import dissipation
+from optoweak import dissipation, dynamics
 from optoweak import fock as fock_mod
 from optoweak import interferometer
 from optoweak.fock import _tridiagonal_eigh, _unit
@@ -209,15 +209,15 @@ class TestOperators:
         # oracle squares q = c + c^dag by a matrix product
         c = annihilation(cutoff).real
         q = c + c.T
-        qs = fock_mod._moment_table(cutoff)[0]
+        qs = fock_mod._moment_table(cutoff)
         assert np.array_equal(qs[0], q)
         ref = q @ q
         assert np.abs(qs[1] - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
 
 
 class TestDisplacement:
-    # D(n beta) as the production propagator applies it, row by row in the
-    # eigenbasis of q that fock._moment_table keeps once per mirror cutoff
+    # D(n beta) as the oracle factored_propagate applies it, row by row in the
+    # eigenbasis of q that dynamics._eigenpairs keeps once per mirror cutoff
     def test_zero_is_identity(self):
         g = random_grid((4, 6))
         assert np.abs(kicked(g, 0.0) - g).max() < 1e-14
@@ -249,20 +249,28 @@ class TestDisplacement:
     def test_eigenpairs_fail_the_unitarity_check(self, monkeypatch, skew):
         # every D(n beta) = P V e^{-i n |beta| w} V^T P^* inherits its
         # deviation from V, so skewed eigenvectors or non-finite eigenvalues
-        # fail the one check on the cached eigenpairs, wherever they are used
-        real_eigh = fock_mod._tridiagonal_eigh
+        # fail the one check on the oracle's cached eigenpairs; run_protocol
+        # never reads them and returns the unskewed outcome bit for bit
+        params = ProtocolParams(alpha=complex(math.sqrt(2.0)), delta=0.005,
+                                evolution=evolution_params(0.005, math.pi))
+        interferometer._evolved_ket.cache_clear()
+        ref = run_protocol(params)
+        real_eigh = dynamics._tridiagonal_eigh
 
         def skewed_eigh(off):
             w, v = real_eigh(off)
             return (w, 1.5 * v) if skew == "vectors" else (w * np.nan, v)
-        monkeypatch.setattr(fock_mod, "_tridiagonal_eigh", skewed_eigh)
-        fock_mod._moment_table.cache_clear()
+        monkeypatch.setattr(dynamics, "_tridiagonal_eigh", skewed_eigh)
+        dynamics._eigenpairs.cache_clear()
         interferometer._evolved_ket.cache_clear()
         with pytest.raises(TruncationError, match="unitarity"):
             kicked(random_grid((3, 7)), 0.1)
-        with pytest.raises(TruncationError, match="unitarity"):
-            run_protocol(ProtocolParams(alpha=complex(math.sqrt(2.0)), delta=0.005,
-                                        evolution=evolution_params(0.005, math.pi)))
+        out = run_protocol(params)
+        assert interferometer._evolved_ket.cache_info().misses == 1
+        for name in ("p_click", "p_noclick", "p_residual", "q_click", "q_noclick",
+                     "dq_click", "dq_noclick", "diff"):
+            assert getattr(out, name) == getattr(ref, name), name
+        assert np.array_equal(out.mirror_click, ref.mirror_click)
 
 
 def tridiagonal(off):

@@ -1,5 +1,6 @@
 """Protocol pipeline: preselection, recombination, postselection, weak values."""
 
+import cmath
 import functools
 import math
 import sys
@@ -17,10 +18,10 @@ from optoweak import (DEFAULT_TOL, DegenerateBranchError, LayoutError, LindbladP
                       run_protocol, weak_value_numeric)
 from optoweak import analytics as an
 from optoweak.dissipation import _evolved_rho
-from optoweak.dynamics import factored_propagate
+from optoweak.dynamics import _mirror_tail, factored_propagate
 from optoweak.fock import _moment_table, cutoff_for_leakage
-from optoweak.interferometer import (MAX_RECOMBINER_DIM, _arm, _bs_kernel, _bs_tables,
-                                     _evolved_ket, _preselect_am)
+from optoweak.interferometer import (MAX_RECOMBINER_DIM, _arm, _bs_kernel, _bs_tables, _drive,
+                                     _evolved_ket)
 from optoweak.sweep import iter_sweep_rows, load_config
 
 
@@ -33,10 +34,18 @@ def number(cutoff):
     return np.diag(np.arange(cutoff + 1.0))
 
 
+def preselect_am(params):
+    """|alpha/sqrt2>_a |0>_m as a (d, dm) ket of unit norm: the (a, m)
+    state both engines start from."""
+    vacuum = np.zeros(params.mirror_cutoff + 1, dtype=complex)
+    vacuum[0] = 1.0
+    return np.multiply.outer(_arm(params), vacuum)
+
+
 class TestPreselect:
     def test_zero_drive_gives_triple_vacuum(self):
         params = make_params(0.0, 0.01)
-        psi = _preselect_am(params)
+        psi = preselect_am(params)
         assert psi.shape == (params.n_opt + 1, params.mirror_cutoff + 1)
         assert psi[0, 0] == pytest.approx(1.0)
         assert _arm(params)[0] == pytest.approx(1.0)
@@ -44,7 +53,7 @@ class TestPreselect:
 
     def test_arm_mean_photon_number(self):
         params = make_params(2.0, 0.01)
-        weights = np.sum(np.abs(_preselect_am(params)) ** 2, axis=1)  # P(n_a)
+        weights = np.sum(np.abs(preselect_am(params)) ** 2, axis=1)  # P(n_a)
         assert weights @ np.arange(params.n_opt + 1) == pytest.approx(1.0, abs=1e-8)
 
     def test_norm_and_leakage(self):
@@ -52,6 +61,55 @@ class TestPreselect:
         arm = _arm(params)  # arms a and b alike
         assert np.linalg.norm(np.multiply.outer(arm, arm)) == pytest.approx(1.0, abs=1e-9)
         assert 1.0 - (1.0 - poisson_tail(params.alpha2 / 2, params.n_opt)) ** 2 < 1e-9
+
+
+class TestClosedFormKet:
+    FIELDS = ("p_click", "p_noclick", "p_residual", "q_click", "q_noclick",
+              "dq_click", "dq_noclick", "diff")
+
+    @pytest.mark.parametrize("alpha2, mirror", [(300.0, 60), (1000.0, 200)])
+    def test_matches_the_factored_oracle_at_scale(self, alpha2, mirror):
+        # n_opt 404 and 1190: the closed form against the eigenpair route on
+        # the vacuum mirror both start from (both warn: |n_opt phi|^2 is not
+        # small against the mirror cutoff, yet the tail check passes)
+        params = make_params(alpha2, 0.0, mirror_cutoff=mirror)
+        psi, norm2, beta = _evolved_ket(_drive(params))
+        with pytest.warns(UserWarning, match=f"not small against cutoff {mirror}"):
+            ref = factored_propagate(preselect_am(params), params.evolution)
+        assert np.abs(psi - ref).max() < 1e-13
+        assert norm2 == pytest.approx(1.0, abs=1e-13)
+
+    def test_keeps_every_row_at_the_largest_mirror_cutoff(self):
+        # mirror cutoff 1447, the largest sweep's guard admits, with the top
+        # row displaced by |12 phi|^2 = 1474.6 (phi = 3.2): the mirror tail is
+        # 5.8e-10 of the 1e-9 budget.  e^{-|n phi|^2/2} alone underflows there
+        # (a row built from it lost 1.9e-10 of norm^2) and (n phi)^m / sqrt(m!)
+        # alone overflows; the kept ket is finite and its norm^2 is 1 minus
+        # the reported tail (the stage alone: a point would hold 7.3 dm^2
+        # complex entries, 245 MB)
+        params = make_params(2.0, 0.0, k=1.6, mirror_cutoff=1447)
+        psi, norm2, beta = _evolved_ket(_drive(params))
+        tail = _mirror_tail(params.evolution, np.abs(beta) ** 2, 1447)
+        assert 5e-10 < tail < DEFAULT_TOL.propagate_leakage
+        assert np.isfinite(psi).all()
+        assert norm2 == pytest.approx(1.0 - tail, abs=1e-12)
+        assert np.linalg.norm(psi[-1]) ** 2 > 1e-10  # the top row survives
+
+    @pytest.mark.parametrize("engine", ["unitary", "damped"])
+    def test_outputs_do_not_depend_on_the_drive_phase(self, engine):
+        # both arms share the drive's phase: alpha -> alpha e^{0.7i} puts
+        # e^{0.7i N} on the recombined block of total photon number N, which
+        # every dark-port outcome's mirror state drops
+        def run(alpha):
+            params = ProtocolParams(alpha=alpha, delta=0.03,
+                                    evolution=evolution_params(0.02, math.pi),
+                                    optical_cutoff=27, mirror_cutoff=7)
+            return run_protocol(params) if engine == "unitary" else damped_protocol(params, 1e-3)
+        real, turned = run(complex(math.sqrt(12.0))), run(math.sqrt(12.0) * cmath.exp(0.7j))
+        for name in self.FIELDS:
+            assert getattr(turned, name) == pytest.approx(getattr(real, name), abs=1e-13), name
+        for name in ("mirror_click", "mirror_noclick"):
+            assert np.abs(getattr(turned, name) - getattr(real, name)).max() < 1e-13, name
 
 
 def beam_splitter(theta, cutoff):
@@ -212,8 +270,8 @@ class TestBeamSplitter:
             _bs_tables.cache_clear()  # about 100 MB
 
     def test_no_production_path_runs_a_lapack_eigensolver(self, monkeypatch):
-        # the recombiner tables and q's eigenpairs, which displace the mirror,
-        # use the LAPACK-free fock._tridiagonal_eigh; complex or real, eigh raises here
+        # the recombiner tables use the LAPACK-free fock._tridiagonal_eigh
+        # and the mirror needs no eigenpairs; complex or real, eigh raises here
         def no_eigh(m, *args, **kwargs):
             raise AssertionError(f"eigh of a {np.asarray(m).dtype} matrix on a production path")
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
@@ -517,7 +575,7 @@ def density_route(params, rho_am):
     for the ket path of :func:`run_protocol` and the batched contraction of
     the damped engine."""
     beta = _arm(params)
-    w = _bs_kernel(np.array([math.pi / 4 + params.delta]), beta / np.linalg.norm(beta))[0]
+    w = _bs_kernel(np.array([math.pi / 4 + params.delta]), beta)[0]
     m = w.transpose(0, 2, 1) @ w.conj()
     rho_a = np.trace(rho_am, axis1=1, axis2=3)
     probs = np.einsum("jnk,nk->j", m, rho_a).real
@@ -541,7 +599,7 @@ class TestKetPostselection:
     @pytest.mark.parametrize("delta", [0.001, 0.005, 0.03])
     def test_ket_matches_density_route(self, alpha2, delta):
         params = make_params(alpha2, delta)
-        psi = factored_propagate(_preselect_am(params), params.evolution)
+        psi = factored_propagate(preselect_am(params), params.evolution)
         ref = density_route(params, np.multiply.outer(psi, psi.conj()))
         out = run_protocol(params)
         for name in self.PROBS:
@@ -552,7 +610,7 @@ class TestKetPostselection:
     @pytest.mark.parametrize("delta", [0.001, 0.005, 0.01, 0.03, 0.05])
     def test_damped_contraction_matches_density_route(self, delta):
         params = make_params(2.0, delta, optical_cutoff=12, mirror_cutoff=3)
-        psi = _preselect_am(params)
+        psi = preselect_am(params)
         rho = evolve_master(np.multiply.outer(psi, psi.conj()),
                             LindbladParams(gamma=5e-7, base=params.evolution),
                             params.evolution.wm_t)
@@ -566,7 +624,7 @@ class TestKetPostselection:
         # each delta once as a stage miss, once as a hit after another delta
         scan = [make_params(2.0, delta, optical_cutoff=cutoffs[0], mirror_cutoff=cutoffs[1])
                 for delta in (0.001, 0.005, 0.01, 0.03, 0.05)]
-        psi = _preselect_am(scan[0])
+        psi = preselect_am(scan[0])
         rho = evolve_master(np.multiply.outer(psi, psi.conj()),
                             LindbladParams(gamma=5e-7, base=scan[0].evolution),
                             scan[0].evolution.wm_t)

@@ -32,6 +32,31 @@ def test_library_does_not_import_scipy():
     assert SOURCES and found == []
 
 
+def test_oracles_stay_out_of_production():
+    # factored_propagate (through q's eigenpairs) and dense_propagator are
+    # the oracles the engines' closed-form ket is checked against: only
+    # dynamics, which defines them, and verify, which compares them, may name
+    # them (the package root re-exports the public two), so neither can
+    # quietly become production again
+    oracles = {"factored_propagate", "dense_propagator", "_eigenpairs"}
+
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name
+
+    found = [f"{path.name}: {name}" for path in SOURCES
+             if path.name not in ("dynamics.py", "verify.py", "__init__.py")
+             for name in names(ast.parse(path.read_text(encoding="utf-8"))) if name in oracles]
+    assert {"interferometer.py", "dissipation.py", "sweep.py", "cli.py",
+            "analytics.py"} <= {path.name for path in SOURCES}
+    assert found == []
+
+
 def test_measurement_layer_is_gone():
     # the engines contract plain arrays directly; neither the labelled
     # operator layer nor the labelled state layer may come back as dead

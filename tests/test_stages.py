@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from optoweak import (LindbladParams, ProtocolParams, TruncationError, damped_protocol,
-                      dissipation, evolution_params, evolve_master, fock, run_protocol,
-                      sweep)
+                      dissipation, dynamics, evolution_params, evolve_master, fock,
+                      interferometer, run_protocol, sweep)
 from optoweak.dissipation import _damped_scan, _evolved_rho
 from optoweak.fock import _moment_table
 from optoweak.interferometer import (_MIRROR_WORKSPACE, _drive, _evolved_ket, _outcomes,
@@ -188,10 +188,9 @@ def test_one_delta_scan_is_run_protocol_and_warns_at_the_caller():
 
 
 def test_cold_point_holds_the_mirror_working_set_the_guard_counts():
-    # |alpha|^2 2 (d = 13) at mirror cutoff 250 with q's eigenpairs and the
-    # ket stage cold: 7.8 dm^2 complex entries at once, 7.5 MiB (a stack of
-    # every D(n phi) and its unitarity check took 39.2 MiB), within the
-    # _MIRROR_WORKSPACE dm^2 entries sweep's feasibility guard counts
+    # |alpha|^2 2 (d = 13) at mirror cutoff 250 with the moment tables and
+    # the ket stage cold: 7.3 dm^2 complex entries at once, 7.0 MiB, within
+    # the _MIRROR_WORKSPACE dm^2 entries sweep's feasibility guard counts
     params = make_params(2.0, 0.005, mirror_cutoff=250)
     _moment_table.cache_clear()
     _evolved_ket.cache_clear()
@@ -213,24 +212,35 @@ def test_scan_slices_count_the_mirror_dimension():
     assert peak < 200 * 2 * 16 * 81 ** 2 + 4 * 2 ** 20
 
 
-def test_one_eigendecomposition_per_mirror_cutoff(monkeypatch):
-    # q's eigenpairs depend on the mirror cutoff alone: a sweep over five
-    # drives misses the ket stage five times and decomposes q once per mirror
-    # cutoff (the recombiner's eigensolver is fock's too, but bound at import)
+def test_exact_sweep_decomposes_q_zero_times(monkeypatch):
+    # the ket is written in closed form: a sweep over five drives and two
+    # mirror cutoffs, run_protocol and damped_protocol never build q's
+    # eigenpairs (their builder raises here), and only the recombiner's truncated block N = d,
+    # n_opt states, reaches the eigensolver, once per optical cutoff
     calls = []
-    real_eigh = fock._tridiagonal_eigh
-    monkeypatch.setattr(fock, "_tridiagonal_eigh",
-                        lambda off: calls.append(len(off) + 1) or real_eigh(off))
-    _moment_table.cache_clear()
+    for module in (fock, dynamics, interferometer):
+        real_eigh = module._tridiagonal_eigh
+        monkeypatch.setattr(module, "_tridiagonal_eigh",
+                            lambda off, name=module.__name__, real_eigh=real_eigh:
+                            calls.append((name, len(off) + 1)) or real_eigh(off))
+
+    def no_eigenpairs(cutoff):
+        raise AssertionError(f"q's eigenpairs built at mirror cutoff {cutoff}")
+    monkeypatch.setattr(dynamics, "_eigenpairs", no_eigenpairs)
+    for cache in (interferometer._bs_tables, _moment_table, _evolved_rho):
+        cache.cache_clear()
+    alpha2s = [0.5, 1.0, 2.0, 3.0, 4.0]
     for mirror in (6, 7):
         _evolved_ket.cache_clear()
         cfg = load_config(None, overrides={
-            "engine": "exact", "cutoffs": {"mirror": mirror},
-            "axes": {"delta": [0.005, 0.01], "alpha2": [0.5, 1.0, 2.0, 3.0, 4.0]}},
-            default_mode="sweep")
-        assert len(list(iter_sweep_rows(cfg))) == 10
+            "engine": "both", "cutoffs": {"mirror": mirror},
+            "axes": {"delta": [0.005, 0.01], "alpha2": alpha2s}}, default_mode="sweep")
+        assert len(list(iter_sweep_rows(cfg))) == 20
         assert _evolved_ket.cache_info().misses == 5
-    assert calls == [7, 8]
+    run_protocol(make_params(2.0, 0.01, mirror_cutoff=9))
+    damped(make_params(2.0, 0.01, optical_cutoff=12, mirror_cutoff=3))
+    n_opts = {make_params(a2, 0.0).n_opt for a2 in alpha2s} | {12}
+    assert sorted(calls) == [("optoweak.interferometer", n) for n in sorted(n_opts)]
 
 
 EXACT_COLUMNS = (("p_click", "p_click"), ("p_noclick", "p_noclick"),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from optoweak import dynamics, verify
+from optoweak import interferometer, verify
 
 
 def test_table1_delta_mismatch_is_a_failing_clause(monkeypatch):
@@ -16,21 +16,23 @@ def test_table1_delta_mismatch_is_a_failing_clause(monkeypatch):
     assert failed[0].measured == 1.0
 
 
-def test_propagator_check_watches_the_production_propagator(monkeypatch):
-    # dropping the Kerr phase from the propagator both engines run must fail
-    # check 4, so the check compares the oracle with that code, not a copy
-    production = dynamics._factored_propagate
+def test_propagator_check_watches_the_production_ket(monkeypatch):
+    # dropping the Kerr phase from the closed-form stage production runs must
+    # fail check 4's production-ket clause, so that clause reads that stage,
+    # not a copy; the oracle-vs-oracle clauses do not see the change
+    production = interferometer._evolved_ket
 
-    def without_kerr(state, params):
-        out = production(state, params)
-        n = np.arange(out.shape[0])
-        return out * np.exp(-1j * params.kerr_phase * n ** 2)[:, None]
-    monkeypatch.setattr(dynamics, "_factored_propagate", without_kerr)
+    def without_kerr(drive):
+        psi, norm2, beta = production(drive)
+        n = np.arange(len(psi))
+        return psi * np.exp(-1j * drive.evolution.kerr_phase * n ** 2)[:, None], norm2, beta
+    monkeypatch.setattr(interferometer, "_evolved_ket", without_kerr)
     res = verify.check_propagator_equivalence()
     assert res.error is None
-    assert not res.passed
-    overall = next(c for c in res.clauses if c.name == "overall max deviation")
-    assert overall.measured > 0.1
+    failed = [c for c in res.clauses if not c.ok]
+    assert [c.name for c in failed] == ["production ket vs factored_propagate"]
+    assert failed[0].measured > 0.1
+    assert {c.name for c in res.clauses} >= {"overall max deviation", "max |dU| k=0.1 wm_t=1pi"}
 
 
 @pytest.mark.parametrize("check, clause, measured", [
