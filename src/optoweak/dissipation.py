@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EvolutionParams, _hamiltonian
+from .dynamics import EvolutionParams
 from .errors import LayoutError
 from .fock import _hermitian, annihilation
 from .interferometer import ProtocolOutcome, ProtocolParams, _arm, _drive, _outcomes, _recombined
@@ -51,24 +51,6 @@ def _density_matrix(rho: np.ndarray) -> tuple[int, int, np.ndarray]:
     if not _hermitian(r, DEFAULT_TOL.density_hermitian_atol):
         raise LayoutError("density matrix is not Hermitian within tolerance")
     return da, dm, r
-
-
-def lindblad_rhs(rho: np.ndarray, params: LindbladParams) -> np.ndarray:
-    """-i[H, rho] + (gamma/2)(2 c rho c^dag - c^dag c rho - rho c^dag c) for
-    an (a, m) density matrix ``rho`` of shape (da, dm, da, dm).
-
-    Returns the derivative in that shape (it is traceless and Hermitian, not
-    a density matrix).
-    """
-    da, dm, r = _density_matrix(rho)
-    h = _hamiltonian(da, dm - 1, params.base.k)
-    c = np.kron(np.eye(da), annihilation(dm - 1))
-    out = -1j * (h @ r - r @ h)
-    if params.gamma != 0.0:
-        cd = c.conj().T
-        cdc = cd @ c
-        out = out + (params.gamma / 2.0) * (2.0 * c @ r @ cd - cdc @ r - r @ cdc)
-    return out.reshape(da, dm, da, dm)
 
 
 # Pade [13/13] coefficients b_0 .. b_13 of exp (Higham, SIAM J. Matrix Anal.

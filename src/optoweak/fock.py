@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 
 import numpy as np
 
@@ -120,18 +119,6 @@ def _moment_table(cutoff: int) -> np.ndarray:
     qs = np.stack((c + c.T, q2))
     qs.setflags(write=False)
     return qs
-
-
-def _warn_large_displacement(beta: complex, n_max: int, cutoff: int,
-                             stacklevel: int) -> None:
-    """Warn when the largest displacement |n_max beta|^2 of a propagation is
-    not small against the cutoff.  ``stacklevel`` counts from the caller, so 2
-    reports the line that called the caller."""
-    big = abs(n_max * beta) ** 2
-    if big > DEFAULT_TOL.displacement_warn_ratio * max(cutoff, 1):
-        warnings.warn(
-            f"displacement |beta|^2={big:.3g} is not small against cutoff {cutoff}",
-            stacklevel=stacklevel + 1)
 
 
 def _tridiagonal_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -23,8 +23,7 @@ import numpy as np
 
 from .dynamics import EvolutionParams, _mirror_tail
 from .errors import DegenerateBranchError, InvariantError, LayoutError
-from .fock import (_moment_table, _tridiagonal_eigh, _unit, _warn_large_displacement,
-                   coherent_state, cutoff_for_leakage)
+from .fock import _moment_table, _tridiagonal_eigh, _unit, coherent_state, cutoff_for_leakage
 from .tolerances import DEFAULT_TOL
 
 PRESELECT_LEAKAGE = 1e-9
@@ -252,14 +251,10 @@ def _outcomes(rho_m: np.ndarray, probs: np.ndarray, trace: float) -> Iterator[Pr
 def _scan(points: list[ProtocolParams]) -> Iterator[ProtocolOutcome]:
     """:func:`run_protocol` at each delta of ``points``, which share one
     :func:`_drive` key and were each built, so checked, by the caller.  On
-    first use: one stage lookup and one displacement warning (at the caller's
-    caller), then the recombiner (:func:`_recombined`) and :func:`_outcomes`
-    per slice, whose outcomes it yields in order, so only one slice's mirror
-    states are alive at a time."""
-    drive = _drive(points[0])
-    grid, norm2, beta = _evolved_ket(drive)
-    _warn_large_displacement(drive.evolution.disp_param, drive.optical_cutoff,
-                             drive.mirror_cutoff, stacklevel=3)
+    first use: one stage lookup, then the recombiner (:func:`_recombined`)
+    and :func:`_outcomes` per slice, whose outcomes it yields in order, so
+    only one slice's mirror states are alive at a time."""
+    grid, norm2, beta = _evolved_ket(_drive(points[0]))
     for w in _recombined(points, beta):
         x = w @ grid
         probs = (x.real ** 2 + x.imag ** 2).sum(axis=(2, 3))
@@ -277,8 +272,7 @@ def run_protocol(params: ProtocolParams) -> ProtocolOutcome:
     unnormalized mirror state x_j^T x_j^*.  No (a, m) density matrix is
     formed; :func:`optoweak.dissipation._postselect` is the mixed-state
     route.  The stage :func:`_evolved_ket` evolves the ket once per drive
-    and cutoffs.  The warning that the largest mirror displacement is not
-    small against the cutoff fires on every call.
+    and cutoffs.
     """
     return next(_scan([params]))
 

@@ -20,10 +20,10 @@ import numpy as np
 
 from . import analytics, interferometer
 from .dissipation import LindbladParams, damped_protocol, evolve_master
-from .dynamics import (dense_propagator, evolution_params, factored_propagate,
-                       weak_approx_propagate)
+from .dynamics import evolution_params
 from .fock import coherent_state, position
 from .interferometer import ProtocolParams, _scan, run_protocol, weak_value_numeric
+from .oracle import dense_propagator, factored_propagate, weak_approx_propagate
 from .sweep import TABLE1_DELTAS, run_table1
 
 

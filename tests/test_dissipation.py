@@ -11,9 +11,9 @@ from scipy.linalg import expm
 
 from optoweak import (LindbladParams, LayoutError, ProtocolParams, TruncationError,
                       coherent_state, damped_protocol, evolution_params, evolve_master,
-                      lindblad_rhs, run_protocol)
+                      run_protocol)
 from optoweak.dissipation import _EXPM_WORKSPACE, _THETA13, _evolve_blocks, _expm
-from optoweak.dynamics import _hamiltonian, factored_propagate
+from optoweak.oracle import _hamiltonian, factored_propagate, lindblad_rhs
 
 
 def mirror_number(rho):

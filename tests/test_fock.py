@@ -19,7 +19,7 @@ from optoweak import (EvolutionParams, LayoutError, LindbladParams, ProtocolPara
                       TruncationError, annihilation, coherent_state, evolution_params,
                       evolve_master, factored_propagate, position, poisson_tail,
                       run_protocol)
-from optoweak import dissipation, dynamics
+from optoweak import dissipation, oracle
 from optoweak import fock as fock_mod
 from optoweak import interferometer
 from optoweak.fock import _tridiagonal_eigh, _unit
@@ -217,7 +217,7 @@ class TestOperators:
 
 class TestDisplacement:
     # D(n beta) as the oracle factored_propagate applies it, row by row in the
-    # eigenbasis of q that dynamics._eigenpairs keeps once per mirror cutoff
+    # eigenbasis of q that oracle._eigenpairs keeps once per mirror cutoff
     def test_zero_is_identity(self):
         g = random_grid((4, 6))
         assert np.abs(kicked(g, 0.0) - g).max() < 1e-14
@@ -255,13 +255,13 @@ class TestDisplacement:
                                 evolution=evolution_params(0.005, math.pi))
         interferometer._evolved_ket.cache_clear()
         ref = run_protocol(params)
-        real_eigh = dynamics._tridiagonal_eigh
+        real_eigh = oracle._tridiagonal_eigh
 
         def skewed_eigh(off):
             w, v = real_eigh(off)
             return (w, 1.5 * v) if skew == "vectors" else (w * np.nan, v)
-        monkeypatch.setattr(dynamics, "_tridiagonal_eigh", skewed_eigh)
-        dynamics._eigenpairs.cache_clear()
+        monkeypatch.setattr(oracle, "_tridiagonal_eigh", skewed_eigh)
+        oracle._eigenpairs.cache_clear()
         interferometer._evolved_ket.cache_clear()
         with pytest.raises(TruncationError, match="unitarity"):
             kicked(random_grid((3, 7)), 0.1)

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import optoweak
@@ -33,28 +34,49 @@ def test_library_does_not_import_scipy():
 
 
 def test_oracles_stay_out_of_production():
-    # factored_propagate (through q's eigenpairs) and dense_propagator are
-    # the oracles the engines' closed-form ket is checked against: only
-    # dynamics, which defines them, and verify, which compares them, may name
-    # them (the package root re-exports the public two), so neither can
-    # quietly become production again
-    oracles = {"factored_propagate", "dense_propagator", "_eigenpairs"}
+    # the reference propagators are defined in oracle.py alone, and only
+    # verify, which compares the engines against them, and the package root,
+    # which re-exports them, import it, so no oracle can quietly become
+    # production again
+    oracles = {"factored_propagate", "_eigenpairs", "dense_propagator", "_hamiltonian",
+               "weak_approx_propagate", "lindblad_rhs"}
 
-    def names(tree):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                yield node.id
-            elif isinstance(node, ast.Attribute):
-                yield node.attr
-            elif isinstance(node, ast.alias):
-                yield node.name
+    def imports_oracle(node):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            return (module in (".oracle", "optoweak.oracle")
+                    or module in (".", "optoweak") and any(a.name == "oracle" for a in node.names))
+        return isinstance(node, ast.Import) and any(a.name == "optoweak.oracle"
+                                                    for a in node.names)
 
-    found = [f"{path.name}: {name}" for path in SOURCES
-             if path.name not in ("dynamics.py", "verify.py", "__init__.py")
-             for name in names(ast.parse(path.read_text(encoding="utf-8"))) if name in oracles]
-    assert {"interferometer.py", "dissipation.py", "sweep.py", "cli.py",
-            "analytics.py"} <= {path.name for path in SOURCES}
-    assert found == []
+    imported, defined = [], []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if imports_oracle(node) and path.name not in ("oracle.py", "verify.py",
+                                                          "__init__.py"):
+                imported.append(f"{path.name}:{node.lineno}")
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in oracles
+                    and path.name != "oracle.py"):
+                defined.append(f"{path.name}: {node.name}")
+    assert {"oracle.py", "interferometer.py", "dissipation.py", "dynamics.py", "sweep.py",
+            "cli.py"} <= {path.name for path in SOURCES}
+    assert imported == [] and defined == []
+
+
+def test_dynamics_holds_only_the_shared_parameters():
+    # the engines' closed-form ket and block integrator need only these
+    tree = ast.parse(inspect.getsource(optoweak.dynamics))
+    defs = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defs == {"EvolutionParams", "evolution_params", "_mirror_tail"}
+
+
+def test_readme_layout_names_every_module():
+    # the README's src/optoweak/ block lists each module, and only modules
+    # that exist (the package marker __init__.py aside)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```\nsrc/optoweak/\n", 1)[1].split("```", 1)[0]
+    listed = set(re.findall(r"^  (\w+\.py) ", block, flags=re.M))
+    assert listed == {path.name for path in SOURCES} - {"__init__.py"}
 
 
 def test_measurement_layer_is_gone():
@@ -77,7 +99,7 @@ def test_benchmark_api_exists():
     # the names and argument names the benchmark harness calls or wraps
     from optoweak import dissipation, dynamics, fock, interferometer, sweep
     for owner, names in ((fock, ("coherent_state",)),
-                         (dynamics, ("factored_propagate", "evolution_params")),
+                         (dynamics, ("evolution_params",)),
                          (dissipation, ("evolve_master", "damped_protocol")),
                          (interferometer, ("ProtocolParams", "run_protocol")),
                          (sweep, ("load_config", "write_csv", "iter_sweep_rows"))):
