@@ -163,7 +163,7 @@ def _evolved_rho(drive: ProtocolParams, gamma: float
     """The delta-free front half of :func:`damped_protocol`, for a
     :func:`optoweak.interferometer._drive` key and gamma: the evolved (a, m)
     density matrix as one (d^2, dm^2) array in (n n', m m') order, the
-    contraction order of :func:`_postselect`, its
+    contraction order of :func:`_damped_scan`, its
     partial trace rho_a over the mirror, rho_a's trace and arm b's amplitudes.
 
     A miss runs the preselection leakage and mirror-tail checks; the cache
@@ -185,30 +185,23 @@ def _evolved_rho(drive: ProtocolParams, gamma: float
     return pairs, rho_a, float(np.trace(rho_a).real), beta
 
 
-def _postselect(points: list[ProtocolParams], rho: np.ndarray, rho_a: np.ndarray,
-                trace: float, beta: np.ndarray) -> Iterator[ProtocolOutcome]:
-    """Recombine, postselect on the dark port and collect mirror statistics
-    of a mixed (a, m) state at each delta of ``points`` (one drive): the
-    damped engine's route.  ``rho`` is the evolved (a, m) density matrix as
-    a (d^2, dm^2) array in (n n', m m') order, ``rho_a`` its partial trace
-    over the mirror, ``trace`` the trace of rho_a and ``beta`` arm b's
-    amplitudes.  With W from :func:`optoweak.interferometer._bs_kernel` the
-    dark-port outcome j leaves the mirror in sum_{n n'} M_j[n, n'] rho[n n', :],
-    M_j[n, n'] = sum_c W[j, c, n] W*[j, c, n'], one product per slice of
-    deltas, with probability Tr(M_j rho_a).  The bright port is never
-    conditioned, which equals tracing it out."""
-    dm = points[0].mirror_cutoff + 1
-    for w in _recombined(points, beta):
+def _damped_scan(drive: ProtocolParams, deltas, gamma: float) -> Iterator[ProtocolOutcome]:
+    """:func:`damped_protocol` at ``drive`` (its delta unread), ``gamma``
+    and each of ``deltas``, yielded in order: on first use one stage lookup
+    (:func:`_evolved_rho`), then per slice of deltas the mixed-state route of
+    recombination, dark-port postselection and mirror statistics.  With W
+    from :func:`optoweak.interferometer._bs_kernel` the dark-port outcome j
+    leaves the mirror in sum_{n n'} M_j[n, n'] rho[n n', :],
+    M_j[n, n'] = sum_c W[j, c, n] W*[j, c, n'], with probability
+    Tr(M_j rho_a).  The bright port is never conditioned, which equals
+    tracing it out."""
+    rho, rho_a, trace, beta = _evolved_rho(_drive(drive), gamma)
+    dm = drive.mirror_cutoff + 1
+    for w in _recombined(deltas, beta, dm):
         m = w.transpose(0, 1, 3, 2) @ w.conj()  # M_j[n, n'], as a BLAS batch
         rho_m = (m.reshape(len(w), 2, -1) @ rho).reshape(-1, 2, dm, dm)
         probs = np.einsum("tjnk,nk->tj", m, rho_a).real
         yield from _outcomes(rho_m, probs, trace)
-
-
-def _damped_scan(points: list[ProtocolParams], gamma: float) -> Iterator[ProtocolOutcome]:
-    """:func:`damped_protocol` at each delta of ``points`` (one drive),
-    yielded in order: on first use one stage lookup, then :func:`_postselect`."""
-    yield from _postselect(points, *_evolved_rho(_drive(points[0]), gamma))
 
 
 def damped_protocol(params: ProtocolParams, gamma: float) -> ProtocolOutcome:
@@ -221,4 +214,4 @@ def damped_protocol(params: ProtocolParams, gamma: float) -> ProtocolOutcome:
     comes from the stage :func:`_evolved_rho`, once per drive, cutoffs and
     gamma.
     """
-    return next(_damped_scan([params], gamma))
+    return next(_damped_scan(params, [params.delta], gamma))

@@ -209,15 +209,15 @@ def _bs_kernel(thetas: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return w
 
 
-def _recombined(points: list[ProtocolParams], beta: np.ndarray):
-    """W from :func:`_bs_kernel` over slices of ``points``, at their angles
+def _recombined(deltas, beta: np.ndarray, dm: int):
+    """W from :func:`_bs_kernel` over slices of ``deltas``, at their angles
     pi/4 + delta: max(1, 2^16 // (2 s^2)) angles, s = max(d, dm), so that W
     and each slice's mirror states (t, 2, dm, dm) stay near 1 MiB (one
     angle's from s = 129 on)."""
-    size = max(len(beta), points[0].mirror_cutoff + 1)
-    step = max(1, 2 ** 16 // (2 * size ** 2))
-    for lo in range(0, len(points), step):
-        yield _bs_kernel(np.array([math.pi / 4 + p.delta for p in points[lo:lo + step]]), beta)
+    thetas = math.pi / 4 + np.asarray(deltas, dtype=float)
+    step = max(1, 2 ** 16 // (2 * max(len(beta), dm) ** 2))
+    for lo in range(0, len(thetas), step):
+        yield _bs_kernel(thetas[lo:lo + step], beta)
 
 
 def _outcomes(rho_m: np.ndarray, probs: np.ndarray, trace: float) -> Iterator[ProtocolOutcome]:
@@ -248,14 +248,14 @@ def _outcomes(rho_m: np.ndarray, probs: np.ndarray, trace: float) -> Iterator[Pr
                 for j, name in enumerate(("noclick", "click")) if b[j]) if True in b else None)
 
 
-def _scan(points: list[ProtocolParams]) -> Iterator[ProtocolOutcome]:
-    """:func:`run_protocol` at each delta of ``points``, which share one
-    :func:`_drive` key and were each built, so checked, by the caller.  On
-    first use: one stage lookup, then the recombiner (:func:`_recombined`)
-    and :func:`_outcomes` per slice, whose outcomes it yields in order, so
-    only one slice's mirror states are alive at a time."""
-    grid, norm2, beta = _evolved_ket(_drive(points[0]))
-    for w in _recombined(points, beta):
+def _scan(drive: ProtocolParams, deltas) -> Iterator[ProtocolOutcome]:
+    """:func:`run_protocol` at ``drive`` (its delta unread) and each of
+    ``deltas``, which the caller has checked.  On first use: one stage
+    lookup, then the recombiner (:func:`_recombined`) and :func:`_outcomes`
+    per slice, whose outcomes it yields in order, so only one slice's
+    mirror states are alive at a time."""
+    grid, norm2, beta = _evolved_ket(_drive(drive))
+    for w in _recombined(deltas, beta, grid.shape[1]):
         x = w @ grid
         probs = (x.real ** 2 + x.imag ** 2).sum(axis=(2, 3))
         yield from _outcomes(x.transpose(0, 1, 3, 2) @ x.conj(), probs, norm2)
@@ -270,11 +270,11 @@ def run_protocol(params: ProtocolParams) -> ProtocolOutcome:
     dark port: x_j = W_j psi, with W from :func:`_bs_kernel`, is the (bright port
     c) x mirror ket left by dark-port outcome j, and tracing out c gives the
     unnormalized mirror state x_j^T x_j^*.  No (a, m) density matrix is
-    formed; :func:`optoweak.dissipation._postselect` is the mixed-state
+    formed; :func:`optoweak.dissipation._damped_scan` is the mixed-state
     route.  The stage :func:`_evolved_ket` evolves the ket once per drive
     and cutoffs.
     """
-    return next(_scan([params]))
+    return next(_scan(params, [params.delta]))
 
 
 def weak_value_numeric(params: ProtocolParams) -> float:

@@ -19,11 +19,9 @@ import numpy as np
 
 from . import analytics
 from .dissipation import _EXPM_WORKSPACE, _damped_scan
-from .dynamics import EvolutionParams, _mirror_tail, evolution_params
+from .dynamics import EvolutionParams, evolution_params
 from .errors import ConfigError, DegenerateBranchError, TruncationError
-from .fock import coherent_state
-from .interferometer import (_MIRROR_WORKSPACE, MAX_RECOMBINER_DIM, ProtocolParams,
-                             _scan, default_optical_cutoff)
+from .interferometer import _MIRROR_WORKSPACE, MAX_RECOMBINER_DIM, ProtocolParams, _arm, _scan
 from .tolerances import DEFAULT_TOL
 
 MODES = ("figure2", "figure3", "table1", "verify", "sweep")
@@ -61,14 +59,6 @@ class SweepConfig:
 
     def value(self, name: str) -> float:
         return float(self.fixed.get(name, DEFAULT_FIXED[name]))
-
-    @property
-    def exact_mirror_cutoff(self) -> int:
-        """The mirror cutoff exact points use: the configured one, else
-        :class:`ProtocolParams`' default."""
-        if self.mirror_cutoff is None:
-            return ProtocolParams.mirror_cutoff
-        return self.mirror_cutoff
 
 
 def _number(key: str, val, minimum: float | None = None) -> float:
@@ -211,25 +201,34 @@ def _exact_values(cfg: SweepConfig, name: str) -> list[float]:
     return cfg.axes.get(name) or [cfg.value(name)]
 
 
+def _exact_drive(cfg: SweepConfig, alpha2: float, evolution: EvolutionParams) -> ProtocolParams:
+    """The exact engines' request for one drive at the config's cutoffs;
+    its delta is 0, because the scans take their deltas apart."""
+    mirror = {} if cfg.mirror_cutoff is None else {"mirror_cutoff": cfg.mirror_cutoff}
+    return ProtocolParams(alpha=complex(math.sqrt(alpha2)), delta=0.0, evolution=evolution,
+                          optical_cutoff=cfg.optical_cutoff, **mirror)
+
+
 def _check_exact_feasible(cfg: SweepConfig) -> None:
     """Refuse exact points whose largest arrays exceed the dense cap squared
     (a 4096 x 4096 complex matrix, 256 MiB): the mirror working set of every
     point, _MIRROR_WORKSPACE arrays of dm^2 entries, and, when a point is
-    damped (gamma > 0), the (a, m) density matrix and the working set of one
-    block's exponential, _EXPM_WORKSPACE generators of dm^4 entries; and an
-    optical cutoff whose recombiner binomials overflow.  Then, where exact
-    points run at the config's values (sweep, figure2's overlay), refuse a
-    mirror cutoff that the engines' mirror-tail check would reject at the
-    worst point: the largest |alpha|^2 and |phi| = k |1 - e^{-i wm_t}|."""
-    if cfg.engine == "analytic":
+    damped (gamma > 0, or verify's check 8), the (a, m) density matrix and
+    the working set of one block's exponential, _EXPM_WORKSPACE generators of
+    dm^4 entries; and an optical cutoff whose recombiner binomials overflow.
+    Verify's checks run the exact engines whatever the engine.  Then, where
+    exact points run at the config's values (sweep, figure2's overlay), run
+    the engines' own preselection checks (:func:`optoweak.interferometer._arm`)
+    at the worst point: the largest |alpha|^2 and |phi| = k |1 - e^{-i wm_t}|."""
+    if cfg.engine == "analytic" and cfg.mode != "verify":
         return
     alpha2 = max(_exact_values(cfg, "alpha2"))
-    n_opt = cfg.optical_cutoff if cfg.optical_cutoff is not None else default_optical_cutoff(alpha2)
-    d = n_opt + 1
+    wm_t = max(_exact_values(cfg, "wm_t"), key=lambda w: evolution_params(1.0, w).abs_disp)
+    drive = _exact_drive(cfg, alpha2, evolution_params(max(_exact_values(cfg, "k")), wm_t))
+    d, dm = drive.n_opt + 1, drive.mirror_cutoff + 1
     cap = DEFAULT_TOL.dense_dim_cap ** 2
-    dm = cfg.exact_mirror_cutoff + 1
     sizes = [("mirror working set", _MIRROR_WORKSPACE * dm * dm)]
-    if cfg.mode == "sweep" and max(_exact_values(cfg, "gamma")) > 0.0:
+    if cfg.mode == "verify" or (cfg.mode == "sweep" and max(_exact_values(cfg, "gamma")) > 0.0):
         sizes = [("(a, m) density matrix", (d * dm) ** 2),
                  ("block exponential's working set", _EXPM_WORKSPACE * dm ** 4)] + sizes
     for name, size in sizes:
@@ -238,17 +237,14 @@ def _check_exact_feasible(cfg: SweepConfig) -> None:
                               f"the {name} has {size} entries (cap {cap})")
     if d > MAX_RECOMBINER_DIM:
         raise ConfigError(f"exact engine infeasible at |alpha|^2={alpha2:.3g}: optical cutoff "
-                          f"{n_opt} overflows the recombiner's binomial table (largest 2053)")
+                          f"{d - 1} overflows the recombiner's binomial table (largest 2053)")
     if cfg.mode not in ("sweep", "figure2"):
         return
-    wm_t = max(_exact_values(cfg, "wm_t"), key=lambda w: evolution_params(1.0, w).abs_disp)
-    evolution = evolution_params(max(_exact_values(cfg, "k")), wm_t)
-    arm = coherent_state(math.sqrt(alpha2 / 2.0), n_opt, leakage_tol=1.0)
     try:
-        _mirror_tail(evolution, np.abs(arm) ** 2, cfg.exact_mirror_cutoff)
+        _arm(drive)
     except TruncationError as err:
         raise ConfigError(f"exact engine infeasible at |alpha|^2={alpha2:.3g}, "
-                          f"k={evolution.k:.3g}, wm_t={wm_t:.3g}: {err}") from err
+                          f"k={drive.evolution.k:.3g}, wm_t={wm_t:.3g}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +307,10 @@ def _exact_outcomes(cfg: SweepConfig, points: list[dict]) -> list[tuple | None]:
     for i, pt in enumerate(points if cfg.engine != "analytic" else ()):
         groups.setdefault((pt["k"], pt["wm_t"], pt["alpha2"], pt["gamma"]), []).append(i)
     for (k, wm_t, alpha2, gamma), idx in groups.items():
-        alpha, evolution = complex(math.sqrt(alpha2)), evolution_params(k, wm_t)
-        scan = [ProtocolParams(alpha=alpha, delta=points[i]["delta"], evolution=evolution,
-                               optical_cutoff=cfg.optical_cutoff,
-                               mirror_cutoff=cfg.exact_mirror_cutoff) for i in idx]
-        for i, outcome in zip(idx, _damped_scan(scan, gamma) if gamma > 0.0 else _scan(scan)):
+        drive = _exact_drive(cfg, alpha2, evolution_params(k, wm_t))
+        deltas = [points[i]["delta"] for i in idx]
+        scan = _damped_scan(drive, deltas, gamma) if gamma > 0.0 else _scan(drive, deltas)
+        for i, outcome in zip(idx, scan):
             out[i] = _EXACT_FIELDS(outcome)
     return out
 
@@ -400,12 +395,11 @@ def run_figure2(cfg: SweepConfig) -> tuple[list[str], list[list]]:
         out = [delta, ana["q_no_postselection"], ana["q_noclick"], ana["q_click"],
                ana["q_diff"], ana["q_wva"] - ana["q_noclick"], ana["p_click"]]
         if ex is not None:
-            p_click, _, _, q_click, q_noclick, diff, *_ = ex
-            out += [cfg.overlay_alpha2, q_noclick, q_click, diff, p_click]
+            out += [cfg.overlay_alpha2, ex.q_noclick, ex.q_click, ex.diff, ex.p_click]
         return out
 
-    exact = _exact_outcomes(cfg, [{"k": k, "wm_t": wm_t, "alpha2": cfg.overlay_alpha2,
-                                   "delta": d, "gamma": 0.0} for d in deltas])
+    exact = (_scan(_exact_drive(cfg, cfg.overlay_alpha2, evolution), deltas) if overlay
+             else itertools.repeat(None))
     return header, list(map(row, deltas, exact))
 
 

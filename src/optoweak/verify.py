@@ -153,8 +153,8 @@ DESK_DELTAS = (0.002, 0.005, 0.01, 0.02, 0.035, 0.05)
 def check_exact_vs_analytic(res: CheckResult, optical_cutoff: int = 14,
                             mirror_cutoff: int = 8) -> None:
     k, wm_t, alpha2 = 0.005, math.pi, 2.0
-    low, ex = (list(_scan([_params(a2, delta, k, wm_t, optical_cutoff=optical_cutoff,
-                                   mirror_cutoff=mirror_cutoff) for delta in DESK_DELTAS]))
+    low, ex = (list(_scan(_params(a2, 0.0, k, wm_t, optical_cutoff=optical_cutoff,
+                                  mirror_cutoff=mirror_cutoff), DESK_DELTAS))
                for a2 in (0.5, alpha2))
     ev = evolution_params(k, wm_t)
     for name, attr, ref, tol in (("q_diff", "diff", analytics.q_diff, 0.05),

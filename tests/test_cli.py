@@ -114,6 +114,21 @@ def test_mirror_tail_infeasible_sweep_exits_2_before_any_row(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_optical_cutoff_infeasible_sweep_exits_2_before_any_row(tmp_path, capsys):
+    # each arm holds |alpha|^2 / 2 = 15 photons, past what optical cutoff 20
+    # keeps within the preselection leakage budget; the engines' own check
+    # refuses it up front, not after the CSV header with exit 3
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out.csv"
+    cfg.write_text(json.dumps({"mode": "sweep", "engine": "exact", "fixed": {"alpha2": 30},
+                               "axes": {"delta": [0.005, 0.01]}, "cutoffs": {"optical": 20}}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("optoweak: config-error: exact engine infeasible ")
+    assert "coherent state |alpha|^2=15 does not fit cutoff 20" in err
+    assert not out.exists()
+
+
 def test_infeasible_exact_sweep_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": "sweep", "fixed": {"alpha2": 400.0, "gamma": 1e-3},

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse import diags
 from scipy.sparse.linalg import expm_multiply
@@ -112,6 +114,29 @@ class TestClosedFormKet:
             assert getattr(turned, name) == pytest.approx(getattr(real, name), abs=1e-13), name
         for name in ("mirror_click", "mirror_noclick"):
             assert np.abs(getattr(turned, name) - getattr(real, name)).max() < 1e-13, name
+
+    @given(st.floats(0.5, 4.0), st.floats(1e-3, 0.1), st.booleans(), st.floats(0.0, 0.03),
+           st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi, exclude_max=True))
+    @settings(max_examples=12, deadline=None)
+    def test_drive_phase_invariance_over_the_desk_range(self, alpha2, size, negative, k, wm_t,
+                                                        varphi):
+        # alpha -> alpha e^{i varphi} moves every output by rounding only:
+        # each probability within 1e-14 and each moment of branch j within
+        # 1e-14 / p_j (diff by the smaller p).  A flat moment bound would be
+        # flaky: the damped q_click moves by 5.9e-11 where p_click ~ 5e-7
+        delta = -size if negative else size
+        for run in (run_protocol, lambda params: damped_protocol(params, 1e-3)):
+            real, turned = (run(ProtocolParams(alpha=math.sqrt(alpha2) * cmath.exp(1j * phase),
+                                               delta=delta, evolution=evolution_params(k, wm_t),
+                                               mirror_cutoff=6))
+                            for phase in (0.0, varphi))
+            for name in ("p_click", "p_noclick", "p_residual"):
+                assert abs(getattr(turned, name) - getattr(real, name)) <= 1e-14, name
+            for names, p in ((("q_click", "dq_click"), real.p_click),
+                             (("q_noclick", "dq_noclick"), real.p_noclick),
+                             (("diff",), min(real.p_click, real.p_noclick))):
+                for name in names:
+                    assert abs(getattr(turned, name) - getattr(real, name)) * p <= 1e-14, name
 
 
 def beam_splitter(theta, cutoff):

@@ -154,14 +154,14 @@ def test_failing_scan_raises_on_first_use(engine):
     # a scan is a generator: building it runs nothing, and the stage's
     # mirror-tail check raises when its first outcome is drawn
     params = make_params(2.0, 0.005, k=0.1, optical_cutoff=12, mirror_cutoff=1)
-    scan = _scan([params]) if engine == "unitary" else _damped_scan([params], GAMMA)
+    scan = _scan(params, [0.005]) if engine == "unitary" else _damped_scan(params, [0.005], GAMMA)
     with pytest.raises(TruncationError, match="mirror cutoff 1 too small"):
         next(scan)
 
 
 def test_one_delta_scan_is_run_protocol():
     params = make_params(2.0, 0.02, k=0.1, mirror_cutoff=12)
-    assert fingerprint(run_protocol(params)) == fingerprint(next(_scan([params])))
+    assert fingerprint(run_protocol(params)) == fingerprint(next(_scan(params, [0.02])))
 
 
 def test_large_drive_runs_without_a_displacement_warning(tmp_path):
@@ -198,10 +198,9 @@ def test_scan_slices_count_the_mirror_dimension():
     # 40 MiB, all kept by the list) a warm scan holds about one slice's
     # arrays; slices of 2^16 // (2 * 13^2) = 193 angles, sized by d alone,
     # peaked at 123 MiB
-    points = [make_params(2.0, float(delta), mirror_cutoff=80)
-              for delta in np.linspace(0.001, 0.12, 200)]
-    list(_scan(points[:1]))  # warm the stages
-    peak = _traced_peak(lambda pts: list(_scan(pts)), points)
+    drive, deltas = make_params(2.0, 0.0, mirror_cutoff=80), np.linspace(0.001, 0.12, 200)
+    list(_scan(drive, deltas[:1]))  # warm the stages
+    peak = _traced_peak(lambda ds: list(_scan(drive, ds)), deltas)
     assert peak < 200 * 2 * 16 * 81 ** 2 + 4 * 2 ** 20
 
 
@@ -211,7 +210,7 @@ def test_exact_sweep_decomposes_q_zero_times(monkeypatch):
     # eigenpairs (their builder raises here), and only the recombiner's truncated block N = d,
     # n_opt states, reaches the eigensolver, once per optical cutoff
     calls = []
-    for module in (fock, oracle, interferometer):
+    for module in (fock, interferometer):
         real_eigh = module._tridiagonal_eigh
         monkeypatch.setattr(module, "_tridiagonal_eigh",
                             lambda off, name=module.__name__, real_eigh=real_eigh:
@@ -282,9 +281,24 @@ def test_sweep_evaluates_each_stage_once_per_drive_and_batch(monkeypatch, engine
             assert float(row[col]).hex() == float(getattr(out, name)).hex(), col
 
 
+def test_sweep_builds_one_request_per_drive(monkeypatch):
+    # the sweep's helper and the stage key of each drive, plus the guard's
+    # worst point in load_config: never one ProtocolParams per delta
+    built = []
+    check = ProtocolParams.__post_init__
+    monkeypatch.setattr(ProtocolParams, "__post_init__",
+                        lambda self: built.append(self.delta) or check(self))
+    cfg = load_config(None, overrides={
+        "engine": "both", "axes": {"delta": list(np.linspace(0.001, 0.12, 20)),
+                                   "alpha2": [0.5, 1.0, 2.0, 3.0, 4.0]}}, default_mode="sweep")
+    assert len(list(iter_sweep_rows(cfg))) == 200
+    assert len(built) <= 2 * 5 + 1 and set(built) == {0.0}
+
+
 def test_figure2_overlay_is_one_scan(monkeypatch):
     calls = []
-    monkeypatch.setattr(sweep, "_scan", lambda points: calls.append(len(points)) or _scan(points))
+    monkeypatch.setattr(sweep, "_scan",
+                        lambda drive, deltas: calls.append(len(deltas)) or _scan(drive, deltas))
     cfg = load_config(None, overrides={"engine": "both"}, default_mode="figure2")
     header, rows = sweep.run_figure2(cfg)
     assert calls == [len(rows)] == [200]
@@ -294,10 +308,10 @@ def test_figure2_overlay_is_one_scan(monkeypatch):
 # the batched postselection pass: one array pass per recombiner slice
 
 def scan_of(engine):
-    """The engine's scan, as a list, and its one-delta protocol."""
+    """The engine's scan of a drive's deltas, as a list, and its one-delta protocol."""
     if engine == "unitary":
-        return (lambda points: list(_scan(points))), run_protocol
-    return (lambda points: list(_damped_scan(points, GAMMA))), damped
+        return (lambda drive, deltas: list(_scan(drive, deltas))), run_protocol
+    return (lambda drive, deltas: list(_damped_scan(drive, deltas, GAMMA))), damped
 
 
 @pytest.mark.parametrize("n_deltas", [1, 3, 20, 200])
@@ -306,9 +320,10 @@ def test_batched_scan_keeps_the_one_delta_bits(engine, n_deltas):
     # d = 13 here: a slice holds 2^16 // (2 * 13^2) = 193 angles, so 200
     # deltas cross a slice boundary
     scan, one = scan_of(engine)
+    deltas = np.linspace(-0.12, 0.12, n_deltas)
     points = [make_params(2.0, float(delta), optical_cutoff=12, mirror_cutoff=3)
-              for delta in np.linspace(-0.12, 0.12, n_deltas)]
-    outs = scan(points)
+              for delta in deltas]
+    outs = scan(points[0], deltas)
     assert [fingerprint(out) for out in outs] == [fingerprint(one(p)) for p in points]
     for out in outs:
         for rho in (out.mirror_click, out.mirror_noclick):
@@ -319,9 +334,9 @@ def test_batched_scan_keeps_the_one_delta_bits(engine, n_deltas):
 @pytest.mark.parametrize("engine", ["unitary", "damped"])
 def test_zero_drive_batch_marks_every_click_branch_degenerate(engine):
     scan, one = scan_of(engine)
-    points = [make_params(0.0, delta, optical_cutoff=12, mirror_cutoff=3)
-              for delta in (-0.03, 0.001, 0.01, 0.05)]
-    outs = scan(points)
+    deltas = (-0.03, 0.001, 0.01, 0.05)
+    points = [make_params(0.0, delta, optical_cutoff=12, mirror_cutoff=3) for delta in deltas]
+    outs = scan(points[0], deltas)
     for params, out in zip(points, outs):
         assert fingerprint(out) == fingerprint(one(params))
         assert out.mirror_click is None and out.mirror_noclick is not None

@@ -166,6 +166,15 @@ class TestExactFeasibility:
         with pytest.raises(ConfigError, match="optical cutoff 2054 overflows"):
             self.exact_cfg(1799.0, cutoffs={"mirror": 154})
 
+    def test_verify_cutoffs_are_bounded_whatever_the_engine(self):
+        # every verify check runs the exact engines and check 8 is damped, so
+        # the default analytic engine does not skip the guard's size terms:
+        # 13 generators of 34^4 entries do not fit in 4096^2
+        with pytest.raises(ConfigError,
+                           match="block exponential's working set has 17372368 entries"):
+            load_config(None, {"cutoffs": {"mirror": 33}}, default_mode="verify")
+        load_config(None, {"cutoffs": {"mirror": 32}}, default_mode="verify")
+
     def test_mirror_working_set_sets_the_largest_mirror_cutoff(self):
         # _MIRROR_WORKSPACE arrays of dm^2 entries: 8 * 1448^2 fits in 4096^2,
         # 8 * 1449^2 = 16796808 does not, at any |alpha|^2 (a damped point's
@@ -307,6 +316,17 @@ class TestSweep:
         assert row["q_diff"] == pytest.approx(out.diff, rel=1e-12)
         assert row["p_click"] == pytest.approx(out.p_click, rel=1e-12)
         assert row["dq_click"] == pytest.approx(out.dq_click, rel=1e-12)
+
+    def test_large_drive_sweep_emits_no_warning(self):
+        # |alpha|^2 delta^2 reaches 0.43 here; that warning belongs to a
+        # ProtocolParams built by hand, and under filterwarnings=error any
+        # warning from a sweep fails this test
+        cfg = load_config(None, overrides={
+            "engine": "both", "fixed": {"alpha2": 30.0},
+            "axes": {"delta": {"start": 0.001, "stop": 0.12, "count": 50}}}, default_mode="sweep")
+        header, rows = run_sweep(cfg)
+        assert len(rows) == 100 and [r[header.index("engine")] for r in rows[:2]] == [
+            "analytic", "exact"]
 
     def test_both_engines_share_grid_coordinates(self):
         cfg = self.base_cfg(engine="both", axes={"delta": [0.004, 0.008]})
