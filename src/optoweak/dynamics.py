@@ -69,12 +69,22 @@ def _mirror_tail(params: EvolutionParams, weights: np.ndarray,
                  mirror_cutoff: int) -> float:
     """Occupation-weighted Poisson tail of the per-block mirror displacements
     over arm a's photon-number ``weights``; both engines raise
-    :class:`TruncationError` here past ``Tolerances.propagate_leakage``."""
+    :class:`TruncationError` here past ``Tolerances.propagate_leakage``.
+
+    Row n's tail at lam = |n phi|^2 is at most the Chernoff bound
+    e^{-lam} (e lam / x)^x, x = cutoff + 1 > lam.  The series runs only on
+    rows whose weight times that bound exceeds 1e-18 / len(weights) of the
+    total, so the rows skipped add at most 1e-18 to the tail."""
     total = float(weights.sum())
     if total == 0.0:
         return 0.0
-    tail = sum(float(w) * poisson_tail((n * params.abs_disp) ** 2, mirror_cutoff)
-               for n, w in enumerate(weights) if w > 0.0) / total
+    x, lam = mirror_cutoff + 1.0, (np.arange(len(weights)) * params.abs_disp) ** 2
+    with np.errstate(divide="ignore"):  # lam = 0 has no tail: its log bound is -inf
+        log_bound = np.where(lam < x, x * (1.0 + np.log(lam) - math.log(x)) - lam, 0.0)
+    rows = np.flatnonzero(weights * np.exp(log_bound) > 1e-18 / len(weights) * total)
+    w = weights.tolist()
+    tail = sum(w[n] * poisson_tail((n * params.abs_disp) ** 2, mirror_cutoff)
+               for n in rows.tolist()) / total
     if tail > DEFAULT_TOL.propagate_leakage:
         raise TruncationError(
             f"mirror cutoff {mirror_cutoff} too small for displacement "

@@ -17,7 +17,7 @@ import functools
 import math
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,12 +35,14 @@ MAX_RECOMBINER_DIM = 2054
 _MIRROR_WORKSPACE = 8
 
 
+@functools.lru_cache(maxsize=1024)
 def default_optical_cutoff(alpha2: float) -> int:
     """ceil(|alpha|^2 + 6 sqrt(max(|alpha|^2, 1))), floored so each arm's
     Poisson tail stays below half the preselection leakage budget.
 
     The 6-sigma rule alone undershoots for small mean photon numbers (the
     Poisson skew beats the normal approximation there), hence the floor.
+    The floor is a Python series search, so each |alpha|^2 is searched once.
     """
     rule = math.ceil(alpha2 + 6.0 * math.sqrt(max(alpha2, 1.0)))
     return cutoff_for_leakage(alpha2 / 2.0, PRESELECT_LEAKAGE / 2.0, start=rule)
@@ -110,10 +112,12 @@ def _arm(drive: ProtocolParams) -> np.ndarray:
 
 
 def _drive(params: ProtocolParams) -> ProtocolParams:
-    """``params`` with delta zeroed and the optical cutoff resolved: the key
-    (alpha, n_opt, mirror cutoff, evolution) of both engines' delta-free
-    stage, so every delta of a scan at one drive and cutoffs shares an entry."""
-    return replace(params, delta=0.0, optical_cutoff=params.n_opt)
+    """The key (alpha, n_opt, mirror cutoff, evolution) of both engines'
+    delta-free stage: ``params`` with delta zeroed and the optical cutoff
+    resolved, so every delta of a scan at one drive and cutoffs shares an
+    entry.  Built directly, the one ``ProtocolParams`` a warm point makes."""
+    return ProtocolParams(params.alpha, 0.0, params.evolution, params.n_opt,
+                          params.mirror_cutoff)
 
 
 @functools.lru_cache(maxsize=8)
@@ -223,8 +227,9 @@ def _recombined(deltas, beta: np.ndarray, dm: int):
 def _outcomes(rho_m: np.ndarray, probs: np.ndarray, trace: float) -> Iterator[ProtocolOutcome]:
     """Mirror statistics at each delta t of a slice from the unnormalized
     mirror states ``rho_m[t, j]`` of dark-port outcome j = 0 (no click) or 1
-    (click), their traces ``probs`` and the (a, m) state's trace, in one array
-    pass; a degenerate branch gets NaN moments, no mirror state and a reason.
+    (click), their traces ``probs`` and the (a, m) state's trace: the states
+    and their moments in array passes over the slice, the spreads on Python
+    floats; a degenerate branch gets NaN moments, no mirror state and a reason.
     The recombiner is unitary, so trace - sum(probs) is P(2+ dark-port photons)."""
     qs = _moment_table(rho_m.shape[-1] - 1)
     bad = probs < DEFAULT_TOL.degenerate_prob
@@ -234,13 +239,13 @@ def _outcomes(rho_m: np.ndarray, probs: np.ndarray, trace: float) -> Iterator[Pr
     rho = (rho_m + rho_m.conj().swapaxes(-1, -2)) / two_p
     rho.setflags(write=False)
     mom = (rho.real[:, :, None] * qs).sum(axis=(3, 4))  # <q>, <q^2> of every branch
-    mom[bad] = math.nan
-    q, q2 = mom.transpose(2, 0, 1)
-    cols = (probs, q, np.sqrt(np.maximum(q2 - q * q, 0.0)), bad)
-    for t, (p, (q_nc, q_c), (dq_nc, dq_c), b) in enumerate(zip(*(c.tolist() for c in cols))):
+    nan = (math.nan, math.nan)  # a degenerate branch's <q>, <q^2>; its spread is NaN too
+    for t, (p, b, (nc, c)) in enumerate(zip(probs.tolist(), bad.tolist(), mom.tolist())):
+        (q_nc, q2_nc), (q_c, q2_c) = nan if b[0] else nc, nan if b[1] else c
         yield ProtocolOutcome(
             p_click=p[1], p_noclick=p[0], p_residual=max(trace - p[0] - p[1], 0.0),
-            q_click=q_c, q_noclick=q_nc, dq_click=dq_c, dq_noclick=dq_nc, diff=q_c - q_nc,
+            q_click=q_c, q_noclick=q_nc, dq_click=math.sqrt(max(q2_c - q_c * q_c, 0.0)),
+            dq_noclick=math.sqrt(max(q2_nc - q_nc * q_nc, 0.0)), diff=q_c - q_nc,
             mirror_click=None if b[1] else rho[t, 1],
             mirror_noclick=None if b[0] else rho[t, 0],
             degenerate_reason="; ".join(f"{name}:" + str(DegenerateBranchError(

@@ -299,14 +299,16 @@ def _analytic_point(evolution: EvolutionParams, alpha2: float, delta: float) -> 
     return out
 
 
-def _exact_outcomes(cfg: SweepConfig, points: list[dict]) -> list[tuple | None]:
+def _exact_outcomes(cfg: SweepConfig, points: list[dict], descending: bool
+                    ) -> list[tuple | None]:
     """Each grid point's exact scalars, the tuple :data:`_EXACT_FIELDS` reads
     as the scan streams (None for the analytic engine), from one unitary or
-    damped (gamma > 0) scan per drive (k, wm_t, |alpha|^2, gamma)."""
+    damped (gamma > 0) scan per drive (k, wm_t, |alpha|^2, gamma), run in
+    ascending or ``descending`` drive order."""
     out, groups = [None] * len(points), {}
     for i, pt in enumerate(points if cfg.engine != "analytic" else ()):
         groups.setdefault((pt["k"], pt["wm_t"], pt["alpha2"], pt["gamma"]), []).append(i)
-    for (k, wm_t, alpha2, gamma), idx in groups.items():
+    for (k, wm_t, alpha2, gamma), idx in sorted(groups.items(), reverse=descending):
         drive = _exact_drive(cfg, alpha2, evolution_params(k, wm_t))
         deltas = [points[i]["delta"] for i in idx]
         scan = _damped_scan(drive, deltas, gamma) if gamma > 0.0 else _scan(drive, deltas)
@@ -355,7 +357,9 @@ def iter_sweep_rows(cfg: SweepConfig):
     """Yield sweep rows in grid order (the last axis in SWEEPABLE order
     varies fastest), SCAN_POINTS grid points at a time: each batch runs its
     exact points as one scan per drive (:func:`_exact_outcomes`) first and
-    keeps only the scalars its rows print."""
+    keeps only the scalars its rows print.  Batches alternate the drive
+    order, so each starts with the drive the last one ended on: the damped
+    stage keeps one density matrix."""
     if not cfg.axes:
         raise ConfigError("sweep mode needs at least one axis")
     names = [n for n in SWEEPABLE if n in cfg.axes]
@@ -365,12 +369,14 @@ def iter_sweep_rows(cfg: SweepConfig):
     # one EvolutionParams per (k, wm_t), keyed on their bits: == would give
     # k = -0.0 the instance of 0.0, and rows at -0.0 print -0
     evolutions: dict[tuple[str, str], EvolutionParams] = {}
+    descending = False
     while batch := list(itertools.islice(points, SCAN_POINTS)):
-        for point, out in zip(batch, _exact_outcomes(cfg, batch)):
+        for point, out in zip(batch, _exact_outcomes(cfg, batch, descending)):
             key = (point["k"].hex(), point["wm_t"].hex())
             if (evolution := evolutions.get(key)) is None:
                 evolution = evolutions[key] = evolution_params(point["k"], point["wm_t"])
             yield from _sweep_rows_for_point(cfg, point, evolution, out)
+        descending = not descending
 
 
 # ---------------------------------------------------------------------------

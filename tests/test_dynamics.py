@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from optoweak import (DEFAULT_TOL, LayoutError, LindbladParams, TruncationError,
-                      annihilation, coherent_state, dense_propagator, evolution_params,
-                      evolve_master, factored_propagate, lindblad_rhs, position,
-                      weak_approx_propagate)
+                      annihilation, coherent_state, default_optical_cutoff, dense_propagator,
+                      evolution_params, evolve_master, factored_propagate, lindblad_rhs,
+                      poisson_tail, position, weak_approx_propagate)
 from optoweak.analytics import q_no_postselection
+from optoweak.dynamics import _mirror_tail
 from optoweak.verify import _factored_block
 
 
@@ -81,6 +82,28 @@ class TestEvolutionParams:
     def test_negative_k_rejected(self):
         with pytest.raises(LayoutError):
             evolution_params(-0.1, 1.0)
+
+
+class TestMirrorTail:
+    @pytest.mark.parametrize("alpha2, k, cutoff", [
+        (0.0, 0.005, 3), (0.5, 0.1, 0), (2.0, 0.0, 3), (2.0, 0.005, 3), (2.0, 0.02, 4),
+        (12.0, 0.1, 1), (30.0, 0.005, 10), (30.0, 0.05, 12), (300.0, 0.005, 60),
+        (300.0, 0.005, 30), (1000.0, 0.005, 200), (1000.0, 0.005, 120),
+        (1000.0, 0.1, 200), (2.0, 1.6, 1447)])
+    def test_screened_rows_keep_the_tail_and_the_decision(self, alpha2, k, cutoff):
+        # the series over every occupied row, as the screen's reference: the
+        # screened tail is within 1e-18 of it and raises exactly when it
+        # exceeds the budget ((2, 1.6, 1447) sits at 5.8e-10 of 1e-9)
+        params = evolution_params(k, math.pi)
+        n_opt = default_optical_cutoff(alpha2)
+        weights = np.abs(coherent_state(math.sqrt(alpha2 / 2), n_opt, leakage_tol=1.0)) ** 2
+        every_row = sum(float(w) * poisson_tail((n * params.abs_disp) ** 2, cutoff)
+                        for n, w in enumerate(weights) if w > 0.0) / float(weights.sum())
+        if every_row > DEFAULT_TOL.propagate_leakage:
+            with pytest.raises(TruncationError, match=f"mirror cutoff {cutoff} too small"):
+                _mirror_tail(params, weights, cutoff)
+        else:
+            assert abs(_mirror_tail(params, weights, cutoff) - every_row) <= 1e-18
 
 
 class TestFactoredPropagate:

@@ -1,6 +1,7 @@
 """The delta-free stages both engines cache: reuse across a delta scan, the
 same bits as an uncached run, and every check still raised on a cache hit."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -134,8 +135,29 @@ def test_moment_tables_are_read_only():
 
 
 def test_delta_and_default_cutoff_share_a_key():
-    explicit = make_params(2.0, 0.01, optical_cutoff=make_params(2.0, 0.0).n_opt)
-    assert _drive(make_params(2.0, 0.0)) == _drive(explicit)
+    key, params = _drive(make_params(2.0, 0.0)), make_params(2.0, 0.01)
+    explicit = make_params(2.0, 0.01, optical_cutoff=params.n_opt)
+    replaced = dataclasses.replace(params, delta=0.0, optical_cutoff=params.n_opt)
+    for other in (_drive(explicit), replaced):
+        assert key == other and hash(key) == hash(other)
+
+
+@pytest.mark.parametrize("run", [unitary, damped], ids=["unitary", "damped"])
+def test_warm_point_searches_no_cutoff_and_builds_one_key(monkeypatch, run):
+    # the stage key resolves the default optical cutoff from a memo, not by a
+    # Poisson-tail search per point, and is the one ProtocolParams a warm
+    # point builds
+    kw = {} if run is unitary else {"mirror_cutoff": 3}
+    run(make_params(2.0, 0.01, **kw))
+    tails, built = [], []
+    monkeypatch.setattr(fock, "poisson_tail", lambda *a: tails.append(a) or 0.0)
+    check = ProtocolParams.__post_init__
+    monkeypatch.setattr(ProtocolParams, "__post_init__",
+                        lambda self: built.append(self.delta) or check(self))
+    params = make_params(2.0, 0.02, **kw)
+    built.clear()
+    run(params)
+    assert tails == [] and built == [0.0]
 
 
 @pytest.mark.parametrize("run, stage, key", ENGINES, ids=["unitary", "damped"])
@@ -241,12 +263,12 @@ EXACT_COLUMNS = (("p_click", "p_click"), ("p_noclick", "p_noclick"),
                  ("dq_click", "dq_click"), ("dq_noclick", "dq_noclick"))
 
 
-@pytest.mark.parametrize("batch", [sweep.SCAN_POINTS, 64])
+@pytest.mark.parametrize("batch", [sweep.SCAN_POINTS, 64, 16])
 @pytest.mark.parametrize("engine", ["unitary", "damped"])
 def test_sweep_evaluates_each_stage_once_per_drive_and_batch(monkeypatch, engine, batch):
     # delta varies slowest: point by point, 10 unitary drives (more than the
     # ket stage keeps) or 2 damped gammas (the density-matrix stage keeps one)
-    # would miss at every point
+    # would miss at every point.  Batches of 16 split the 40 points in three
     monkeypatch.setattr(sweep, "SCAN_POINTS", batch)
     deltas = list(np.linspace(0.001, 0.05, 20))
     if engine == "unitary":
@@ -270,6 +292,9 @@ def test_sweep_evaluates_each_stage_once_per_drive_and_batch(monkeypatch, engine
     assert info.hits + info.misses == lookups
     if batch >= len(grid):  # one batch: one miss per drive
         assert info.misses == len(drives)
+    if engine == "damped":  # batches of 16: each later one starts on the gamma the
+        # stage holds, 2 + 1 + 1 misses (6 with every batch in one drive order)
+        assert info.misses == (4 if batch == 16 else 2)
     for row in rows:
         params = ProtocolParams(alpha=complex(math.sqrt(row["alpha2"])), delta=row["delta"],
                                 evolution=evolution_params(row["k"], row["wm_t"]),
@@ -305,7 +330,7 @@ def test_figure2_overlay_is_one_scan(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the batched postselection pass: one array pass per recombiner slice
+# the batched postselection: array passes over each recombiner slice
 
 def scan_of(engine):
     """The engine's scan of a drive's deltas, as a list, and its one-delta protocol."""
