@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .dynamics import EvolutionParams, evolution_params
-from .errors import DegenerateBranchError
+from .errors import DegenerateBranchError, LayoutError
 
 # regime classifier thresholds -- explicit configuration, not hidden constants
 WVA_RATIO = 10.0          # delta >= ratio * |phi|/2  ->  "wva"
@@ -23,7 +23,7 @@ BOUNDARY_RTOL = 0.01      # |delta - |phi|/2| <= rtol * |phi|/2  ->  "boundary"
 def _check_alpha2(alpha2: float) -> None:
     """Refuse a negative mean photon number, an input from outside."""
     if alpha2 < 0:
-        raise ValueError("alpha2 must be >= 0")
+        raise LayoutError("alpha2 must be >= 0")
 
 
 def regime(delta: float, evolution: EvolutionParams) -> str:

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-    optoweak figure2|figure3|table1|verify|sweep
-             [--config path] [--out path] [--engine analytic|exact|both]
+    optoweak figure2|figure3|table1|verify|sweep [--config path] [--out path]
+             [--engine analytic|exact|both]  (figure2 and sweep only)
              [--svg path]  (figure2 and figure3 only)
 
 Configuration comes from a single JSON file (documented in the README);
@@ -46,7 +46,8 @@ def _parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name, help=blurb)
         q.add_argument("--config", help="JSON config file")
         q.add_argument("--out", help="output CSV path (default: stdout)")
-        q.add_argument("--engine", choices=("analytic", "exact", "both"))
+        if name in ("figure2", "sweep"):
+            q.add_argument("--engine", choices=("analytic", "exact", "both"))
         if name in SVG_PLOTS:
             q.add_argument("--svg", help="optional SVG plot path")
     return p
@@ -75,7 +76,7 @@ def _figure_svg(cfg: SweepConfig, header: list[str], rows: list[list],
 
 
 def _run(args: argparse.Namespace) -> int:
-    overrides = {"engine": args.engine, "out": args.out, "svg": getattr(args, "svg", None)}
+    overrides = {key: getattr(args, key, None) for key in ("engine", "out", "svg")}
     cfg = load_config(args.config, overrides, default_mode=args.command)
     if cfg.mode != args.command:
         raise ConfigError(f"config mode {cfg.mode!r} conflicts with "

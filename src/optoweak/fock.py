@@ -99,9 +99,9 @@ def annihilation(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=float)), k=1).astype(complex)
 
 
-def position(cutoff: int, sigma: float = 1.0) -> np.ndarray:
-    """q = sigma (c + c^dag); sigma is the zero-point spread (1 = sigma units)."""
-    return sigma * _moment_table(cutoff)[0]
+def position(cutoff: int) -> np.ndarray:
+    """q = c + c^dag in zero-point (sigma) units, as a writable real matrix."""
+    return _moment_table(cutoff)[0].copy()
 
 
 @functools.lru_cache(maxsize=8)
@@ -120,34 +120,3 @@ def _moment_table(cutoff: int) -> np.ndarray:
     qs.setflags(write=False)
     return qs
 
-
-def _tridiagonal_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvector columns of the zero-
-    diagonal symmetric tridiagonal matrix with off-diagonal ``off`` > 0, not
-    by LAPACK (its eigensolver maps about 0.8 MB of code): multisection on
-    Sturm counts, then twisted factorizations (Dhillon & Parlett, Linear
-    Algebra Appl. 387, 1 (2004))."""
-    n, e2 = len(off) + 1, off * off
-    m, k = max(1, 256 // n), np.arange(n)  # m points per bracket and sweep: vectors of ~256
-    hi = np.full(n, 2.0 * off.max(initial=0.0) + 1.0)  # Gershgorin
-    lo, frac, piv = -hi, np.arange(1.0, m + 1)[:, None] / (m + 1), np.empty((n, m, n))
-    with np.errstate(divide="ignore", over="ignore"):  # a pivot +-0 or +-inf counts by its sign
-        for _ in range(math.ceil(54 / math.log2(m + 1))):  # to an ulp of the bound
-            xs = np.vstack([lo, lo + (hi - lo) * frac, hi])
-            d = piv[0] = nx = -xs[1:-1]
-            for i, e in enumerate(e2.tolist(), 1):
-                d = piv[i] = nx - e / d
-            above = np.vstack([np.signbit(piv).sum(axis=0) > k, np.ones(n, bool)])
-            j = 1 + above.argmax(axis=0)  # the first point above eigenvalue k
-            lo, hi = xs[j - 1, k], xs[j, k]
-    piv, lam = np.empty((2, n, n)), 0.5 * (lo + hi)
-    piv[:, 0] = np.where(np.abs(lam) < 1e-150, 1e-150, -lam)
-    for i in range(n - 1):  # forward pivots, and backward ones from the last row
-        p = -lam - e2[[i, n - 2 - i], None] / piv[:, i]
-        piv[:, i + 1] = np.where(np.abs(p) < 1e-150, 1e-150, p)
-    fwd, bwd = piv[0], piv[1, ::-1]
-    twist, row = np.abs(fwd + bwd + lam).argmin(axis=0), np.arange(n)[:, None]
-    z = np.ones((n, n))
-    z[:-1] = np.cumprod(np.where(row[:-1] < twist, -off[:, None] / fwd[:-1], 1.0)[::-1], 0)[::-1]
-    z[1:] *= np.cumprod(np.where(row[1:] > twist, -off[:, None] / bwd[1:], 1.0), axis=0)
-    return lam, z / np.sqrt((z * z).sum(axis=0))

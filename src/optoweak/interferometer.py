@@ -23,7 +23,7 @@ import numpy as np
 
 from .dynamics import EvolutionParams, _mirror_tail
 from .errors import DegenerateBranchError, InvariantError, LayoutError
-from .fock import _moment_table, _tridiagonal_eigh, _unit, coherent_state, cutoff_for_leakage
+from .fock import _moment_table, _unit, coherent_state, cutoff_for_leakage
 from .tolerances import DEFAULT_TOL
 
 PRESELECT_LEAKAGE = 1e-9
@@ -153,17 +153,17 @@ def _bs_tables(d: int) -> tuple[np.ndarray, ...]:
     """Theta-free, read-only tables of :func:`_bs_kernel`, 2 d^2 + 2 d + 2
     entries: sqrt(C(c, n)) at column n + 1 of a (d, d + 1) array, sqrt(n),
     the exponents max(k - 1, 0), k <= d + 1, and for the truncated block
-    N = d (states |i, d - i>, l = i - 1), with T = V diag(lam) V^T, i lam and
-    Q[q, l] = -V[d-2, q] V[l, q] i^(l-d+2), which takes their phases to its
-    row c = d - 1.  The binomials overflow past d = MAX_RECOMBINER_DIM."""
+    N = d (states |i, d - i>, l = i - 1), with T = V diag(lam) V^T by ``eigh``,
+    i lam and Q[q, l] = -V[d-2, q] V[l, q] i^(l-d+2), which takes their phases
+    to its row c = d - 1.  The binomials overflow past d = MAX_RECOMBINER_DIM."""
     if d > MAX_RECOMBINER_DIM:
         raise LayoutError(f"optical cutoff {d - 1} overflows the recombiner's binomial table")
     c, n = np.arange(d)[:, None], np.arange(1, d)
     binom = np.hstack([np.zeros((d, 1)), np.ones((d, 1)),
                        np.cumprod(np.sqrt(np.maximum(c + 1 - n, 0) / n), axis=1)])
     i = np.arange(d - 2.0)
-    lam, vec = (_tridiagonal_eigh(np.sqrt((i + 2.0) * (d - 1.0 - i))) if d > 1
-                else (np.zeros(0), np.zeros((0, 0))))
+    t = np.diag(np.sqrt((i + 2.0) * (d - 1.0 - i)), 1)[:d - 1, :d - 1]  # (0, 0) at d = 1
+    lam, vec = np.linalg.eigh(t + t.T)
     phase = np.array([1, 1j, -1, -1j])[(np.arange(d - 1) - d + 2) % 4]
     tables = (binom, np.sqrt(np.arange(d)), np.maximum(np.arange(-1.0, d + 1), 0.0),
               1j * lam, -vec[-1:].reshape(d - 1, 1) * vec.T * phase)

@@ -23,7 +23,8 @@ def _eigenpairs(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     ``cutoff`` + 1 levels for :func:`factored_propagate`, whose D(beta) is
     unitary to rounding exactly when V is orthogonal and w real: raises
     :class:`TruncationError` unless max |V^T V - I| < ``unitary_atol``, w finite.
-    LAPACK's eigensolver, not the recombiner's, so the oracle shares no code with it."""
+    LAPACK's ``eigh``, which the recombiner calls only on its truncated block:
+    no engine decomposes q, so the oracle checks the engines' closed-form ket."""
     off = np.sqrt(np.arange(1.0, cutoff + 1))
     w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     # V^T V as a BLAS product: about 13 times faster than einsum at cutoff 1000

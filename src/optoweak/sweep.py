@@ -38,6 +38,9 @@ DELTA_GRID = {"start": 0.001, "stop": 0.12, "count": 200}
 CONFIG_KEYS = ("mode", "engine", "fixed", "axes", "pairs", "cutoffs",
                "overlay_alpha2", "out", "svg")
 RETIRED_KEYS = ("workers",)  # accepted and ignored
+# keys only some modes read; every other mode refuses them unless null
+READ_BY = {"pairs": ("figure3",), "overlay_alpha2": ("figure2",), "svg": ("figure2", "figure3"),
+           "engine": ("figure2", "sweep"), "cutoffs": ("figure2", "sweep", "verify")}
 SCAN_POINTS = 512  # grid points per batch of exact scans
 # what a sweep keeps of each exact outcome: the scalars its rows print
 _EXACT_FIELDS = operator.attrgetter("p_click", "p_noclick", "p_residual", "q_click", "q_noclick",
@@ -135,11 +138,14 @@ def load_config(path: str | None, overrides: dict | None = None,
     mode = raw.get("mode")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    for key, modes in READ_BY.items():
+        if raw.get(key) is not None and mode not in modes:
+            who = " and ".join(filter(None, (", ".join(modes[:-1]), modes[-1])))
+            raise ConfigError(f"{key}: mode {mode!r} would ignore it "
+                              f"(only {who} read{'s' * (len(modes) == 1)} it)")
     for key in ("out", "svg"):
         if not isinstance(raw.get(key), (str, type(None))):
             raise ConfigError(f"{key} must be a path string or null, got {raw[key]!r}")
-    if raw.get("svg") is not None and mode not in ("figure2", "figure3"):
-        raise ConfigError(f"svg: only figure2 and figure3 draw a plot, not mode {mode!r}")
     engine = raw.get("engine", "analytic")
     if engine not in ENGINES:
         raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -180,9 +186,6 @@ def load_config(path: str | None, overrides: dict | None = None,
     if not pairs:
         raise ConfigError("pairs: figure3 needs at least one [probability, k] item")
     overlay_alpha2 = _number("overlay_alpha2", raw.get("overlay_alpha2", 2.0), 0.0)
-    for key, reader in (("pairs", "figure3"), ("overlay_alpha2", "figure2")):
-        if key in raw and mode != reader:
-            raise ConfigError(f"{key}: mode {mode!r} would ignore it (only {reader} reads it)")
 
     cfg = SweepConfig(
         mode=mode, engine=engine, fixed=fixed, axes=axes, pairs=pairs,
@@ -216,10 +219,10 @@ def _check_exact_feasible(cfg: SweepConfig) -> None:
     damped (gamma > 0, or verify's check 8), the (a, m) density matrix and
     the working set of one block's exponential, _EXPM_WORKSPACE generators of
     dm^4 entries; and an optical cutoff whose recombiner binomials overflow.
-    Verify's checks run the exact engines whatever the engine.  Then, where
-    exact points run at the config's values (sweep, figure2's overlay), run
-    the engines' own preselection checks (:func:`optoweak.interferometer._arm`)
-    at the worst point: the largest |alpha|^2 and |phi| = k |1 - e^{-i wm_t}|."""
+    Verify's checks always run the exact engines.  Then, where exact points
+    run at the config's values (sweep, figure2's overlay), run the engines'
+    own preselection checks (:func:`optoweak.interferometer._arm`) at the
+    worst point: the largest |alpha|^2 and |phi| = k |1 - e^{-i wm_t}|."""
     if cfg.engine == "analytic" and cfg.mode != "verify":
         return
     alpha2 = max(_exact_values(cfg, "alpha2"))
@@ -237,8 +240,9 @@ def _check_exact_feasible(cfg: SweepConfig) -> None:
                               f"the {name} has {size} entries (cap {cap})")
     if d > MAX_RECOMBINER_DIM:
         raise ConfigError(f"exact engine infeasible at |alpha|^2={alpha2:.3g}: optical cutoff "
-                          f"{d - 1} overflows the recombiner's binomial table (largest 2053)")
-    if cfg.mode not in ("sweep", "figure2"):
+                          f"{d - 1} overflows the recombiner's binomial table "
+                          f"(largest {MAX_RECOMBINER_DIM - 1})")
+    if cfg.mode == "verify":
         return
     try:
         _arm(drive)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optoweak import (DegenerateBranchError, ProtocolParams,
+from optoweak import (DegenerateBranchError, LayoutError, ProtocolParams,
                       alpha2_for_probability, coherent_state, evolution_params,
                       p_success, p_success_wva, q_click, q_click_smallk,
                       q_diff, q_diff_argmax, q_no_postselection, q_noclick,
@@ -172,8 +172,9 @@ class TestRegimeClassifier:
 
 
 @pytest.mark.parametrize("form", [q_noclick, q_click, q_diff, q_wva, p_success])
-def test_negative_alpha2_raises_value_error(form):
-    # the closed forms take alpha2 from outside, so each refuses a negative one
-    with pytest.raises(ValueError, match="alpha2 must be >= 0"):
+def test_negative_alpha2_raises_layout_error(form):
+    # the closed forms take alpha2 from outside, so each refuses a negative
+    # one with the typed error of every other out-of-range parameter
+    with pytest.raises(LayoutError, match="alpha2 must be >= 0"):
         form(*inputs(-1e-12, 0.01, 0.005, math.pi))
     assert math.isfinite(form(*inputs(0.0, 0.01, 0.005, math.pi)))

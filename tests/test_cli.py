@@ -221,6 +221,16 @@ def test_svg_is_offered_only_where_a_plot_is_drawn(tmp_path, command):
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("command", ["table1", "figure3", "verify"])
+def test_engine_is_offered_only_where_an_exact_engine_runs(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--engine", "exact", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --engine exact" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["table1", "verify", "sweep", "figure3"])
 def test_svg_config_key_only_where_a_plot_is_drawn(tmp_path, capsys, monkeypatch, mode):
     # the config key, unlike the flag, reaches every mode: a mode that draws
@@ -302,10 +312,22 @@ def test_axes_a_mode_never_reads_exit_2(tmp_path, capsys, monkeypatch, mode, axe
     ("table1", {"overlay_alpha2": 5},
      "overlay_alpha2: mode 'table1' would ignore it (only figure2 reads it)"),
     ("figure3", {"pairs": []}, "pairs: figure3 needs at least one [probability, k] item"),
-], ids=["pairs-in-sweep", "overlay-in-table1", "empty-figure3-pairs"])
+    ("table1", {"engine": "exact", "cutoffs": {"mirror": 1500}},
+     "engine: mode 'table1' would ignore it (only figure2 and sweep read it)"),
+    ("figure3", {"engine": "both"},
+     "engine: mode 'figure3' would ignore it (only figure2 and sweep read it)"),
+    ("verify", {"engine": "analytic"},
+     "engine: mode 'verify' would ignore it (only figure2 and sweep read it)"),
+    ("table1", {"cutoffs": {"optical": 40}},
+     "cutoffs: mode 'table1' would ignore it (only figure2, sweep and verify read it)"),
+    ("figure3", {"cutoffs": {"mirror": 1500}},
+     "cutoffs: mode 'figure3' would ignore it (only figure2, sweep and verify read it)"),
+], ids=["pairs-in-sweep", "overlay-in-table1", "empty-figure3-pairs", "engine-in-table1",
+        "engine-in-figure3", "engine-in-verify", "cutoffs-in-table1", "cutoffs-in-figure3"])
 def test_keys_a_mode_never_reads_exit_2(tmp_path, capsys, mode, extra, message):
     # each exited 0 with the key unused (an empty figure3 pairs list wrote a
-    # delta-only CSV); now a config error naming the key, before any output
+    # delta-only CSV), or table1 and figure3 refused an exact engine they never
+    # run as infeasible; now a config error naming the key, before any output
     cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
     cfg.write_text(json.dumps({"mode": mode, "out": str(out), **extra}))
     assert main([mode, "--config", str(cfg)]) == 2

@@ -19,6 +19,7 @@ from optoweak import (DEFAULT_TOL, DegenerateBranchError, LayoutError, LindbladP
                       evolution_params, evolve_master, poisson_tail, position,
                       run_protocol, weak_value_numeric)
 from optoweak import analytics as an
+from optoweak import oracle
 from optoweak.dissipation import _evolved_rho
 from optoweak.dynamics import _mirror_tail
 from optoweak.fock import _moment_table, cutoff_for_leakage
@@ -276,12 +277,14 @@ class TestBeamSplitter:
                 assert np.abs(w[t] - ref).max() <= 1e-13 * np.abs(ref).max()
                 assert (w[t] == _bs_kernel(thetas[t:t + 1], beta)[0]).all()
 
-    def test_largest_accepted_cutoff_is_finite_and_within_bound(self):
-        # d = MAX_RECOMBINER_DIM is the largest the feasibility guard accepts
-        # (test_sweep); its largest complete block N = d - 1 and the truncated
-        # block N = d against expm_multiply (:func:`expm_rows`), no eigensolver
-        d, theta = MAX_RECOMBINER_DIM, 0.3
-        assert math.comb(d, d // 2) > int(sys.float_info.max) ** 2  # d + 1 overflows
+    @pytest.mark.parametrize("d", [2, 3, 13, 34, 64, MAX_RECOMBINER_DIM])
+    def test_truncated_block_matches_expm_multiply(self, d):
+        # the largest complete block N = d - 1 and the truncated block N = d,
+        # whose row comes from LAPACK's eigh, against expm_multiply
+        # (:func:`expm_rows`), no eigensolver: the damped (13), scaled (34)
+        # and paper-point (64) cutoffs, and d = MAX_RECOMBINER_DIM, the
+        # largest the feasibility guard accepts (test_sweep)
+        theta = 0.3
         rng = np.random.default_rng(d)
         beta = rng.normal(size=d) + 1j * rng.normal(size=d)
         try:
@@ -291,26 +294,38 @@ class TestBeamSplitter:
             for n_tot in (d - 1, d):
                 j, c, i, rows = block_rows(theta, beta, n_tot, expm_rows)
                 assert np.abs(w[j, c][:, i] - rows).max() <= 1e-13 * np.abs(w).max()
-            with pytest.raises(LayoutError, match="overflows the recombiner's binomial table"):
-                _bs_kernel(np.array([theta]), np.ones(d + 1, dtype=complex))
         finally:
-            _bs_tables.cache_clear()  # about 100 MB
+            if d == MAX_RECOMBINER_DIM:
+                _bs_tables.cache_clear()  # about 100 MB
 
-    def test_no_production_path_runs_a_lapack_eigensolver(self, monkeypatch):
-        # the recombiner tables use the LAPACK-free fock._tridiagonal_eigh
-        # and the mirror needs no eigenpairs; complex or real, eigh raises here
-        def no_eigh(m, *args, **kwargs):
-            raise AssertionError(f"eigh of a {np.asarray(m).dtype} matrix on a production path")
-        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        for cache in (_bs_tables, _moment_table, _evolved_ket, _evolved_rho):
+    def test_one_past_the_largest_cutoff_overflows(self):
+        d = MAX_RECOMBINER_DIM
+        assert math.comb(d, d // 2) > int(sys.float_info.max) ** 2  # d + 1 overflows
+        with pytest.raises(LayoutError, match="overflows the recombiner's binomial table"):
+            _bs_kernel(np.array([0.3]), np.ones(d + 1, dtype=complex))
+
+    def test_production_eigh_runs_once_per_optical_cutoff_on_the_truncated_block(
+            self, monkeypatch):
+        # the recombiner's truncated block N = d, n_opt states, is the one
+        # eigensolve on a production path, once per optical cutoff; the
+        # mirror needs no eigenpairs, so no q-sized matrix reaches eigh
+        shapes, real_eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda m, *args, **kwargs: shapes.append(np.shape(m))
+                            or real_eigh(m, *args, **kwargs))
+        for cache in (_bs_tables, _moment_table, _evolved_ket, _evolved_rho,
+                      oracle._eigenpairs):
             cache.cache_clear()
-        run_protocol(make_params(2.0, 0.005))
-        damped_protocol(make_params(2.0, 0.005, optical_cutoff=12, mirror_cutoff=3), 5e-7)
+        unitary, damped = (make_params(2.0, 0.005),
+                           make_params(2.0, 0.005, optical_cutoff=12, mirror_cutoff=3))
+        run_protocol(unitary)
+        damped_protocol(damped, 5e-7)
         cfg = load_config(None, overrides={"engine": "both", "fixed": {"alpha2": 1.0},
                                            "axes": {"delta": [0.005, 0.01]}},
                           default_mode="sweep")
         assert len(list(iter_sweep_rows(cfg))) == 4
-        assert _bs_tables.cache_info().currsize == 2  # d = 13 and 10 were built
+        n_opts = (unitary.n_opt, make_params(1.0, 0.0).n_opt)
+        assert unitary.n_opt == damped.n_opt == 12 and shapes == [(n, n) for n in n_opts]
 
     def test_balanced_maps_coherent_pair(self):
         u, v = 0.6, -0.3

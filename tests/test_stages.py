@@ -230,13 +230,9 @@ def test_exact_sweep_decomposes_q_zero_times(monkeypatch):
     # the ket is written in closed form: a sweep over five drives and two
     # mirror cutoffs, run_protocol and damped_protocol never build q's
     # eigenpairs (their builder raises here), and only the recombiner's truncated block N = d,
-    # n_opt states, reaches the eigensolver, once per optical cutoff
-    calls = []
-    for module in (fock, interferometer):
-        real_eigh = module._tridiagonal_eigh
-        monkeypatch.setattr(module, "_tridiagonal_eigh",
-                            lambda off, name=module.__name__, real_eigh=real_eigh:
-                            calls.append((name, len(off) + 1)) or real_eigh(off))
+    # n_opt states, reaches np.linalg.eigh, once per optical cutoff
+    calls, real_eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(np.shape(m)) or real_eigh(m))
 
     def no_eigenpairs(cutoff):
         raise AssertionError(f"q's eigenpairs built at mirror cutoff {cutoff}")
@@ -254,7 +250,7 @@ def test_exact_sweep_decomposes_q_zero_times(monkeypatch):
     run_protocol(make_params(2.0, 0.01, mirror_cutoff=9))
     damped(make_params(2.0, 0.01, optical_cutoff=12, mirror_cutoff=3))
     n_opts = {make_params(a2, 0.0).n_opt for a2 in alpha2s} | {12}
-    assert sorted(calls) == [("optoweak.interferometer", n) for n in sorted(n_opts)]
+    assert sorted(calls) == [(n, n) for n in sorted(n_opts)]
 
 
 EXACT_COLUMNS = (("p_click", "p_click"), ("p_noclick", "p_noclick"),

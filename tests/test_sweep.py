@@ -194,7 +194,8 @@ class TestExactFeasibility:
             if ok:
                 load_config(None, overrides=overrides, default_mode="sweep")
                 continue
-            with pytest.raises(ConfigError, match="optical cutoff 2054 overflows"):
+            with pytest.raises(ConfigError, match=rf"optical cutoff 2054 overflows .*"
+                                                  rf"\(largest {MAX_RECOMBINER_DIM - 1}\)"):
                 load_config(None, overrides=overrides, default_mode="sweep")
 
     def test_mirror_tail_refused_up_front(self):
@@ -206,11 +207,14 @@ class TestExactFeasibility:
                 "axes": {"delta": [0.005, 0.01]}}, default_mode="sweep")
 
     def test_mirror_tail_checked_only_where_exact_points_run(self):
-        # figure3 and table1 run no exact point at the fixed k; figure2's
-        # overlay does, at overlay_alpha2 = 2, where 12 photons displace the
-        # mirror by 12 * 0.2 * 2 = 4.8
+        # figure3 and table1 run no exact point, so they refuse an engine;
+        # figure2's overlay runs at overlay_alpha2 = 2, where 12 photons
+        # displace the mirror by 12 * 0.2 * 2 = 4.8
         for mode in ("figure3", "table1"):
-            load_config(None, overrides={"mode": mode, "engine": "exact", "fixed": {"k": 0.2}})
+            load_config(None, overrides={"mode": mode, "fixed": {"k": 0.2}})
+            with pytest.raises(ConfigError, match=f"engine: mode '{mode}' would ignore it"):
+                load_config(None, overrides={"mode": mode, "engine": "exact",
+                                             "fixed": {"k": 0.2}})
         with pytest.raises(ConfigError, match="mirror cutoff 10 too small for displacement 4.8"):
             load_config(None, overrides={"mode": "figure2", "engine": "exact",
                                          "fixed": {"k": 0.2}})
