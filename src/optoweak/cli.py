@@ -20,7 +20,7 @@ import sys
 
 from .errors import (ConfigError, ConvergenceError, DegenerateBranchError,
                      OptoweakError, TruncationError)
-from .sweep import (SWEEP_HEADER, SweepConfig, iter_sweep_rows, load_config,
+from .sweep import (ENGINES, READ_BY, SWEEP_HEADER, SweepConfig, iter_sweep_rows, load_config,
                     run_figure2, run_figure3, run_table1, write_csv)
 from . import verify as verify_mod
 
@@ -46,9 +46,9 @@ def _parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name, help=blurb)
         q.add_argument("--config", help="JSON config file")
         q.add_argument("--out", help="output CSV path (default: stdout)")
-        if name in ("figure2", "sweep"):
-            q.add_argument("--engine", choices=("analytic", "exact", "both"))
-        if name in SVG_PLOTS:
+        if name in READ_BY["engine"]:
+            q.add_argument("--engine", choices=ENGINES)
+        if name in READ_BY["svg"]:
             q.add_argument("--svg", help="optional SVG plot path")
     return p
 
@@ -94,8 +94,7 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     # verify
-    results = verify_mod.run_all(optical_cutoff=cfg.optical_cutoff,
-                                 mirror_cutoff=cfg.mirror_cutoff)
+    results = verify_mod.run_all()
     for res in results:
         print(res.report())
     n_fail = sum(not r.passed for r in results)

@@ -11,6 +11,7 @@ same outcome record; only the damped state is contracted as a density matrix.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -19,7 +20,8 @@ import numpy as np
 from .dynamics import EvolutionParams
 from .errors import LayoutError
 from .fock import _hermitian, annihilation
-from .interferometer import ProtocolOutcome, ProtocolParams, _arm, _drive, _outcomes, _recombined
+from .interferometer import (ProtocolOutcome, ProtocolParams, _arm, _drive, _outcomes,
+                             _recombined, _within_cap)
 from .tolerances import DEFAULT_TOL
 
 
@@ -35,8 +37,8 @@ class LindbladParams:
     base: EvolutionParams
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise LayoutError("gamma must be >= 0")
+        if not 0 <= self.gamma < math.inf:  # chained, so that NaN fails it too
+            raise LayoutError(f"gamma must be finite and >= 0, got {self.gamma!r}")
 
 
 def _density_matrix(rho: np.ndarray) -> tuple[int, int, np.ndarray]:
@@ -105,8 +107,8 @@ def evolve_master(rho0: np.ndarray, params: LindbladParams,
     """Exact evolution of an (a, m) density matrix ``rho0`` of shape
     (da, dm, da, dm) under the damped master equation, block by block
     (:func:`_evolve_blocks`); returns a new array of that shape."""
-    if total_time < 0:
-        raise LayoutError("total_time must be >= 0")
+    if not 0 <= total_time < math.inf:
+        raise LayoutError(f"total_time must be finite and >= 0, got {total_time!r}")
     da, dm, r = _density_matrix(rho0)
     if total_time == 0:
         return np.array(rho0, dtype=complex)
@@ -157,6 +159,17 @@ def _evolve_blocks(upper: np.ndarray, da: int, params: LindbladParams,
     return out
 
 
+def _damped_arm(drive: ProtocolParams) -> np.ndarray:
+    """:func:`optoweak.interferometer._arm` for the damped engine, after its
+    own checks, before any array is built: the (a, m) density matrix and the
+    working set of one block's exponential, _EXPM_WORKSPACE generators of
+    dm^4 entries, must fit the dense cap."""
+    d, dm = drive.n_opt + 1, drive.mirror_cutoff + 1
+    _within_cap("(a, m) density matrix", (d * dm) ** 2)
+    _within_cap("block exponential's working set", _EXPM_WORKSPACE * dm ** 4)
+    return _arm(drive)
+
+
 @functools.lru_cache(maxsize=1)
 def _evolved_rho(drive: ProtocolParams, gamma: float
                  ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
@@ -166,18 +179,19 @@ def _evolved_rho(drive: ProtocolParams, gamma: float
     contraction order of :func:`_damped_scan`, its
     partial trace rho_a over the mirror, rho_a's trace and arm b's amplitudes.
 
-    A miss runs the preselection leakage and mirror-tail checks; the cache
-    keeps no exception, so a failing key raises on every call.  One entry
-    holding one (d dm)^2 array: a density matrix can reach the feasibility
-    guard's 256 MiB cap, and a damped delta scan needs only the last one.
-    The arrays are read-only, because every caller shares them.
+    A miss runs :func:`_damped_arm`'s checks; the cache keeps no exception,
+    so a failing key raises on every call.  One entry holding one (d dm)^2
+    array: a density matrix can reach the 256 MiB cap, and a damped delta
+    scan needs only the last one.  The arrays are read-only, because every
+    caller shares them.
     """
-    beta = _arm(drive)
+    params = LindbladParams(gamma, drive.evolution)
+    beta = _damped_arm(drive)
     d, dm = len(beta), drive.mirror_cutoff + 1
     rows, cols = np.triu_indices(d)
     upper = np.zeros((len(rows), dm, dm), dtype=complex)
     upper[:, 0, 0] = beta[rows] * beta[cols].conj()  # the mirror starts in vacuum
-    rho = _evolve_blocks(upper, d, LindbladParams(gamma, drive.evolution), drive.evolution.wm_t)
+    rho = _evolve_blocks(upper, d, params, drive.evolution.wm_t)
     rho_a = functools.reduce(np.add, (rho[:, :, m, m] for m in range(dm)))  # summed over m in order
     pairs = rho.reshape(d * d, dm * dm)
     for arr in (pairs, rho_a, beta):

@@ -35,10 +35,11 @@ class EvolutionParams:
     wm_t: float
 
     def __post_init__(self):
-        if self.k < 0:
-            raise LayoutError("coupling k must be >= 0")
-        if self.wm_t < 0:
-            raise LayoutError("wm_t must be >= 0")
+        # chained compares, so that NaN fails them too
+        if not 0 <= self.k < math.inf:
+            raise LayoutError(f"coupling k must be finite and >= 0, got {self.k!r}")
+        if not 0 <= self.wm_t < math.inf:
+            raise LayoutError(f"wm_t must be finite and >= 0, got {self.wm_t!r}")
 
     @cached_property
     def kerr_phase(self) -> float:

@@ -59,8 +59,13 @@ class ProtocolParams:
     mirror_cutoff: int = 10
 
     def __post_init__(self):
-        if abs(self.delta) >= math.pi / 4:
-            raise LayoutError("|delta| must be < pi/4")
+        # negated compares, so that NaN fails each of them
+        if not abs(self.alpha) < math.inf:
+            raise LayoutError(f"alpha must be finite, got {self.alpha!r}")
+        if not abs(self.delta) < math.pi / 4:
+            raise LayoutError(f"|delta| must be < pi/4, got {self.delta!r}")
+        if not self.mirror_cutoff >= 0:
+            raise LayoutError(f"mirror_cutoff must be >= 0, got {self.mirror_cutoff!r}")
         if self.alpha2 * self.delta ** 2 > DEFAULT_TOL.small_param_warn:
             warnings.warn(
                 f"|alpha|^2 delta^2 = {self.alpha2 * self.delta**2:.3g} is not small; "
@@ -102,9 +107,24 @@ class ProtocolOutcome:
     degenerate_reason: str | None = None
 
 
+def _within_cap(name: str, size: int) -> None:
+    """Refuse an exact-engine array of ``size`` complex entries past the dense
+    cap squared (a 4096 x 4096 complex matrix, 256 MiB), naming it."""
+    cap = DEFAULT_TOL.dense_dim_cap ** 2
+    if size > cap:
+        raise LayoutError(f"the {name} has {size} entries (cap {cap})")
+
+
 def _arm(drive: ProtocolParams) -> np.ndarray:
     """Unit-norm amplitudes of a preselected arm |alpha/sqrt2>, the start of both
-    engines' stages, after the leakage check and the mirror-tail check they share."""
+    engines' stages, after the checks they share: the mirror working set and
+    the recombiner's binomials (:class:`LayoutError`, before any array is
+    built), then the preselection leakage and the mirror tail."""
+    d = drive.n_opt + 1
+    _within_cap("mirror working set", _MIRROR_WORKSPACE * (drive.mirror_cutoff + 1) ** 2)
+    if d > MAX_RECOMBINER_DIM:
+        raise LayoutError(f"optical cutoff {d - 1} overflows the recombiner's binomial table "
+                          f"(largest {MAX_RECOMBINER_DIM - 1})")
     beta = _unit(coherent_state(drive.alpha / math.sqrt(2.0), drive.n_opt,
                                 leakage_tol=PRESELECT_LEAKAGE / 2))
     _mirror_tail(drive.evolution, np.abs(beta) ** 2, drive.mirror_cutoff)
@@ -132,10 +152,9 @@ def _evolved_ket(drive: ProtocolParams) -> tuple[np.ndarray, float, np.ndarray]:
     levels, K = ``kerr_phase``, phi = ``disp_param``.  Rows are running products
     along m with e^{-|n phi|^2/4} at each end, so none overflows or flushes to zero.
 
-    A miss runs the preselection leakage and mirror-tail checks; the cache
-    keeps no exception, so a failing key raises on every call.  Eight
-    entries of d dm + d complex numbers, read-only because every caller
-    shares them.
+    A miss runs :func:`_arm`'s checks; the cache keeps no exception, so a
+    failing key raises on every call.  Eight entries of d dm + d complex
+    numbers, read-only because every caller shares them.
     """
     beta, ev = _arm(drive), drive.evolution
     n = np.arange(len(beta))
@@ -155,9 +174,8 @@ def _bs_tables(d: int) -> tuple[np.ndarray, ...]:
     the exponents max(k - 1, 0), k <= d + 1, and for the truncated block
     N = d (states |i, d - i>, l = i - 1), with T = V diag(lam) V^T by ``eigh``,
     i lam and Q[q, l] = -V[d-2, q] V[l, q] i^(l-d+2), which takes their phases
-    to its row c = d - 1.  The binomials overflow past d = MAX_RECOMBINER_DIM."""
-    if d > MAX_RECOMBINER_DIM:
-        raise LayoutError(f"optical cutoff {d - 1} overflows the recombiner's binomial table")
+    to its row c = d - 1.  The binomials overflow past d = MAX_RECOMBINER_DIM,
+    which :func:`_arm` refuses."""
     c, n = np.arange(d)[:, None], np.arange(1, d)
     binom = np.hstack([np.zeros((d, 1)), np.ones((d, 1)),
                        np.cumprod(np.sqrt(np.maximum(c + 1 - n, 0) / n), axis=1)])

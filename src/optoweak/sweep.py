@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytics
-from .dissipation import _EXPM_WORKSPACE, _damped_scan
+from .dissipation import _damped_arm, _damped_scan
 from .dynamics import EvolutionParams, evolution_params
-from .errors import ConfigError, DegenerateBranchError, TruncationError
-from .interferometer import _MIRROR_WORKSPACE, MAX_RECOMBINER_DIM, ProtocolParams, _arm, _scan
-from .tolerances import DEFAULT_TOL
+from .errors import ConfigError, DegenerateBranchError, LayoutError, TruncationError
+from .interferometer import ProtocolParams, _arm, _scan
 
 MODES = ("figure2", "figure3", "table1", "verify", "sweep")
 ENGINES = ("analytic", "exact", "both")
@@ -40,7 +39,7 @@ CONFIG_KEYS = ("mode", "engine", "fixed", "axes", "pairs", "cutoffs",
 RETIRED_KEYS = ("workers",)  # accepted and ignored
 # keys only some modes read; every other mode refuses them unless null
 READ_BY = {"pairs": ("figure3",), "overlay_alpha2": ("figure2",), "svg": ("figure2", "figure3"),
-           "engine": ("figure2", "sweep"), "cutoffs": ("figure2", "sweep", "verify")}
+           "engine": ("figure2", "sweep"), "cutoffs": ("figure2", "sweep")}
 SCAN_POINTS = 512  # grid points per batch of exact scans
 # what a sweep keeps of each exact outcome: the scalars its rows print
 _EXACT_FIELDS = operator.attrgetter("p_click", "p_noclick", "p_residual", "q_click", "q_noclick",
@@ -213,40 +212,20 @@ def _exact_drive(cfg: SweepConfig, alpha2: float, evolution: EvolutionParams) ->
 
 
 def _check_exact_feasible(cfg: SweepConfig) -> None:
-    """Refuse exact points whose largest arrays exceed the dense cap squared
-    (a 4096 x 4096 complex matrix, 256 MiB): the mirror working set of every
-    point, _MIRROR_WORKSPACE arrays of dm^2 entries, and, when a point is
-    damped (gamma > 0, or verify's check 8), the (a, m) density matrix and
-    the working set of one block's exponential, _EXPM_WORKSPACE generators of
-    dm^4 entries; and an optical cutoff whose recombiner binomials overflow.
-    Verify's checks always run the exact engines.  Then, where exact points
-    run at the config's values (sweep, figure2's overlay), run the engines'
-    own preselection checks (:func:`optoweak.interferometer._arm`) at the
-    worst point: the largest |alpha|^2 and |phi| = k |1 - e^{-i wm_t}|."""
-    if cfg.engine == "analytic" and cfg.mode != "verify":
+    """Refuse up front a config whose exact points the engines would refuse:
+    run the checks of a stage miss (:func:`optoweak.dissipation._damped_arm`
+    when a point is damped, gamma > 0, else
+    :func:`optoweak.interferometer._arm`) at the worst drive, the largest
+    |alpha|^2 and |phi| = k |1 - e^{-i wm_t}|, and report a refusal as a
+    :class:`ConfigError`."""
+    if cfg.engine == "analytic":
         return
     alpha2 = max(_exact_values(cfg, "alpha2"))
     wm_t = max(_exact_values(cfg, "wm_t"), key=lambda w: evolution_params(1.0, w).abs_disp)
     drive = _exact_drive(cfg, alpha2, evolution_params(max(_exact_values(cfg, "k")), wm_t))
-    d, dm = drive.n_opt + 1, drive.mirror_cutoff + 1
-    cap = DEFAULT_TOL.dense_dim_cap ** 2
-    sizes = [("mirror working set", _MIRROR_WORKSPACE * dm * dm)]
-    if cfg.mode == "verify" or (cfg.mode == "sweep" and max(_exact_values(cfg, "gamma")) > 0.0):
-        sizes = [("(a, m) density matrix", (d * dm) ** 2),
-                 ("block exponential's working set", _EXPM_WORKSPACE * dm ** 4)] + sizes
-    for name, size in sizes:
-        if size > cap:
-            raise ConfigError(f"exact engine infeasible at |alpha|^2={alpha2:.3g}: "
-                              f"the {name} has {size} entries (cap {cap})")
-    if d > MAX_RECOMBINER_DIM:
-        raise ConfigError(f"exact engine infeasible at |alpha|^2={alpha2:.3g}: optical cutoff "
-                          f"{d - 1} overflows the recombiner's binomial table "
-                          f"(largest {MAX_RECOMBINER_DIM - 1})")
-    if cfg.mode == "verify":
-        return
     try:
-        _arm(drive)
-    except TruncationError as err:
+        (_damped_arm if max(_exact_values(cfg, "gamma")) > 0.0 else _arm)(drive)
+    except (LayoutError, TruncationError) as err:
         raise ConfigError(f"exact engine infeasible at |alpha|^2={alpha2:.3g}, "
                           f"k={drive.evolution.k:.3g}, wm_t={wm_t:.3g}: {err}") from err
 

@@ -2,8 +2,9 @@
 
 Each check bundles the clauses of one verification target: measured value,
 tolerance, pass flag, runtime.  The CLI ``verify`` command and the
-acceptance test module both run exactly this list, so there is one source of
-truth for what the package promises.
+acceptance test module both run exactly this list, each check at its own
+fixed parameters and cutoffs, so there is one source of truth for what the
+package promises.
 
 Checks never abort the suite: exceptions inside a check are captured and
 reported as failures.
@@ -80,11 +81,11 @@ def _timed(budget_s: float):
     error, a return adds a last "runtime s" clause held to ``budget_s``."""
     def decorate(fn):
         @functools.wraps(fn)
-        def wrapper(*args, **kwargs) -> CheckResult:
+        def wrapper() -> CheckResult:
             t0 = time.perf_counter()
             res = CheckResult(name=fn.__name__.removeprefix("check_"))
             try:
-                fn(res, *args, **kwargs)
+                fn(res)
             except Exception as err:  # aggregated, never panicking mid-suite
                 res.error = f"{type(err).__name__}: {err}"
             res.seconds = time.perf_counter() - t0
@@ -150,11 +151,10 @@ DESK_DELTAS = (0.002, 0.005, 0.01, 0.02, 0.035, 0.05)
 
 
 @_timed(60.0)
-def check_exact_vs_analytic(res: CheckResult, optical_cutoff: int = 14,
-                            mirror_cutoff: int = 8) -> None:
+def check_exact_vs_analytic(res: CheckResult) -> None:
     k, wm_t, alpha2 = 0.005, math.pi, 2.0
-    low, ex = (list(_scan(_params(a2, 0.0, k, wm_t, optical_cutoff=optical_cutoff,
-                                  mirror_cutoff=mirror_cutoff), DESK_DELTAS))
+    low, ex = (list(_scan(_params(a2, 0.0, k, wm_t, optical_cutoff=14, mirror_cutoff=8),
+                          DESK_DELTAS))
                for a2 in (0.5, alpha2))
     ev = evolution_params(k, wm_t)
     for name, attr, ref, tol in (("q_diff", "diff", analytics.q_diff, 0.05),
@@ -210,7 +210,8 @@ def check_propagator_equivalence(res: CheckResult) -> None:
 # 5. single-photon bound without postselection
 
 @_timed(30.0)
-def check_no_postselection_bound(res: CheckResult, mirror_cutoff: int = 12) -> None:
+def check_no_postselection_bound(res: CheckResult) -> None:
+    mirror_cutoff = 12
     q = position(mirror_cutoff)
 
     def shift(k: float, wm_t: float) -> float:
@@ -231,11 +232,9 @@ def check_no_postselection_bound(res: CheckResult, mirror_cutoff: int = 12) -> N
 # 6. exact SNR at the small-coupling optimum
 
 @_timed(30.0)
-def check_snr_exact(res: CheckResult, optical_cutoff: int = 16,
-                    mirror_cutoff: int = 8) -> None:
+def check_snr_exact(res: CheckResult) -> None:
     k, alpha2 = 0.01, 4.0
-    out = run_protocol(_params(alpha2, k, k, math.pi, optical_cutoff=optical_cutoff,
-                               mirror_cutoff=mirror_cutoff))
+    out = run_protocol(_params(alpha2, k, k, math.pi, optical_cutoff=16, mirror_cutoff=8))
     target = analytics.snr_click(alpha2, k)  # 1.08
     res.add("snr = q_click/dq rel dev vs 1+2k|alpha|^2",
             abs(out.q_click / out.dq_click - target) / target, 0.05)
@@ -265,11 +264,9 @@ def check_weak_value_wva(res: CheckResult) -> None:
 # 8. damping robustness
 
 @_timed(120.0)
-def check_dissipation_robustness(res: CheckResult, optical_cutoff: int = 12,
-                                 mirror_cutoff: int = 6) -> None:
-    k, wm_t, alpha2, gamma = 0.005, math.pi, 2.0, 5e-7
-    params = _params(alpha2, k, k, wm_t, optical_cutoff=optical_cutoff,
-                     mirror_cutoff=mirror_cutoff)
+def check_dissipation_robustness(res: CheckResult) -> None:
+    k, wm_t, alpha2, gamma, mirror_cutoff = 0.005, math.pi, 2.0, 5e-7, 6
+    params = _params(alpha2, k, k, wm_t, optical_cutoff=12, mirror_cutoff=mirror_cutoff)
     undamped = damped_protocol(params, 0.0)
     damped = damped_protocol(params, gamma)
     res.add("q_diff rel change at gamma=5e-7",
@@ -292,9 +289,9 @@ def check_dissipation_robustness(res: CheckResult, optical_cutoff: int = 12,
 # 9. weak-approximation chain vs the exact pipeline
 
 @_timed(30.0)
-def check_approximation_chain(res: CheckResult, optical_cutoff: int = 12,
-                              mirror_cutoff: int = 8) -> None:
+def check_approximation_chain(res: CheckResult) -> None:
     alpha2, k, wm_t, delta = 1.0, 0.005, math.pi, 0.02
+    optical_cutoff, mirror_cutoff = 12, 8
     alpha = math.sqrt(alpha2)
     ev = evolution_params(k, wm_t)
     # the approximate evolved state: weak operator on the linearized inputs
@@ -327,16 +324,6 @@ ALL_CHECKS = (
 )
 
 
-def run_all(optical_cutoff: int | None = None,
-            mirror_cutoff: int | None = None) -> list[CheckResult]:
-    """Run every check; cutoff overrides apply where a check takes them."""
-    import inspect
-
-    over = {key: val for key, val in (("optical_cutoff", optical_cutoff),
-                                      ("mirror_cutoff", mirror_cutoff)) if val is not None}
-    results = []
-    for check in ALL_CHECKS:
-        accepted = inspect.signature(check.__wrapped__).parameters
-        kwargs = {k: v for k, v in over.items() if k in accepted}
-        results.append(check(**kwargs))
-    return results
+def run_all() -> list[CheckResult]:
+    """Run every check, each at its own fixed parameters and cutoffs."""
+    return [check() for check in ALL_CHECKS]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from optoweak import verify
+from optoweak import TruncationError, verify
 from optoweak.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -167,44 +167,31 @@ def test_sweep_exact_single_point(tmp_path):
     assert float(row["q_diff"]) == pytest.approx(1.0, rel=0.05)
 
 
-def test_verify_with_crippled_mirror_cutoff(tmp_path, capsys):
-    # a mirror cutoff of 1 must surface truncation failures and exit nonzero,
-    # without aborting the rest of the suite
+def test_a_raising_check_fails_verify_without_aborting_the_suite(tmp_path, capsys,
+                                                                 monkeypatch):
+    # an exception inside one check is that check's error: the report still
+    # lists all nine checks, and verify exits 1
+    def crippled(*args):
+        raise TruncationError("mirror cutoff 1 too small", 0.5)
+
+    monkeypatch.setattr(verify, "damped_protocol", crippled)
     report = tmp_path / "verify.json"
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"cutoffs": {"optical": 9, "mirror": 1},
-                               "out": str(report)}))
-    code = main(["verify", "--config", str(cfg)])
-    assert code == 1
+    assert main(["verify", "--out", str(report)]) == 1
     out = capsys.readouterr().out
-    assert "TruncationError" in out or "truncation" in out.lower()
+    assert "raised: TruncationError: mirror cutoff 1 too small (leakage=5.000e-01)" in out
     payload = json.loads(report.read_text())
-    assert isinstance(payload, list) and len(payload) >= 9
-    assert any(not entry["passed"] for entry in payload)
-    assert any(entry["passed"] for entry in payload)
-
-
-@pytest.mark.parametrize("cutoffs, expected", [({"mirror": 10}, 10),
-                                               ({"mirror": 9}, 9),
-                                               ({}, None)])
-def test_verify_passes_mirror_cutoff_as_given(tmp_path, monkeypatch, cutoffs, expected):
-    seen = {}
-
-    def fake_run_all(optical_cutoff=None, mirror_cutoff=None):
-        seen["mirror_cutoff"] = mirror_cutoff
-        return []
-
-    monkeypatch.setattr(verify, "run_all", fake_run_all)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"cutoffs": cutoffs}))
-    assert main(["verify", "--config", str(cfg)]) == 0
-    assert seen == {"mirror_cutoff": expected}
+    assert [entry["name"] for entry in payload] == [
+        check.__name__.removeprefix("check_") for check in verify.ALL_CHECKS]
+    assert len(payload) == 9
+    assert {entry["name"]: entry["error"] for entry in payload if entry["error"]} == {
+        "dissipation_robustness": "TruncationError: mirror cutoff 1 too small "
+                                  "(leakage=5.000e-01)"}
 
 
 @pytest.mark.parametrize("args", [["table1", "--out"], ["figure3", "--svg"],
                                   ["verify", "--out"]])
 def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys, monkeypatch, args):
-    monkeypatch.setattr(verify, "run_all", lambda optical_cutoff=None, mirror_cutoff=None: [])
+    monkeypatch.setattr(verify, "run_all", lambda: [])
     path = str(tmp_path / "missing" / "out.file")
     assert main(args + [path]) == 2
     err = capsys.readouterr().err
@@ -235,7 +222,7 @@ def test_engine_is_offered_only_where_an_exact_engine_runs(tmp_path, capsys, com
 def test_svg_config_key_only_where_a_plot_is_drawn(tmp_path, capsys, monkeypatch, mode):
     # the config key, unlike the flag, reaches every mode: a mode that draws
     # nothing refuses it (exit 2, naming svg) before writing anything
-    monkeypatch.setattr(verify, "run_all", lambda optical_cutoff=None, mirror_cutoff=None: [])
+    monkeypatch.setattr(verify, "run_all", lambda: [])
     svg, out = tmp_path / "plot.svg", tmp_path / "out.csv"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": mode, "svg": str(svg), "out": str(out)}))
@@ -298,7 +285,7 @@ def test_figure3_pairs_are_range_checked(tmp_path, capsys, pair, message):
 def test_axes_a_mode_never_reads_exit_2(tmp_path, capsys, monkeypatch, mode, axes, ignored):
     # figure2 and figure3 read only the delta axis and table1 and verify none;
     # an axis they would ignore is a config error naming it, before any output
-    monkeypatch.setattr(verify, "run_all", lambda optical_cutoff=None, mirror_cutoff=None: [])
+    monkeypatch.setattr(verify, "run_all", lambda: [])
     cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
     cfg.write_text(json.dumps({"mode": mode, "axes": axes, "out": str(out)}))
     assert main([mode, "--config", str(cfg)]) == 2
@@ -319,11 +306,14 @@ def test_axes_a_mode_never_reads_exit_2(tmp_path, capsys, monkeypatch, mode, axe
     ("verify", {"engine": "analytic"},
      "engine: mode 'verify' would ignore it (only figure2 and sweep read it)"),
     ("table1", {"cutoffs": {"optical": 40}},
-     "cutoffs: mode 'table1' would ignore it (only figure2, sweep and verify read it)"),
+     "cutoffs: mode 'table1' would ignore it (only figure2 and sweep read it)"),
     ("figure3", {"cutoffs": {"mirror": 1500}},
-     "cutoffs: mode 'figure3' would ignore it (only figure2, sweep and verify read it)"),
+     "cutoffs: mode 'figure3' would ignore it (only figure2 and sweep read it)"),
+    ("verify", {"cutoffs": {"mirror": 33}},
+     "cutoffs: mode 'verify' would ignore it (only figure2 and sweep read it)"),
 ], ids=["pairs-in-sweep", "overlay-in-table1", "empty-figure3-pairs", "engine-in-table1",
-        "engine-in-figure3", "engine-in-verify", "cutoffs-in-table1", "cutoffs-in-figure3"])
+        "engine-in-figure3", "engine-in-verify", "cutoffs-in-table1", "cutoffs-in-figure3",
+        "cutoffs-in-verify"])
 def test_keys_a_mode_never_reads_exit_2(tmp_path, capsys, mode, extra, message):
     # each exited 0 with the key unused (an empty figure3 pairs list wrote a
     # delta-only CSV), or table1 and figure3 refused an exact engine they never

@@ -81,7 +81,7 @@ class TestRhs:
 class TestEvolveMaster:
     def test_working_set_is_the_feasibility_count(self):
         # mirror cutoff 15: one 256 x 256 block generator per chunk, the
-        # limit the feasibility guard bounds by _EXPM_WORKSPACE generators
+        # limit _damped_arm, and so sweep's guard, bounds by _EXPM_WORKSPACE generators
         rho0, _ = product_density(coherent_state(0.3, 1, leakage_tol=1.0), 15)
         params = LindbladParams(1e-3, evolution_params(0.005, math.pi))
         tracemalloc.start()

@@ -301,8 +301,28 @@ class TestBeamSplitter:
     def test_one_past_the_largest_cutoff_overflows(self):
         d = MAX_RECOMBINER_DIM
         assert math.comb(d, d // 2) > int(sys.float_info.max) ** 2  # d + 1 overflows
-        with pytest.raises(LayoutError, match="overflows the recombiner's binomial table"):
-            _bs_kernel(np.array([0.3]), np.ones(d + 1, dtype=complex))
+        with pytest.raises(LayoutError, match=r"optical cutoff 2054 overflows the recombiner's "
+                                              r"binomial table \(largest 2053\)"):
+            run_protocol(make_params(2.0, 0.005, optical_cutoff=d))
+
+    @pytest.mark.parametrize("engine, params, array", [
+        (run_protocol, make_params(0.5, 0.005, mirror_cutoff=1448),
+         "mirror working set has 16796808 entries"),
+        (lambda p: damped_protocol(p, 1e-3), make_params(2.0, 0.005, optical_cutoff=12,
+                                                         mirror_cutoff=33),
+         "block exponential's working set has 17372368 entries"),
+    ], ids=["unitary-mirror-1448", "damped-12-33"])
+    def test_engines_refuse_an_over_cap_array_before_building_it(self, engine, params, array):
+        # each engine checks its own arrays against 4096^2 complex entries on
+        # a stage miss; the damped one was refused only by the sweep guard
+        tracemalloc.start()
+        try:
+            with pytest.raises(LayoutError, match=array):
+                engine(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_production_eigh_runs_once_per_optical_cutoff_on_the_truncated_block(
             self, monkeypatch):
@@ -551,6 +571,33 @@ class TestParamsValidation:
     def test_delta_range(self):
         with pytest.raises(Exception):
             make_params(1.0, 1.0)
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: make_params(1.0, math.nan), "delta"),
+        (lambda: ProtocolParams(complex(math.nan), 0.005, evolution_params(0.005, math.pi)),
+         "alpha"),
+        (lambda: ProtocolParams(complex(math.inf), 0.005, evolution_params(0.005, math.pi)),
+         "alpha"),
+        (lambda: make_params(1.0, 0.005, mirror_cutoff=-1), "mirror_cutoff"),
+        (lambda: evolution_params(math.nan, math.pi), "k"),
+        (lambda: evolution_params(0.005, math.inf), "wm_t"),
+        (lambda: LindbladParams(math.nan, evolution_params(0.005, math.pi)), "gamma"),
+        (lambda: damped_protocol(make_params(1.0, 0.005, optical_cutoff=8, mirror_cutoff=3),
+                                 math.nan), "gamma"),
+        (lambda: damped_protocol(make_params(1.0, 0.005, optical_cutoff=8, mirror_cutoff=3),
+                                 math.inf), "gamma"),
+        (lambda: evolve_master(np.ones((1, 1, 1, 1)),
+                               LindbladParams(1e-3, evolution_params(0.005, math.pi)), math.nan),
+         "total_time"),
+    ], ids=["delta-nan", "alpha-nan", "alpha-inf", "mirror-cutoff-negative", "k-nan",
+            "wm_t-inf", "lindblad-gamma-nan", "damped-gamma-nan", "damped-gamma-inf",
+            "total-time-nan"])
+    def test_non_finite_or_negative_inputs_raise_layout_error(self, build, name):
+        # NaN delta or k gave NaN outputs silently; NaN alpha, a negative
+        # mirror cutoff and a NaN or infinite gamma failed with bare
+        # ValueErrors, a NaN total_time with a RuntimeWarning in the exponential
+        with pytest.raises(LayoutError, match=name):
+            build()
 
     def test_small_parameter_warning(self):
         # reported at the caller's line, not at the dataclass's generated __init__

@@ -205,7 +205,7 @@ def test_large_drive_runs_without_a_displacement_warning(tmp_path):
 def test_cold_point_holds_the_mirror_working_set_the_guard_counts():
     # |alpha|^2 2 (d = 13) at mirror cutoff 250 with the moment tables and
     # the ket stage cold: 7.3 dm^2 complex entries at once, 7.0 MiB, within
-    # the _MIRROR_WORKSPACE dm^2 entries sweep's feasibility guard counts
+    # the _MIRROR_WORKSPACE dm^2 entries _arm, and so sweep's guard, counts
     params = make_params(2.0, 0.005, mirror_cutoff=250)
     _moment_table.cache_clear()
     _evolved_ket.cache_clear()

@@ -166,15 +166,6 @@ class TestExactFeasibility:
         with pytest.raises(ConfigError, match="optical cutoff 2054 overflows"):
             self.exact_cfg(1799.0, cutoffs={"mirror": 154})
 
-    def test_verify_cutoffs_are_bounded_whatever_the_engine(self):
-        # every verify check runs the exact engines and check 8 is damped, so
-        # the default analytic engine does not skip the guard's size terms:
-        # 13 generators of 34^4 entries do not fit in 4096^2
-        with pytest.raises(ConfigError,
-                           match="block exponential's working set has 17372368 entries"):
-            load_config(None, {"cutoffs": {"mirror": 33}}, default_mode="verify")
-        load_config(None, {"cutoffs": {"mirror": 32}}, default_mode="verify")
-
     def test_mirror_working_set_sets_the_largest_mirror_cutoff(self):
         # _MIRROR_WORKSPACE arrays of dm^2 entries: 8 * 1448^2 fits in 4096^2,
         # 8 * 1449^2 = 16796808 does not, at any |alpha|^2 (a damped point's
